@@ -2,7 +2,8 @@
 
 Exit codes: 0 success; 1 parse/validation errors (including precondition
 failures); 2 the command needs an integrable form and the input is not;
-3 a step budget ran out or the analysis is inconclusive.  ``--json``
+3 a step budget ran out or the analysis is inconclusive; 4 an internal check
+or certificate failed, which is an engine bug and not a verdict.  ``--json``
 selects a stable machine-readable report; identical inputs produce
 byte-identical reports except for the timings field.
 """
@@ -18,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
-from .classify import InternalInconsistency, classify
+from .classify import ConsistencyFailure, InternalInconsistency, classify
 from .determine import (
     NoConstantSyzygy,
     distribution_family,
@@ -40,12 +41,13 @@ from .forms import (
     singular_ideal,
     validate,
 )
-from .groebner import StepBudgetExceeded
+from .groebner import StepBudgetExceeded, ideal_equal
 from .hilbert import hilbert_data
 from .rings import PolyRing, render
-from .saturation import is_saturated_ideal, saturate
+from .saturation import saturate
 
 BUDGET_ENV = "FOLIATIONS_STEP_BUDGET"
+INTERNAL_FAILURES = (InternalInconsistency, ConsistencyFailure, AssertionError)
 
 
 def _read_form(path: str) -> FormFile:
@@ -125,12 +127,17 @@ def _classification_payload(path: str, budget: int | None) -> dict:
     return payload
 
 
-def _classify_worker(item: tuple[str, int | None]) -> tuple[str, dict | None, str | None]:
+def _classify_worker(
+    item: tuple[str, int | None]
+) -> tuple[str, dict | None, str | None, int]:
+    """(path, payload, error, exit code) for one file of ``classify --dir``."""
     path, budget = item
     try:
-        return path, _classification_payload(path, budget), None
-    except (ParseError, FormError, StepBudgetExceeded, InternalInconsistency) as exc:
-        return path, None, f"{type(exc).__name__}: {exc}"
+        return path, _classification_payload(path, budget), None, 0
+    except (ParseError, FormError, StepBudgetExceeded) as exc:
+        return path, None, f"{type(exc).__name__}: {exc}", 1
+    except INTERNAL_FAILURES as exc:
+        return path, None, f"internal check failed: {type(exc).__name__}: {exc}", 4
 
 
 def _classify_text(payload: dict) -> str:
@@ -160,11 +167,9 @@ def cmd_classify(args) -> int:
                 results = list(pool.map(_classify_worker, items))
         else:
             results = [_classify_worker(it) for it in items]
-        failures = 0
         payloads = []
-        for path, payload, error in results:
+        for path, payload, error, _ in results:
             if error is not None:
-                failures += 1
                 print(f"{path}: {error}", file=sys.stderr)
             else:
                 payloads.append(payload)
@@ -172,7 +177,7 @@ def cmd_classify(args) -> int:
                     print(_classify_text(payload))
         if args.json:
             print(json.dumps(payloads, sort_keys=True, indent=2))
-        return 1 if failures else 0
+        return max(code for *_, code in results)
     payload = _classification_payload(args.file, args.budget)
     payload["timings"] = {"total_s": round(time.monotonic() - started, 3)}
     _emit(args, payload, [_classify_text(payload)])
@@ -289,7 +294,7 @@ def cmd_sat(args) -> int:
     ff = _read_form(args.file)
     I = singular_ideal(ff.form, args.budget)
     sat = saturate(I, budget=args.budget)
-    saturated = is_saturated_ideal(I, args.budget)
+    saturated = ideal_equal(I, sat, args.budget)
     h = hilbert_data(sat, args.budget)
     payload = _report(
         args.file,
@@ -415,6 +420,9 @@ def main(argv: list[str] | None = None) -> int:
     except StepBudgetExceeded as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except INTERNAL_FAILURES as exc:
+        print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@
 
 Polynomial expressions use integers, rationals p/q, the ring variables,
 ``+ - * ^`` and parentheses; a missing coefficient before ``dz<i>`` means 1.
+A unary minus negates the whole power: ``-z0^2*z1`` is ``-(z0^2)*z1``.
 The parser is whitespace-insensitive and reports line/column positions.
 Printing produces the canonical layout above; print-then-parse is the
 identity on forms and parse-then-print is the identity on canonical files.
@@ -187,6 +188,9 @@ class _Parser:
         return acc
 
     def parse_power(self, ring: PolyRing) -> Polynomial:
+        if self.peek().kind == "sym" and self.peek().text == "-":
+            self.next()
+            return -self.parse_power(ring)
         base = self.parse_atom(ring)
         if self.peek().kind == "sym" and self.peek().text == "^":
             self.next()
@@ -200,8 +204,6 @@ class _Parser:
         t = self.next()
         if t.kind == "number":
             return ring.constant(Fraction(t.text))
-        if t.kind == "sym" and t.text == "-":
-            return -self.parse_atom(ring)
         if t.kind == "sym" and t.text == "(":
             inner = self.parse_expr(ring)
             closing = self.next()

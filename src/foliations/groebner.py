@@ -210,8 +210,3 @@ def ideal_equal(I: Ideal, J: Ideal, budget: int | None = None) -> bool:
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
     return I.groebner_basis(budget) == J.groebner_basis(budget)
-
-
-def leading_term_ideal(I: Ideal, budget: int | None = None) -> list[Exponent]:
-    """Minimal generators (exponents) of the leading-term ideal of I."""
-    return [g.leading_monomial() for g in I.groebner_basis(budget)]

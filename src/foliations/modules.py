@@ -2,20 +2,27 @@
 
 Elements of a free module R^s are plain tuples of polynomials.  Module terms
 are (component, monomial) pairs ordered term-over-position: ring order on the
-monomial first, then lower component wins.  The syzygy computation runs a
-tracked Buchberger loop over *all* pairs with matching leading component and
-records one syzygy per zero reduction; together with the syzygies produced
-while interreducing the input generators these generate the full syzygy
-module (Schreyer's theorem), and every returned syzygy is certified by exact
-expansion.
+monomial first, then lower component wins.  One tracked Buchberger loop
+serves both the module Groebner basis and the syzygies.  It takes only pairs
+whose leading terms share a component, lowest lcm first (the normal
+strategy), and prunes them within a component by the Gebauer-Moeller chain
+criterion: a pending pair (i, j) goes when a new leading term t divides its
+lcm and neither lcm(i, t) nor lcm(j, t) equals it, and of t's new pairs one
+is kept per minimal lcm.  The product criterion does not hold for modules.
+The leading-term syzygy of a dropped pair is a combination of those of kept
+pairs, so the kept ones still generate all syzygies of the leading terms.
+By Schreyer's theorem their lifts -- one syzygy per zero reduction, plus
+those from interreducing the input generators -- then generate the full
+syzygy module, and every returned syzygy is certified by exact expansion.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .groebner import DEFAULT_PAIR_BUDGET, StepBudgetExceeded
 from .rings import (
@@ -177,13 +184,56 @@ def module_normal_form(ring: PolyRing, f: Vec, basis: Sequence[Vec]) -> Vec:
 # -- tracked Buchberger and syzygies ----------------------------------------
 
 
+class _PairQueue:
+    """Pending S-pairs of a growing module basis, lowest lcm first.
+
+    Entries are keyed by (lcm in the ring order, component, i, j), so the pop
+    order is deterministic.  Registering a leading term prunes the pairs as
+    ``groebner._update_pairs`` does, less the product criterion (see the
+    module docstring).
+    """
+
+    def __init__(self, ring: PolyRing):
+        self.ring = ring
+        self.leads: list[tuple[int, Exponent]] = []
+        self.heap: list[tuple[object, int, int, int, Exponent]] = []
+
+    def add(self, comp: int, lm: Exponent) -> None:
+        """Register the leading term of the next basis element and its pairs."""
+        leads, t = self.leads, len(self.leads)
+        self.heap = [
+            (k, c, i, j, L)
+            for k, c, i, j, L in self.heap
+            if c != comp
+            or not mono_divides(lm, L)
+            or L == mono_lcm(leads[i][1], lm)
+            or L == mono_lcm(leads[j][1], lm)
+        ]
+        heapq.heapify(self.heap)
+        first_with_lcm: dict[Exponent, int] = {}
+        for i, (c, e) in enumerate(leads):
+            if c == comp:
+                first_with_lcm.setdefault(mono_lcm(e, lm), i)
+        key = self.ring.exp_key
+        minimal: list[Exponent] = []
+        for L in sorted(first_with_lcm, key=key):
+            if not any(mono_divides(M, L) for M in minimal):
+                minimal.append(L)
+                heapq.heappush(self.heap, (key(L), comp, first_with_lcm[L], t, L))
+        leads.append((comp, lm))
+
+    def pop(self) -> tuple[int, int] | None:
+        if not self.heap:
+            return None
+        _, _, i, j, _ = heapq.heappop(self.heap)
+        return i, j
+
+
 def _module_spair(
     ring: PolyRing, gi: Vec, gj: Vec
-) -> tuple[Vec, tuple[Exponent, Fraction], tuple[Exponent, Fraction]] | None:
-    ci, ei, ki = vec_leading(ring, gi)
-    cj, ej, kj = vec_leading(ring, gj)
-    if ci != cj:
-        return None
+) -> tuple[Vec, tuple[Exponent, Fraction], tuple[Exponent, Fraction]]:
+    _, ei, ki = vec_leading(ring, gi)
+    _, ej, kj = vec_leading(ring, gj)
     L = mono_lcm(ei, ej)
     ti = (mono_div(L, ei), 1 / ki)
     tj = (mono_div(L, ej), 1 / kj)
@@ -191,71 +241,59 @@ def _module_spair(
     return s, ti, tj
 
 
+def _buchberger(
+    gens: Sequence[Vec], ring: PolyRing, budget: int | None, track: bool
+) -> tuple[list[Vec], list[Vec]]:
+    """The module Buchberger loop: (Groebner basis, syzygies of gens).
+
+    With ``track`` every generator and S-vector carries its expression over
+    the original generators, and each zero reduction contributes one syzygy;
+    without it the syzygy list stays empty.
+    """
+    limit = DEFAULT_PAIR_BUDGET if budget is None else budget
+    basis: list[Vec] = []
+    reps: list[Vec | None] = []
+    syzygies: list[Vec] = []
+    queue = _PairQueue(ring)
+
+    def reduce_and_add(v: Vec, rep: Vec | None) -> None:
+        steps, r = module_reduce(ring, v, basis)
+        if track:
+            for t_exp, t_c, k in steps:
+                rep = vec_sub(rep, vec_mul_term(reps[k], t_exp, t_c))
+        if not vec_is_zero(r):
+            r, factor = vec_primitive(r)
+            basis.append(r)
+            reps.append(vec_scale(rep, factor) if track else None)
+            queue.add(*vec_leading(ring, r)[:2])
+        elif track and not vec_is_zero(rep):
+            syzygies.append(rep)
+
+    for i, f in enumerate(gens):
+        reduce_and_add(f, vec_unit(ring, len(gens), i) if track else None)
+
+    steps_done = 0
+    while (pair := queue.pop()) is not None:
+        steps_done += 1
+        if steps_done > limit:
+            raise StepBudgetExceeded(
+                f"{'syzygy' if track else 'module'} pair budget {limit} exhausted"
+            )
+        i, j = pair
+        svec, ti, tj = _module_spair(ring, basis[i], basis[j])
+        rep = vec_sub(vec_mul_term(reps[i], *ti), vec_mul_term(reps[j], *tj)) if track else None
+        reduce_and_add(svec, rep)
+    return basis, syzygies
+
+
 def syzygy_generators(
     gens: Sequence[Vec], ring: PolyRing, budget: int | None = None
 ) -> list[Vec]:
-    """Generators of {u in R^s : sum u_k * gens[k] = 0}.
-
-    Runs a tracked Buchberger loop: every generator and every S-vector is
-    reduced while carrying its expression over the original generators, and
-    each zero reduction contributes one syzygy.
-    """
-    limit = DEFAULT_PAIR_BUDGET if budget is None else budget
-    s = len(gens)
-    if s == 0:
+    """Generators of {u in R^s : sum u_k * gens[k] = 0}, each certified."""
+    if not gens:
         return []
+    _, syzygies = _buchberger(gens, ring, budget, track=True)
     rank = len(gens[0])
-
-    basis: list[Vec] = []
-    reps: list[Vec] = []
-    syzygies: list[Vec] = []
-    pairs: list[tuple[int, int]] = []
-
-    def add_element(v: Vec, rep: Vec) -> None:
-        v, factor = vec_primitive(v)
-        rep = vec_scale(rep, factor)
-        lead_comp = vec_leading(ring, v)[0]
-        for k, g in enumerate(basis):
-            if vec_leading(ring, g)[0] == lead_comp:
-                pairs.append((k, len(basis)))
-        basis.append(v)
-        reps.append(rep)
-
-    def reduce_tracked(v: Vec, rep: Vec) -> tuple[Vec, Vec]:
-        steps, r = module_reduce(ring, v, basis)
-        for t_exp, t_c, k in steps:
-            rep = vec_sub(rep, vec_mul_term(reps[k], t_exp, t_c))
-        return r, rep
-
-    for i, f in enumerate(gens):
-        unit = vec_unit(ring, s, i)
-        if vec_is_zero(f):
-            syzygies.append(unit)
-            continue
-        r, rep = reduce_tracked(f, unit)
-        if vec_is_zero(r):
-            syzygies.append(rep)
-        else:
-            add_element(r, rep)
-
-    steps_done = 0
-    while pairs:
-        i, j = pairs.pop()
-        sp = _module_spair(ring, basis[i], basis[j])
-        if sp is None:
-            continue
-        steps_done += 1
-        if steps_done > limit:
-            raise StepBudgetExceeded(f"syzygy pair budget {limit} exhausted")
-        svec, ti, tj = sp
-        rep = vec_sub(vec_mul_term(reps[i], *ti), vec_mul_term(reps[j], *tj))
-        r, rep = reduce_tracked(svec, rep)
-        if vec_is_zero(r):
-            if not vec_is_zero(rep):
-                syzygies.append(rep)
-        else:
-            add_element(r, rep)
-
     for u in syzygies:
         total = vec_zero(ring, rank)
         for coeff, gen in zip(u, gens):
@@ -269,36 +307,7 @@ def module_groebner(
     gens: Sequence[Vec], ring: PolyRing, budget: int | None = None
 ) -> list[Vec]:
     """Reduced Groebner basis of the submodule generated by gens (TOP order)."""
-    limit = DEFAULT_PAIR_BUDGET if budget is None else budget
-    basis: list[Vec] = []
-    pairs: list[tuple[int, int]] = []
-
-    def add_element(v: Vec) -> None:
-        v, _ = vec_primitive(v)
-        lead_comp = vec_leading(ring, v)[0]
-        for k, g in enumerate(basis):
-            if vec_leading(ring, g)[0] == lead_comp:
-                pairs.append((k, len(basis)))
-        basis.append(v)
-
-    for f in gens:
-        if not vec_is_zero(f):
-            r = module_normal_form(ring, f, basis) if basis else f
-            if not vec_is_zero(r):
-                add_element(r)
-
-    steps_done = 0
-    while pairs:
-        i, j = pairs.pop()
-        sp = _module_spair(ring, basis[i], basis[j])
-        if sp is None:
-            continue
-        steps_done += 1
-        if steps_done > limit:
-            raise StepBudgetExceeded(f"module pair budget {limit} exhausted")
-        r = module_normal_form(ring, sp[0], basis)
-        if not vec_is_zero(r):
-            add_element(r)
+    basis, _ = _buchberger(gens, ring, budget, track=False)
 
     # minimalize and interreduce for a canonical reduced basis
     order = sorted(
@@ -321,10 +330,6 @@ def module_groebner(
         reduced.append(vec_scale(r, 1 / lead[2]))
     reduced.sort(key=lambda v: (vec_leading(ring, v)[0], ring.exp_key(vec_leading(ring, v)[1])))
     return reduced
-
-
-def module_contains(ring: PolyRing, v: Vec, groebner: Sequence[Vec]) -> bool:
-    return vec_is_zero(module_normal_form(ring, v, groebner))
 
 
 # -- public syzygy surface ----------------------------------------------------

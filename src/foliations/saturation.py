@@ -6,6 +6,9 @@ respect to the irrelevant ideal is done two independent ways:
 * ``variables``: intersect the single-variable saturations I : z_i^oo, each
   obtained from a Groebner basis in the grevlex order that makes z_i
   cheapest, dividing every basis element by its z_i content (Bayer-Stillman).
+  An intersection that containment decides is skipped: when one side lies in
+  the other, checked by membership against the cached reduced bases, the
+  smaller side is the intersection.
 * ``colon``: iterate I <- I : J until the chain stabilizes.
 
 The two must agree; the engine test suite checks that on a random corpus.
@@ -24,6 +27,11 @@ def _canonical(ring: PolyRing, gens: list[Polynomial], budget: int | None) -> Id
     out = Ideal(ring, gb)
     out._gb = gb
     return out
+
+
+def _includes(I: Ideal, J: Ideal, budget: int | None) -> bool:
+    """J is contained in I, by membership against I's reduced basis."""
+    return all(I.contains(g, budget) for g in J.generators)
 
 
 def colon_by_poly(I: Ideal, f: Polynomial, budget: int | None = None) -> Ideal:
@@ -122,7 +130,10 @@ def saturate(
         result: Ideal | None = None
         for var in range(I.ring.num_vars):
             piece = saturate_variable(I, var, budget)
-            result = piece if result is None else intersect(result, piece, budget)
+            if result is None or _includes(result, piece, budget):
+                result = piece
+            elif not _includes(piece, result, budget):
+                result = intersect(result, piece, budget)
         return result
     if method == "colon":
         target = J if J is not None else irrelevant_ideal(I.ring)

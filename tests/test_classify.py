@@ -126,3 +126,18 @@ def test_degree_determined_by_singular_scheme(corpus):
 def test_classify_rejects_plane_forms(plane_deg1):
     with pytest.raises(ValueError):
         classify(plane_deg1)
+
+
+def test_resolution_heavy_regressions(corpus, exceptional2):
+    # both stalled for minutes when the module loops took pairs last in,
+    # first out; each now takes well under a second
+    pullback_d3 = dict(corpus)["pullback-d3"]
+    r = classify(pullback_d3)
+    assert r.splitting_type == (-2, 1)
+    assert r.betti == {(0, 0): 1, (1, 4): 3, (2, 5): 1, (2, 7): 1}
+    moved = apply_projectivity(
+        exceptional2, [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 2, 1]]
+    )
+    r = classify(moved)
+    assert r.splitting_type == (-1, 0)
+    assert r.betti == {(0, 0): 1, (1, 4): 4, (2, 5): 2, (2, 6): 1}

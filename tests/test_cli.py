@@ -1,9 +1,11 @@
 """Command surface: exit codes, JSON stability, corpus mode."""
 
 import json
+from pathlib import Path
 
 import pytest
 
+from foliations.classify import ConsistencyFailure, InternalInconsistency
 from foliations.cli import main
 from foliations.formfile import print_form_file
 from foliations.forms import validate
@@ -98,6 +100,45 @@ def test_gb_and_sat(l1111_file, capsys):
     out = json.loads(capsys.readouterr().out)
     assert out["verdicts"]["saturated"] is True
     assert out["krull_dim"] == 2
+
+
+def test_sat_saturates_once(l1111_file, monkeypatch, capsys):
+    import foliations.cli as cli
+    import foliations.saturation as saturation
+
+    calls = []
+    real = saturation.saturate
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saturation, "saturate", counting)
+    monkeypatch.setattr(cli, "saturate", counting)
+    assert main(["sat", l1111_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["saturated"] is True
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("exc", [
+    InternalInconsistency("split routes disagree"),
+    ConsistencyFailure("negative section count at twist 0"),
+    AssertionError("syzygy certificate failed to expand to zero"),
+])
+def test_failed_internal_checks_exit_4(l1111_file, monkeypatch, capsys, exc):
+    import foliations.cli as cli
+
+    def broken(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "classify", broken)
+    assert main(["classify", l1111_file]) == 4
+    err = capsys.readouterr().err
+    assert err == f"internal check failed: {type(exc).__name__}: {exc}\n"
+    assert main(["classify", "--dir", str(Path(l1111_file).parent)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "internal check failed" in err
+    assert "Traceback" not in err
 
 
 def test_classify_directory(tmp_path, capsys):

@@ -6,6 +6,8 @@ from foliations.formfile import ParseError, parse_form_file, print_form_file
 from foliations.forms import EulerViolation, FormError, logarithmic_form
 from foliations.rings import PolyRing
 
+from .conftest import build_corpus
+
 
 def test_pencil_file():
     ff = parse_form_file("ring z0 z1 z2 z3\nform (z1) dz0 - (z0) dz1\n")
@@ -60,8 +62,20 @@ def test_metadata_round_trip():
 
 def test_print_parse_identity_on_forms():
     R = PolyRing(4)
-    form = logarithmic_form(R.variables(), [1, 2, 3, -6])
-    assert parse_form_file(print_form_file(form)).form == form
+    z = R.variables()
+    quadric = z[0] ** 2 + z[1] ** 2 + z[2] ** 2 + z[3] ** 2
+    forms = [form for _, form in build_corpus()] + [
+        logarithmic_form(z, [1, 2, 3, -6]),
+        logarithmic_form([quadric, z[0] * z[1] + z[2] * z[3]], [1, -1]),  # L22
+    ]
+    for form in forms:
+        assert parse_form_file(print_form_file(form)).form == form
+
+
+def test_unary_minus_negates_the_power():
+    for text in ["-z0^2*z1 - z1^3", "-1*z0^2*z1 - 1*z1^3"]:
+        ff = parse_form_file(f"ring z0 z1\nform ({text}) dz0 + (z0^3 + z0*z1^2) dz1")
+        assert str(ff.form.coefficients[0]) == "-z0^2*z1 - z1^3"
 
 
 def test_euler_violation_surfaced():

@@ -76,6 +76,39 @@ def test_syzygies_certified_against_random_generators():
             assert total.is_zero()
 
 
+def _span_dimension(syzygies, entry_degree):
+    """Dimension of the Q-span of monomial multiples with entries of one degree."""
+    from foliations.classify import monomials_of_degree
+
+    rows = []
+    for u in syzygies:
+        own = max(c.degree() for c in u if not c.is_zero())
+        for m in monomials_of_degree(R, entry_degree - own):
+            multiple = [c.mul_term(m, 1) for c in u]
+            rows.append([
+                c.coefficient(e) for c in multiple
+                for e in monomials_of_degree(R, entry_degree)
+            ])
+    return rank(rows) if rows else 0
+
+
+def test_syzygies_generate_against_dense_linear_algebra():
+    # completeness oracle: pruned pairs must not lose a syzygy, so in each
+    # entry degree the returned generators span what dense elimination counts
+    from foliations.classify import graded_syzygy_dimension
+
+    from .conftest import random_homogeneous
+
+    rng = Random(0)
+    for count, degree in [(3, 1), (4, 1), (3, 2), (4, 2), (5, 2), (6, 2)]:
+        gens = [random_homogeneous(rng, R, degree, max_terms=2) for _ in range(count)]
+        syz = syzygy_generators([(g,) for g in gens], R)
+        for entry_degree in range(3):
+            assert _span_dimension(syz, entry_degree) == graded_syzygy_dimension(
+                tuple(gens), entry_degree
+            )
+
+
 def test_module_groebner_reduces_membership():
     gens = [(Z[0], Z[1]), (Z[1], Z[0]), (Z[0] + Z[1], Z[0] + Z[1])]
     gb = module_groebner(gens, R)

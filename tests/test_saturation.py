@@ -41,6 +41,27 @@ def test_intersection_via_membership():
     assert not normal_form(Z[0], gb).is_zero()
 
 
+def test_saturation_skips_intersections_that_containment_decides(monkeypatch):
+    # I : z0^oo = (1) strictly contains I : z1^oo = (z0^2, z2, z3^2); that
+    # and I : z2^oo = (z0^2, z1, z3^2) need their intersection, I; and
+    # I : z3^oo = (1) contains I
+    import foliations.saturation as saturation
+
+    calls = []
+    real = saturation.intersect
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(saturation, "intersect", counting)
+    I = Ideal(R, [Z[0] ** 2, Z[1] * Z[2], Z[3] ** 2])
+    a = saturate(I, method="variables")
+    assert len(calls) == 1
+    assert ideal_equal(a, saturate(I, method="colon"))
+    assert ideal_equal(a, I)
+
+
 def random_monomial_or_binomial_ideal(rng, size=3):
     gens = []
     for _ in range(size):
