@@ -1,22 +1,36 @@
 """Decision procedures on the singular scheme of a P^3 foliation.
 
 Saturation, the curve test (locally free tangent sheaf), the ACM test
-(split tangent sheaf), splitting-type recovery from graded syzygy
-dimensions, and Hartshorne-Rao dimensions.  The split verdict is computed
+(split tangent sheaf), the splitting type and Hartshorne-Rao dimensions,
+all read from one ``_Analysis`` of the form.  The split verdict is computed
 along two independent routes -- curve + saturated and curve + ACM -- whose
 agreement is itself a theorem, so a disagreement signals an engine bug and
 raises instead of returning.
+
+The splitting type is read off the minimal free resolution of R/I^sat
+(= R/I for a split form) that the ACM test already holds.  When the
+tangent sheaf of a degree-d form is O(a) (+) O(b), the syzygies of
+(F_0..F_3) form a free module with generators of entry degrees 1 (the
+Euler relation), 1-a and 1-b (Hilbert-Burch), so its twists are
+{d+2, d+2-a, d+2-b}.  Each 1 in (a, b) is a constant syzygy: it makes one
+F_i redundant, and minimalization cancels that twist d+1 against one
+generator of F_1.  So, with k the number of 1s in (a, b),
+
+    F_0 = R,   F_1 = R(-d-1)^(4-k),
+    F_2 = R(-d-2) (+) R(-d-2+a) (+) R(-d-2+b), less k copies of R(-d-1).
+
+The alternating twist sum of the resolution must equal the Hilbert
+numerator of R/I^sat computed from Groebner leading terms, which checks
+the table along a second route.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import combinations_with_replacement
-from math import comb
+from dataclasses import dataclass
 
 from .ext import ExtModule, ext_module
 from .forms import ProjectiveOneForm, singular_ideal
-from .groebner import Ideal, ideal_equal, reduced_groebner_basis
+from .groebner import Ideal, ideal_equal
 from .hilbert import HilbertData, hilbert_data
 from .linalg import kernel_basis, rank
 from .resolutions import FreeResolution, free_resolution
@@ -29,7 +43,7 @@ class InternalInconsistency(RuntimeError):
 
 
 class ConsistencyFailure(RuntimeError):
-    """Graded section counts do not match any ranked splitting."""
+    """The Betti table of a split form does not match any splitting type."""
 
 
 @dataclass(frozen=True)
@@ -44,22 +58,6 @@ class ClassificationReport:
     rao_dims: dict[int, int] | None
     betti: dict[tuple[int, int], int]
     normal_twist: int
-    connectedness: str = "not computed"
-
-    def to_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "codim_ok": self.codim_ok,
-            "saturated": self.saturated,
-            "curve": self.is_curve,
-            "acm": self.is_acm,
-            "split": self.is_split,
-            "splitting_type": list(self.splitting_type) if self.splitting_type else None,
-            "rao": {str(k): v for k, v in self.rao_dims.items()} if self.rao_dims is not None else None,
-            "betti": {f"{i},{j}": v for (i, j), v in sorted(self.betti.items())},
-            "normal_twist": self.normal_twist,
-            "connectedness": self.connectedness,
-        }
 
 
 # -- graded syzygy linear algebra ----------------------------------------------
@@ -134,11 +132,6 @@ def graded_syzygy_dimension(coefficients: tuple[Polynomial, ...], entry_degree: 
     return len(cols) - (rank(matrix) if matrix else 0)
 
 
-def _sections_of_line_bundle(twist: int) -> int:
-    """h^0(P^3, O(twist))."""
-    return comb(twist + 3, 3) if twist >= 0 else 0
-
-
 # -- shared analysis ------------------------------------------------------------
 
 
@@ -158,8 +151,7 @@ class _Analysis:
             raise ValueError("classification requires a form on P^3 (4 variables)")
         I = singular_ideal(form, budget)
         sat = saturate(I, budget=budget)
-        gb = reduced_groebner_basis(list(I.generators), I.ring, budget)
-        saturated = gb == sat.groebner_basis(budget)
+        saturated = I.groebner_basis(budget) == sat.groebner_basis(budget)
         res = free_resolution(sat, minimal=True, budget=budget)
         e3 = ext_module(sat, 3, resolution=res, budget=budget)
         return cls(form, I, sat, saturated, hilbert_data(sat, budget), res, e3)
@@ -220,10 +212,10 @@ def _split_from(a: _Analysis) -> bool:
 def splitting_type(form: ProjectiveOneForm, budget: int | None = None) -> tuple[int, int]:
     """The pair (a, b), a <= b, with tangent sheaf O(a) (+) O(b).
 
-    Recovered from graded syzygy dimensions: s_m, the dimension of syzygies
-    of (F_0..F_3) with entries of degree m+1, equals
-    h^0(F(m)) + h^0(O(m)); the first m with h^0(F(m)) > 0 gives b = -m and
-    a = 2 - d - b.  Three further degrees are checked for consistency.
+    Read off the minimal resolution of R/I: the twists of F_2 are
+    {d+2, d+2-a, d+2-b} less one d+1 for each constant syzygy, that is for
+    each 1 in (a, b), which minimalization cancels against a generator of
+    F_1.  The table is checked against the Hilbert numerator of R/I^sat.
     """
     a = _Analysis.of(form, budget)
     if not _split_from(a):
@@ -232,33 +224,27 @@ def splitting_type(form: ProjectiveOneForm, budget: int | None = None) -> tuple[
 
 
 def _splitting_type_from(analysis: _Analysis) -> tuple[int, int]:
-    form = analysis.form
-    d = form.degree
-    F = form.coefficients
-    found = None
-    for m in range(-1, d + 2):
-        s_m = graded_syzygy_dimension(F, m + 1)
-        h0 = s_m - _sections_of_line_bundle(m)
-        if h0 < 0:
-            raise ConsistencyFailure(f"negative section count at twist {m}")
-        if h0 > 0:
-            found = m
-            break
-    if found is None:
-        raise ConsistencyFailure("no sections found in the expected twist range")
-    b = -found
-    a = 2 - d - b
-    for m in (found + 1, found + 2, found + 3):
-        s_m = graded_syzygy_dimension(F, m + 1)
-        expected = (
-            _sections_of_line_bundle(m + a)
-            + _sections_of_line_bundle(m + b)
-            + _sections_of_line_bundle(m)
+    res = analysis.resolution
+    d = analysis.form.degree
+    if res.euler_numerator() != analysis.sat_hilbert.numerator:
+        raise ConsistencyFailure(
+            "the Betti table does not give the Hilbert series of R/I^sat"
         )
-        if s_m != expected:
-            raise ConsistencyFailure(
-                f"section count {s_m} at twist {m} does not match type ({a},{b})"
-            )
+    if res.length != 2 or set(res.twists[1]) != {d + 1}:
+        raise ConsistencyFailure(
+            f"Betti table {res.betti()} is not that of a split form of degree {d}"
+        )
+    k = 4 - len(res.twists[1])  # constant syzygies, one for each 1 in (a, b)
+    rest = list(res.twists[2])
+    if d + 2 not in rest:
+        raise ConsistencyFailure(f"F_2 has no Euler syzygy twist {d + 2}")
+    rest.remove(d + 2)
+    rest += [d + 1] * k
+    if len(rest) != 2:
+        raise ConsistencyFailure(
+            f"Betti table {res.betti()} leaves {len(rest)} syzygy twists, not 2"
+        )
+    a, b = sorted(d + 2 - t for t in rest)
     return (a, b)
 
 
@@ -284,7 +270,11 @@ def _rao_from(analysis: _Analysis) -> dict[int, int]:
 
 def classify(form: ProjectiveOneForm, budget: int | None = None) -> ClassificationReport:
     """The consolidated report; every field computed, invariants asserted."""
-    a = _Analysis.of(form, budget)
+    return _report_from(_Analysis.of(form, budget))
+
+
+def _report_from(a: _Analysis) -> ClassificationReport:
+    form = a.form
     curve = a.curve()
     acm = curve and a.acm()
     split = _split_from(a)

@@ -3,9 +3,11 @@
 Exit codes: 0 success; 1 parse/validation errors (including precondition
 failures); 2 the command needs an integrable form and the input is not;
 3 a step budget ran out or the analysis is inconclusive; 4 an internal check
-or certificate failed, which is an engine bug and not a verdict.  ``--json``
-selects a stable machine-readable report; identical inputs produce
-byte-identical reports except for the timings field.
+or certificate failed, which is an engine bug and not a verdict.
+``classify --dir`` reports each failed file on stderr and exits with the
+largest per-file code, which is 1, 3 or 4.  ``--json`` selects a stable
+machine-readable report; identical inputs produce byte-identical reports
+except for the timings field.
 """
 
 from __future__ import annotations
@@ -27,13 +29,10 @@ from .determine import (
     is_determined_by_singular_scheme,
     linear_syzygy_space,
     constant_syzygy_space,
-    pullback_structure,
 )
 from .formfile import FormFile, ParseError, parse_form_file, print_form_file
 from .forms import (
-    AffineOneForm,
     FormError,
-    ProjectiveOneForm,
     exceptional_form,
     integrability_check,
     logarithmic_form,
@@ -43,7 +42,7 @@ from .forms import (
 )
 from .groebner import StepBudgetExceeded, ideal_equal
 from .hilbert import hilbert_data
-from .rings import PolyRing, render
+from .rings import PolyRing
 from .saturation import saturate
 
 BUDGET_ENV = "FOLIATIONS_STEP_BUDGET"
@@ -123,7 +122,6 @@ def _classification_payload(path: str, budget: int | None) -> dict:
         rao={str(k): v for k, v in report.rao_dims.items()} if report.rao_dims is not None else None,
     )
     payload["betti"] = {f"{i},{j}": v for (i, j), v in sorted(report.betti.items())}
-    payload["connectedness"] = report.connectedness
     return payload
 
 
@@ -134,8 +132,10 @@ def _classify_worker(
     path, budget = item
     try:
         return path, _classification_payload(path, budget), None, 0
-    except (ParseError, FormError, StepBudgetExceeded) as exc:
+    except (ParseError, FormError) as exc:
         return path, None, f"{type(exc).__name__}: {exc}", 1
+    except StepBudgetExceeded as exc:
+        return path, None, f"{type(exc).__name__}: {exc}", 3
     except INTERNAL_FAILURES as exc:
         return path, None, f"internal check failed: {type(exc).__name__}: {exc}", 4
 

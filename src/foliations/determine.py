@@ -12,12 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement, product
+from itertools import product
 
-from .classify import _Analysis, _split_from, classify, graded_syzygy_basis
+from .classify import _Analysis, _report_from, _split_from, graded_syzygy_basis
 from .forms import (
     FormError,
-    HomogeneousTwoForm,
     ProjectiveOneForm,
     exterior_derivative,
     integrability_check,
@@ -28,7 +27,7 @@ from .forms import (
 from .groebner import Ideal, StepBudgetExceeded, ideal_equal
 from .hilbert import hilbert_data
 from .linalg import determinant
-from .rings import PolyRing, Polynomial, Rational, apply_linear_change, map_to_ring
+from .rings import PolyRing, Polynomial, map_to_ring
 from .saturation import saturate
 
 
@@ -218,9 +217,13 @@ def _poly_det(entries: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
 
 def distribution_family(form: ProjectiveOneForm, budget: int | None = None) -> DistributionFamily:
     """The syzygy-parameterized family; requires a split base foliation."""
-    a = _Analysis.of(form, budget)
-    if not _split_from(a):
+    return _family_from(_Analysis.of(form, budget))
+
+
+def _family_from(analysis: _Analysis) -> DistributionFamily:
+    if not _split_from(analysis):
         raise ValueError("the family construction requires a split foliation")
+    form = analysis.form
     syzygies = linear_syzygy_space(form)
     matrices = [s.to_matrix() for s in syzygies]
     p = len(syzygies)
@@ -423,7 +426,8 @@ def is_determined_by_singular_scheme(
     Witnesses returned for non-uniqueness are validated second foliations
     with the same saturated singular ideal, not proportional to the base.
     """
-    report = classify(form, budget)
+    analysis = _Analysis.of(form, budget)
+    report = _report_from(analysis)
     if not report.is_split:
         raise ValueError("determination analysis applies to split foliations")
     a, b = report.splitting_type
@@ -431,14 +435,11 @@ def is_determined_by_singular_scheme(
         return Determination("unique", "splitting type a <= b <= -1")
     if b == 1 and report.degree != 1:
         return Determination("unique", "linear pull-back of degree != 1")
-    family = distribution_family(form, budget)
-    outcome = integrable_members(family, budget)
+    outcome = integrable_members(_family_from(analysis), budget)
     witnesses = outcome.non_base_members(form)
     for w in witnesses:
         same = ideal_equal(
-            saturate(singular_ideal(w, budget), budget=budget),
-            saturate(singular_ideal(form, budget), budget=budget),
-            budget,
+            saturate(singular_ideal(w, budget), budget=budget), analysis.saturation, budget
         )
         if same and integrability_check(w):
             return Determination("non-unique", "integrable family member", w)

@@ -10,7 +10,6 @@ no map has a unit entry, so the pruned twists are the graded Betti numbers.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .groebner import Ideal, StepBudgetExceeded
 from .hilbert import IntPoly, _add, _shift

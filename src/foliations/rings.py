@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Rational = int | Fraction
@@ -81,10 +81,6 @@ class PolyRing:
                 return (sum(e), tuple(-x for x in reversed(p)))
 
         return key
-
-    def compare(self, a: Exponent, b: Exponent) -> int:
-        ka, kb = self.exp_key(a), self.exp_key(b)
-        return (ka > kb) - (ka < kb)
 
     # -- element constructors ------------------------------------------------
 
@@ -396,17 +392,6 @@ def render(p: Polynomial) -> str:
 
 
 # -- operations on polynomials -------------------------------------------------
-
-
-def ring_arithmetic(a: Polynomial, b: Polynomial, op: str) -> Polynomial:
-    """Dispatch add/sub/mul/scalar_mul by name (mirrors the library surface)."""
-    if op == "add":
-        return a + b
-    if op == "sub":
-        return a - b
-    if op == "mul":
-        return a * b
-    raise ValueError(f"unknown op {op!r}")
 
 
 def homogenize(p: Polynomial, var: int, target_degree: int) -> Polynomial:

@@ -1,8 +1,11 @@
 """Classification verdicts on the paper's fixtures and engine-level schemes."""
 
+from math import comb
+
 import pytest
 
 from foliations.classify import (
+    ConsistencyFailure,
     classify,
     graded_syzygy_dimension,
     is_curve,
@@ -11,12 +14,15 @@ from foliations.classify import (
     rao_dimensions,
     splitting_type,
 )
-from foliations.forms import apply_projectivity, validate
+from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form, validate
 from foliations.groebner import Ideal
 from foliations.rings import PolyRing
 
+from .conftest import build_corpus
+
 R = PolyRing(4)
 Z = R.variables()
+MOVE_EXCEPTIONAL_D2 = [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 2, 1]]
 
 
 def test_pencil_report(pencil):
@@ -135,9 +141,70 @@ def test_resolution_heavy_regressions(corpus, exceptional2):
     r = classify(pullback_d3)
     assert r.splitting_type == (-2, 1)
     assert r.betti == {(0, 0): 1, (1, 4): 3, (2, 5): 1, (2, 7): 1}
-    moved = apply_projectivity(
-        exceptional2, [[1, 0, 0, 0], [0, 1, 0, 1], [0, 0, 1, 0], [0, 0, 2, 1]]
-    )
-    r = classify(moved)
+    r = classify(apply_projectivity(exceptional2, MOVE_EXCEPTIONAL_D2))
     assert r.splitting_type == (-1, 0)
     assert r.betti == {(0, 0): 1, (1, 4): 4, (2, 5): 2, (2, 6): 1}
+
+
+# -- the splitting type against a dense oracle ------------------------------------
+
+
+def _sections(twist: int) -> int:
+    """h^0(P^3, O(twist))."""
+    return comb(twist + 3, 3) if twist >= 0 else 0
+
+
+def _type_from_section_counts(form) -> tuple[int, int]:
+    """The splitting type from dense ranks of graded syzygy matrices.
+
+    s_m, the dimension of syzygies of (F_0..F_3) with entries of degree m+1,
+    is h^0(T(m)) + h^0(O(m)); the first m with h^0(T(m)) > 0 gives b = -m
+    and a = 2 - d - b.  Three further degrees must match the type.
+    """
+    d = form.degree
+    F = form.coefficients
+    for m in range(-1, d + 2):
+        h0 = graded_syzygy_dimension(F, m + 1) - _sections(m)
+        assert h0 >= 0, f"negative section count at twist {m}"
+        if h0 > 0:
+            break
+    else:
+        pytest.fail("no sections found in the expected twist range")
+    b = -m
+    a = 2 - d - b
+    for t in (m + 1, m + 2, m + 3):
+        expected = _sections(t + a) + _sections(t + b) + _sections(t)
+        assert graded_syzygy_dimension(F, t + 1) == expected
+    return (a, b)
+
+
+def _oracle_forms():
+    quadric = Z[0] ** 2 + Z[1] ** 2 + Z[2] ** 2 + Z[3] ** 2
+    return build_corpus() + [
+        ("exceptional-d3", exceptional_form(3)),
+        ("L22", logarithmic_form([quadric, Z[0] * Z[1] + Z[2] * Z[3]], [1, -1])),
+        ("exceptional-d2-moved", apply_projectivity(exceptional_form(2), MOVE_EXCEPTIONAL_D2)),
+    ]
+
+
+@pytest.mark.parametrize("name, form", [pytest.param(n, f, id=n) for n, f in _oracle_forms()])
+def test_splitting_type_matches_dense_section_counts(name, form):
+    r = classify(form)
+    assert r.is_split == (name != "L112")
+    if r.is_split:
+        assert r.splitting_type == _type_from_section_counts(form)
+
+
+def test_shifted_betti_table_is_a_consistency_failure(l1111, monkeypatch):
+    import foliations.classify as classify_mod
+
+    real = classify_mod.free_resolution
+
+    def shifted(*args, **kwargs):
+        res = real(*args, **kwargs)
+        res.twists[2] = (res.twists[2][0] + 1,) + res.twists[2][1:]
+        return res
+
+    monkeypatch.setattr(classify_mod, "free_resolution", shifted)
+    with pytest.raises(ConsistencyFailure, match="Hilbert series"):
+        classify(l1111)

@@ -122,7 +122,7 @@ def test_sat_saturates_once(l1111_file, monkeypatch, capsys):
 
 @pytest.mark.parametrize("exc", [
     InternalInconsistency("split routes disagree"),
-    ConsistencyFailure("negative section count at twist 0"),
+    ConsistencyFailure("the Betti table does not give the Hilbert series of R/I^sat"),
     AssertionError("syzygy certificate failed to expand to zero"),
 ])
 def test_failed_internal_checks_exit_4(l1111_file, monkeypatch, capsys, exc):
@@ -151,6 +151,15 @@ def test_classify_directory(tmp_path, capsys):
     assert main(["classify", "--dir", str(tmp_path), "--json"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert len(out) == 2 and all(o["verdicts"]["split"] for o in out)
+
+
+def test_classify_directory_budget_exhausted_exits_3(l1111_file, capsys):
+    # the same exit code as ``classify <file>`` for the same failure
+    assert main(["classify", l1111_file, "--budget", "1"]) == 3
+    capsys.readouterr()
+    assert main(["classify", "--dir", str(Path(l1111_file).parent), "--budget", "1"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "StepBudgetExceeded" in err
 
 
 def test_pullback_make(tmp_path, capsys):

@@ -165,6 +165,33 @@ def test_l1111_non_unique_with_explicit_witness(l1111, l1111_alt):
     assert not l1111_alt.is_proportional_to(l1111)
 
 
+def test_determination_analyses_the_form_once(l1111, monkeypatch):
+    import foliations.classify as classify_mod
+    import foliations.determine as determine_mod
+
+    analyses = []
+    real_of = classify_mod._Analysis.of.__func__
+
+    def counted_of(cls, form, budget=None):
+        analyses.append(form)
+        return real_of(cls, form, budget)
+
+    base = singular_ideal(l1111).generators
+    saturated = []
+
+    def counted_saturate(I, *args, **kwargs):
+        saturated.append(I.generators == base)
+        return saturate(I, *args, **kwargs)
+
+    monkeypatch.setattr(classify_mod._Analysis, "of", classmethod(counted_of))
+    monkeypatch.setattr(classify_mod, "saturate", counted_saturate)
+    monkeypatch.setattr(determine_mod, "saturate", counted_saturate)
+    verdict = is_determined_by_singular_scheme(l1111)
+    assert verdict.kind == "non-unique"
+    assert analyses == [l1111]
+    assert saturated.count(True) == 1
+
+
 def test_exceptional_unique(exceptional2):
     verdict = is_determined_by_singular_scheme(exceptional2)
     assert verdict.kind == "unique"

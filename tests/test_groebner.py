@@ -1,5 +1,6 @@
 """Groebner engine: reduced bases, normal forms, membership, budgets."""
 
+from fractions import Fraction
 from random import Random
 
 import pytest
@@ -102,3 +103,32 @@ def test_budget_exhaustion_is_an_error():
     gens = [Z[0] * Z[2] - Z[1] ** 2, Z[0] * Z[3] - Z[1] * Z[2], Z[1] * Z[3] - Z[2] ** 2]
     with pytest.raises(StepBudgetExceeded):
         reduced_groebner_basis(gens, R, budget=0)
+
+
+def test_reduced_basis_matches_sympy():
+    # an outside oracle: sympy's reduced grevlex basis over QQ is also monic,
+    # so the two bases must agree term by term
+    sympy = pytest.importorskip("sympy")
+    from .conftest import random_homogeneous
+
+    syms = sympy.symbols("z0:4")
+    rng = Random(2026)
+    for _ in range(8):
+        gens = [
+            random_homogeneous(rng, R, rng.randint(1, 3)) for _ in range(rng.randint(3, 4))
+        ]
+        exprs = [
+            sum(
+                sympy.Rational(c.numerator, c.denominator)
+                * sympy.Mul(*(z**k for z, k in zip(syms, e)))
+                for e, c in g.terms
+            )
+            for g in gens
+        ]
+        expected = sympy.groebner(exprs, *syms, order="grevlex", domain=sympy.QQ)
+        expected_terms = sorted(
+            sorted((e, Fraction(int(c.numerator), int(c.denominator))) for e, c in p.terms())
+            for p in expected.polys
+        )
+        ours = sorted(sorted(g.terms) for g in reduced_groebner_basis(gens, R))
+        assert ours == expected_terms
