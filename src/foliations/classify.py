@@ -13,8 +13,9 @@ tangent sheaf of a degree-d form is O(a) (+) O(b), the syzygies of
 (F_0..F_3) form a free module with generators of entry degrees 1 (the
 Euler relation), 1-a and 1-b (Hilbert-Burch), so its twists are
 {d+2, d+2-a, d+2-b}.  Each 1 in (a, b) is a constant syzygy: it makes one
-F_i redundant, and minimalization cancels that twist d+1 against one
-generator of F_1.  So, with k the number of 1s in (a, b),
+F_i a combination of the others, so that F_i is not a minimal generator,
+and the resolution drops it from F_1 as it is built, together with its
+twist d+1 in F_2.  So, with k the number of 1s in (a, b),
 
     F_0 = R,   F_1 = R(-d-1)^(4-k),
     F_2 = R(-d-2) (+) R(-d-2+a) (+) R(-d-2+b), less k copies of R(-d-1).
@@ -30,16 +31,12 @@ from dataclasses import dataclass
 
 from .ext import ExtModule, ext_module
 from .forms import ProjectiveOneForm, singular_ideal
-from .groebner import Ideal, ideal_equal
+from .groebner import Ideal, InternalInconsistency, ideal_equal
 from .hilbert import HilbertData, hilbert_data
 from .linalg import kernel_basis, rank
 from .resolutions import FreeResolution, free_resolution
 from .rings import Exponent, PolyRing, Polynomial
 from .saturation import saturate
-
-
-class InternalInconsistency(RuntimeError):
-    """The two split characterizations disagreed: an engine bug, not a verdict."""
 
 
 class ConsistencyFailure(RuntimeError):
@@ -152,7 +149,7 @@ class _Analysis:
         I = singular_ideal(form, budget)
         sat = saturate(I, budget=budget)
         saturated = I.groebner_basis(budget) == sat.groebner_basis(budget)
-        res = free_resolution(sat, minimal=True, budget=budget)
+        res = free_resolution(sat, budget=budget)
         e3 = ext_module(sat, 3, resolution=res, budget=budget)
         return cls(form, I, sat, saturated, hilbert_data(sat, budget), res, e3)
 
@@ -214,8 +211,9 @@ def splitting_type(form: ProjectiveOneForm, budget: int | None = None) -> tuple[
 
     Read off the minimal resolution of R/I: the twists of F_2 are
     {d+2, d+2-a, d+2-b} less one d+1 for each constant syzygy, that is for
-    each 1 in (a, b), which minimalization cancels against a generator of
-    F_1.  The table is checked against the Hilbert numerator of R/I^sat.
+    each 1 in (a, b).  Such a syzygy makes one F_i non-minimal, and the
+    resolution drops it from F_1.  The table is checked against the Hilbert
+    numerator of R/I^sat.
     """
     a = _Analysis.of(form, budget)
     if not _split_from(a):

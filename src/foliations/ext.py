@@ -94,7 +94,7 @@ def ext_module(
     ring = I.ring
     if not 0 <= k <= ring.num_vars:
         raise ValueError("homological degree out of range")
-    res = resolution if resolution is not None else free_resolution(I, minimal=True, budget=budget)
+    res = resolution if resolution is not None else free_resolution(I, budget=budget)
     if k > res.length:
         return _zero_ext(ring, k)
 

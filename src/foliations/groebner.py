@@ -32,6 +32,10 @@ class StepBudgetExceeded(RuntimeError):
     """A configured step budget ran out before the computation finished."""
 
 
+class InternalInconsistency(RuntimeError):
+    """An internal check or a theorem the engine relies on failed: an engine bug."""
+
+
 @dataclass
 class Ideal:
     """A polynomial ideal given by generators, with a cached reduced basis."""

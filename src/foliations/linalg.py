@@ -44,16 +44,15 @@ def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
 
 
 def rank(rows: Sequence[Sequence]) -> int:
-    """Rank via integer fraction-free elimination (rows scaled to integers)."""
+    """Rank via integer fraction-free elimination of int or Fraction rows."""
     from math import gcd, lcm
 
     m: list[list[int]] = []
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        if all(x == 0 for x in fr):
+        if not any(row):
             continue
-        den = lcm(*(x.denominator for x in fr))
-        ints = [x.numerator * (den // x.denominator) for x in fr]
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
         g = gcd(*ints)
         m.append([x // g for x in ints])
     if not m:

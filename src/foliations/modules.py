@@ -1,25 +1,34 @@
 """Submodules of graded free modules: Groebner bases and syzygies.
 
-Elements of a free module R^s are plain tuples of polynomials.  Module terms
-are (component, monomial) pairs ordered term-over-position: ring order on the
-monomial first, then lower component wins.  One tracked Buchberger loop
-serves both the module Groebner basis and the syzygies.  It takes only pairs
-whose leading terms share a component, lowest lcm first (the normal
-strategy), and prunes them within a component by the Gebauer-Moeller chain
-criterion: a pending pair (i, j) goes when a new leading term t divides its
-lcm and neither lcm(i, t) nor lcm(j, t) equals it, and of t's new pairs one
-is kept per minimal lcm.  The product criterion does not hold for modules.
-The leading-term syzygy of a dropped pair is a combination of those of kept
-pairs, so the kept ones still generate all syzygies of the leading terms.
-By Schreyer's theorem their lifts -- one syzygy per zero reduction, plus
-those from interreducing the input generators -- then generate the full
-syzygy module, and every returned syzygy is certified by exact expansion.
+Elements of a free module R^s are plain tuples of polynomials.  Each basis
+vector e_c carries a Schreyer mark (M_c, rank_c), and a term m*e_c is
+compared by m*M_c in the ring order, then the lower rank wins.  M_c = 1 and
+rank c give the term-over-position (TOP) order, the default, which
+``module_groebner`` and ``ext`` use.  In a resolution, M_c is the leading
+monomial of generator c carried down the frame: the Schreyer order.
+
+One tracked Buchberger loop serves Groebner bases, syzygies and resolution
+steps.  It takes only pairs whose leading terms share a component, lowest
+lcm first, and prunes them by the Gebauer-Moeller chain criterion: a pending
+pair (i, j) goes when a new leading term t divides its lcm and neither
+lcm(i, t) nor lcm(j, t) equals it, and of t's new pairs one is kept per
+minimal lcm (the product criterion does not hold for modules).  The kept
+pairs still generate the syzygies of the leading terms, so by Schreyer's
+theorem their lifts -- one per zero reduction, plus those from reducing the
+input generators -- generate the syzygy module.  Every returned syzygy is
+certified by exact expansion.
+
+A resolution step (``minimal_syzygies``) runs the loop degree by degree:
+the degree of a generator or of a pair's lcm is its entry degree plus
+deg M_c, and each generator enters after the pairs of its degree.  So a
+generator that reduces to zero lies in the span of lower degrees and of the
+generators before it: it is not minimal, and it is dropped without a
+coordinate in the syzygies.
 """
 
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
@@ -32,45 +41,12 @@ from .rings import (
     mono_div,
     mono_divides,
     mono_lcm,
+    mono_mul,
 )
 
 Vec = tuple[Polynomial, ...]
-
-
-@dataclass(frozen=True)
-class FreeModuleElement:
-    """A homogeneous element of a graded free module with degree shifts.
-
-    ``twists[k]`` is the degree of the k-th basis vector, so the element is
-    homogeneous of degree ``deg(components[k]) + twists[k]`` (constant over
-    the nonzero components).
-    """
-
-    components: tuple[Polynomial, ...]
-    twists: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if len(self.components) != len(self.twists):
-            raise ValueError("one twist per component required")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.components)
-
-    def is_homogeneous(self) -> bool:
-        degs = {
-            c.degree() + t for c, t in zip(self.components, self.twists) if not c.is_zero()
-        }
-        return len(degs) <= 1 and all(
-            c.is_homogeneous() for c in self.components if not c.is_zero()
-        )
-
-    def degree(self) -> int:
-        degs = {
-            c.degree() + t for c, t in zip(self.components, self.twists) if not c.is_zero()
-        }
-        if len(degs) != 1:
-            raise ValueError("element is zero or inhomogeneous")
-        return degs.pop()
+Marks = Sequence[tuple[Exponent, int]]
+"""Schreyer marks: (M_c, rank_c) for each basis vector e_c of a free module."""
 
 
 # -- raw vector helpers ------------------------------------------------------
@@ -100,19 +76,27 @@ def vec_mul_term(a: Vec, e: Exponent, c: Fraction) -> Vec:
 def vec_mul_poly(a: Vec, p: Polynomial) -> Vec:
     return tuple(x * p for x in a)
 
-def vec_degree(v: Vec) -> int:
-    return max((c.degree() for c in v if not c.is_zero()), default=-1)
+def _term_key(ring: PolyRing, marks: Marks | None, comp: int, e: Exponent) -> tuple:
+    if marks is None:
+        return (ring.exp_key(e), -comp)
+    mark, rank = marks[comp]
+    return (ring.exp_key(mono_mul(e, mark)), -rank)
 
 
-def vec_leading(ring: PolyRing, v: Vec) -> tuple[int, Exponent, Fraction]:
-    """Leading module term (component, monomial, coefficient), TOP order."""
+def vec_leading(
+    ring: PolyRing, v: Vec, marks: Marks | None = None
+) -> tuple[int, Exponent, Fraction]:
+    """Leading module term (component, monomial, coefficient).
+
+    TOP order unless Schreyer ``marks`` are given (see the module docstring).
+    """
     best = None
     key = None
     for comp, p in enumerate(v):
         if p.is_zero():
             continue
         e, c = p.terms[0]
-        k = (ring.exp_key(e), -comp)
+        k = _term_key(ring, marks, comp, e)
         if key is None or k > key:
             key, best = k, (comp, e, c)
     if best is None:
@@ -120,7 +104,7 @@ def vec_leading(ring: PolyRing, v: Vec) -> tuple[int, Exponent, Fraction]:
     return best
 
 
-def vec_primitive(v: Vec) -> tuple[Vec, Fraction]:
+def vec_primitive(v: Vec, marks: Marks | None = None) -> tuple[Vec, Fraction]:
     """Scale to coprime integer coefficients; returns (vector, factor used)."""
     coeffs = [c for p in v for _, c in p.terms]
     if not coeffs:
@@ -129,7 +113,7 @@ def vec_primitive(v: Vec) -> tuple[Vec, Fraction]:
     g = gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
     factor = Fraction(den, g)
     ring = v[0].ring
-    lead = vec_leading(ring, v)
+    lead = vec_leading(ring, v, marks)
     if lead[2] * factor < 0:
         factor = -factor
     return vec_scale(v, factor), factor
@@ -146,20 +130,20 @@ def vec_strip_leading(v: Vec, comp: int) -> Vec:
 
 
 def module_reduce(
-    ring: PolyRing, f: Vec, basis: Sequence[Vec]
+    ring: PolyRing, f: Vec, basis: Sequence[Vec], marks: Marks | None = None
 ) -> tuple[list[tuple[Exponent, Fraction, int]], Vec]:
     """Divide f by the basis; returns (reduction steps, remainder).
 
     Each step (monomial, coeff, k) subtracted monomial*coeff*basis[k].  No
     term of the remainder is divisible by any basis leading term.
     """
-    leads = [vec_leading(ring, g) for g in basis]
+    leads = [vec_leading(ring, g, marks) for g in basis]
     steps: list[tuple[Exponent, Fraction, int]] = []
     rank = len(f)
     rem: list[dict[Exponent, Fraction]] = [dict() for _ in range(rank)]
     p = f
     while not vec_is_zero(p):
-        comp, e, c = vec_leading(ring, p)
+        comp, e, c = vec_leading(ring, p, marks)
         hit = False
         for k, (gc, ge, gcf) in enumerate(leads):
             if gc == comp and mono_divides(ge, e):
@@ -187,16 +171,26 @@ def module_normal_form(ring: PolyRing, f: Vec, basis: Sequence[Vec]) -> Vec:
 class _PairQueue:
     """Pending S-pairs of a growing module basis, lowest lcm first.
 
-    Entries are keyed by (lcm in the ring order, component, i, j), so the pop
-    order is deterministic.  Registering a leading term prunes the pairs as
-    ``groebner._update_pairs`` does, less the product criterion (see the
-    module docstring).
+    Entries are keyed by (lcm, component, i, j), so the pop order is fixed.
+    With marks the key starts with the degree, and input generators queue
+    too.  Registering a leading term prunes the pairs as
+    ``groebner._update_pairs`` does, less the product criterion.
     """
 
-    def __init__(self, ring: PolyRing):
+    def __init__(self, ring: PolyRing, marks: Marks | None):
         self.ring = ring
+        self.marks = marks
         self.leads: list[tuple[int, Exponent]] = []
-        self.heap: list[tuple[object, int, int, int, Exponent]] = []
+        self.heap: list[tuple[object, int, int, int | None, Exponent | None]] = []
+
+    def _key(self, comp: int, L: Exponent) -> object:
+        if self.marks is None:
+            return self.ring.exp_key(L)
+        return (sum(L) + sum(self.marks[comp][0]), 0, _term_key(self.ring, self.marks, comp, L))
+
+    def add_generator(self, i: int, degree: int) -> None:
+        """Queue input generator i to enter the basis at its degree."""
+        heapq.heappush(self.heap, ((degree, 1, i), -1, i, None, None))
 
     def add(self, comp: int, lm: Exponent) -> None:
         """Register the leading term of the next basis element and its pairs."""
@@ -214,15 +208,15 @@ class _PairQueue:
         for i, (c, e) in enumerate(leads):
             if c == comp:
                 first_with_lcm.setdefault(mono_lcm(e, lm), i)
-        key = self.ring.exp_key
         minimal: list[Exponent] = []
-        for L in sorted(first_with_lcm, key=key):
+        for L in sorted(first_with_lcm, key=self.ring.exp_key):
             if not any(mono_divides(M, L) for M in minimal):
                 minimal.append(L)
-                heapq.heappush(self.heap, (key(L), comp, first_with_lcm[L], t, L))
+                heapq.heappush(self.heap, (self._key(comp, L), comp, first_with_lcm[L], t, L))
         leads.append((comp, lm))
 
-    def pop(self) -> tuple[int, int] | None:
+    def pop(self) -> tuple[int, int | None] | None:
+        """The next pair (i, j), or (i, None) for input generator i."""
         if not self.heap:
             return None
         _, _, i, j, _ = heapq.heappop(self.heap)
@@ -230,10 +224,10 @@ class _PairQueue:
 
 
 def _module_spair(
-    ring: PolyRing, gi: Vec, gj: Vec
+    ring: PolyRing, gi: Vec, gj: Vec, marks: Marks | None
 ) -> tuple[Vec, tuple[Exponent, Fraction], tuple[Exponent, Fraction]]:
-    _, ei, ki = vec_leading(ring, gi)
-    _, ej, kj = vec_leading(ring, gj)
+    _, ei, ki = vec_leading(ring, gi, marks)
+    _, ej, kj = vec_leading(ring, gj, marks)
     L = mono_lcm(ei, ej)
     ti = (mono_div(L, ei), 1 / ki)
     tj = (mono_div(L, ej), 1 / kj)
@@ -242,48 +236,81 @@ def _module_spair(
 
 
 def _buchberger(
-    gens: Sequence[Vec], ring: PolyRing, budget: int | None, track: bool
-) -> tuple[list[Vec], list[Vec]]:
-    """The module Buchberger loop: (Groebner basis, syzygies of gens).
+    gens: Sequence[Vec],
+    ring: PolyRing,
+    budget: int | None,
+    track: bool,
+    marks: Marks | None = None,
+) -> tuple[list[Vec], list[Vec], list[int]]:
+    """The module Buchberger loop: (Groebner basis, syzygies, kept generators).
 
     With ``track`` every generator and S-vector carries its expression over
     the original generators, and each zero reduction contributes one syzygy;
-    without it the syzygy list stays empty.
+    without it the syzygy list stays empty.  Without ``marks`` the
+    generators are reduced up front.  With ``marks`` they enter at their
+    degree, and only those that do not reduce to zero are kept; the others
+    contribute no syzygy.
     """
     limit = DEFAULT_PAIR_BUDGET if budget is None else budget
     basis: list[Vec] = []
     reps: list[Vec | None] = []
     syzygies: list[Vec] = []
-    queue = _PairQueue(ring)
+    kept: list[int] = []
+    queue = _PairQueue(ring, marks)
 
-    def reduce_and_add(v: Vec, rep: Vec | None) -> None:
-        steps, r = module_reduce(ring, v, basis)
+    def reduce_and_add(v: Vec, rep: Vec | None, drop_zero: bool = False) -> bool:
+        steps, r = module_reduce(ring, v, basis, marks)
         if track:
             for t_exp, t_c, k in steps:
                 rep = vec_sub(rep, vec_mul_term(reps[k], t_exp, t_c))
         if not vec_is_zero(r):
-            r, factor = vec_primitive(r)
+            r, factor = vec_primitive(r, marks)
             basis.append(r)
             reps.append(vec_scale(rep, factor) if track else None)
-            queue.add(*vec_leading(ring, r)[:2])
-        elif track and not vec_is_zero(rep):
+            queue.add(*vec_leading(ring, r, marks)[:2])
+            return True
+        if track and not drop_zero and not vec_is_zero(rep):
             syzygies.append(rep)
+        return False
 
-    for i, f in enumerate(gens):
-        reduce_and_add(f, vec_unit(ring, len(gens), i) if track else None)
+    def unit(i: int) -> Vec | None:
+        return vec_unit(ring, len(gens), i) if track else None
+
+    if marks is None:
+        for i, f in enumerate(gens):
+            reduce_and_add(f, unit(i))
+    else:
+        for i, f in enumerate(gens):
+            c = next(c for c, p in enumerate(f) if not p.is_zero())
+            queue.add_generator(i, f[c].degree() + sum(marks[c][0]))
 
     steps_done = 0
     while (pair := queue.pop()) is not None:
+        i, j = pair
+        if j is None:
+            if reduce_and_add(gens[i], unit(i), drop_zero=True):
+                kept.append(i)
+            continue
         steps_done += 1
         if steps_done > limit:
             raise StepBudgetExceeded(
                 f"{'syzygy' if track else 'module'} pair budget {limit} exhausted"
             )
-        i, j = pair
-        svec, ti, tj = _module_spair(ring, basis[i], basis[j])
+        svec, ti, tj = _module_spair(ring, basis[i], basis[j], marks)
         rep = vec_sub(vec_mul_term(reps[i], *ti), vec_mul_term(reps[j], *tj)) if track else None
         reduce_and_add(svec, rep)
-    return basis, syzygies
+    return basis, syzygies, kept
+
+
+def _certify(syzygies: list[Vec], gens: Sequence[Vec], ring: PolyRing) -> None:
+    """Expand each syzygy against the generators; raise unless it is zero."""
+    rank = len(gens[0])
+    for u in syzygies:
+        total = vec_zero(ring, rank)
+        for coeff, gen in zip(u, gens):
+            total = vec_add(total, vec_mul_poly(gen, coeff))
+        if not vec_is_zero(total):
+            raise AssertionError("syzygy certificate failed to expand to zero")
 
 
 def syzygy_generators(
@@ -292,61 +319,62 @@ def syzygy_generators(
     """Generators of {u in R^s : sum u_k * gens[k] = 0}, each certified."""
     if not gens:
         return []
-    _, syzygies = _buchberger(gens, ring, budget, track=True)
-    rank = len(gens[0])
-    for u in syzygies:
-        total = vec_zero(ring, rank)
-        for coeff, gen in zip(u, gens):
-            total = vec_add(total, vec_mul_poly(gen, coeff))
-        if not vec_is_zero(total):
-            raise AssertionError("syzygy certificate failed to expand to zero")
+    _, syzygies, _ = _buchberger(gens, ring, budget, track=True)
+    _certify(syzygies, gens, ring)
     return syzygies
+
+
+def minimal_syzygies(
+    gens: Sequence[Vec], ring: PolyRing, marks: Marks, budget: int | None = None
+) -> tuple[list[int], list[Vec]]:
+    """One resolution step: (indices of minimal generators, their syzygies).
+
+    ``gens`` are homogeneous vectors over a free module with Schreyer
+    ``marks``.  The kept generators form a minimal generating set of the
+    module that ``gens`` generate, and the syzygies, each certified, are
+    vectors over the kept generators in the order of ``kept``.
+    """
+    if not gens:
+        return [], []
+    _, syzygies, kept = _buchberger(gens, ring, budget, track=True, marks=marks)
+    kept.sort()
+    syzygies = [tuple(u[i] for i in kept) for u in syzygies]
+    _certify(syzygies, [gens[i] for i in kept], ring)
+    return kept, syzygies
+
+
+def induced_marks(ring: PolyRing, gens: Sequence[Vec], marks: Marks) -> list[tuple[Exponent, int]]:
+    """The Schreyer marks that ``gens``, over a module with ``marks``, induce.
+
+    Generator i leads with m*e_c, so its mark is m*M_c; ranks order the
+    generators by the rank of c, then by index.
+    """
+    leads = [vec_leading(ring, g, marks)[:2] for g in gens]
+    order = sorted(range(len(gens)), key=lambda i: (marks[leads[i][0]][1], i))
+    rank = {i: r for r, i in enumerate(order)}
+    return [(mono_mul(e, marks[c][0]), rank[i]) for i, (c, e) in enumerate(leads)]
 
 
 def module_groebner(
     gens: Sequence[Vec], ring: PolyRing, budget: int | None = None
 ) -> list[Vec]:
     """Reduced Groebner basis of the submodule generated by gens (TOP order)."""
-    basis, _ = _buchberger(gens, ring, budget, track=False)
+    basis, _, _ = _buchberger(gens, ring, budget, track=False)
 
-    # minimalize and interreduce for a canonical reduced basis
-    order = sorted(
-        range(len(basis)),
-        key=lambda k: (vec_leading(ring, basis[k])[0], ring.exp_key(vec_leading(ring, basis[k])[1])),
-    )
+    def lead_key(v: Vec) -> tuple:
+        c, e, _ = vec_leading(ring, v)
+        return (c, ring.exp_key(e))
+
     minimal: list[Vec] = []
-    for k in order:
-        c, e, _ = vec_leading(ring, basis[k])
-        if not any(
-            vec_leading(ring, h)[0] == c and mono_divides(vec_leading(ring, h)[1], e)
-            for h in minimal
-        ):
-            minimal.append(basis[k])
+    kept_leads: list[tuple[int, Exponent]] = []
+    for g in sorted(basis, key=lead_key):
+        c, e, _ = vec_leading(ring, g)
+        if not any(hc == c and mono_divides(he, e) for hc, he in kept_leads):
+            minimal.append(g)
+            kept_leads.append((c, e))
+    # interreduction keeps each leading term, so the result stays sorted
     reduced: list[Vec] = []
     for k, g in enumerate(minimal):
-        others = minimal[:k] + minimal[k + 1 :]
-        r = module_normal_form(ring, g, others) if others else g
-        lead = vec_leading(ring, r)
-        reduced.append(vec_scale(r, 1 / lead[2]))
-    reduced.sort(key=lambda v: (vec_leading(ring, v)[0], ring.exp_key(vec_leading(ring, v)[1])))
+        r = module_normal_form(ring, g, minimal[:k] + minimal[k + 1 :])
+        reduced.append(vec_scale(r, 1 / vec_leading(ring, r)[2]))
     return reduced
-
-
-# -- public syzygy surface ----------------------------------------------------
-
-
-def syzygy_module(
-    gens: Sequence[Polynomial], budget: int | None = None
-) -> list[FreeModuleElement]:
-    """Generators of the graded syzygy module of a list of homogeneous polynomials."""
-    if not gens:
-        raise ValueError("need at least one generator")
-    ring = gens[0].ring
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators from different rings")
-        if not g.is_homogeneous():
-            raise ValueError("generators must be homogeneous")
-    twists = tuple(g.degree() for g in gens)
-    raw = syzygy_generators([(g,) for g in gens], ring, budget)
-    return [FreeModuleElement(u, twists) for u in raw]

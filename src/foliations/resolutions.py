@@ -1,27 +1,36 @@
-"""Graded free resolutions of R/I by iterated syzygy computation.
+"""Minimal graded free resolutions of R/I, built on a Schreyer frame.
 
-Each step takes the canonical reduced module Groebner basis of the syzygies
-of the previous step's generators, so ranks stay small; the resulting
-(generally non-minimal) resolution is then minimalized by cancelling unit
-entries, iterated to fixpoint.  A graded resolution is minimal exactly when
-no map has a unit entry, so the pruned twists are the graded Betti numbers.
+Each step is one run of the module Buchberger loop (``minimal_syzygies``)
+on the syzygies the step before produced.  Its generators enter degree by
+degree, and those that reduce to zero modulo what came before are dropped,
+so each F_k maps its basis onto a minimal generating set of the kernel of
+the map before: the resolution is minimal as it comes, and its twists are
+the graded Betti numbers.  The syzygies a step lifts from its S-pairs are
+the next step's generators, ordered by the Schreyer order the step induces
+(each F_k carries marks: the leading monomial of each generator, carried
+down the frame, and a rank; see ``modules``).
+
+Two checks certify the output.  A graded resolution is minimal exactly when
+no map has a unit entry, which ``has_unit_entry`` tests.  R/I has
+projective dimension at most the number of variables (Hilbert's syzygy
+theorem), so a step past it is an engine bug.  Either failure raises
+``InternalInconsistency``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import Ideal, StepBudgetExceeded
+from .groebner import Ideal, InternalInconsistency
 from .hilbert import IntPoly, _add, _shift
 from .modules import (
     Vec,
-    module_groebner,
-    syzygy_generators,
+    induced_marks,
+    minimal_syzygies,
     vec_is_zero,
-    vec_mul_poly,
     vec_sub,
 )
-from .rings import PolyRing, Polynomial
+from .rings import PolyRing
 
 
 @dataclass
@@ -36,7 +45,6 @@ class FreeResolution:
     ring: PolyRing
     twists: list[tuple[int, ...]]
     matrices: list[list[Vec]]
-    minimal: bool
 
     @property
     def length(self) -> int:
@@ -60,7 +68,12 @@ class FreeResolution:
         return True
 
     def has_unit_entry(self) -> bool:
-        return any(_find_unit(m) is not None for m in self.matrices)
+        return any(
+            p.terms and p.degree() == 0
+            for matrix in self.matrices
+            for image in matrix
+            for p in image
+        )
 
     def euler_numerator(self) -> IntPoly:
         """Alternating sum  sum_i (-1)^i sum_j t^(twist)  over the complex."""
@@ -72,89 +85,26 @@ class FreeResolution:
         return total
 
 
-def _find_unit(matrix: list[Vec]) -> tuple[int, int] | None:
-    for c, image in enumerate(matrix):
-        for r, entry in enumerate(image):
-            if entry.terms and entry.degree() == 0:
-                return c, r
-    return None
-
-
-def _prune_once(res: FreeResolution, k: int, c: int, r: int) -> None:
-    """Cancel the trivial summand witnessed by a unit at matrices[k][c][r]."""
-    mat = res.matrices[k]
-    u = mat[c][r].leading_coeff()
-    lam: dict[int, Polynomial] = {}
-    for j in range(len(mat)):
-        if j != c and not mat[j][r].is_zero():
-            lam[j] = mat[j][r].scale(1 / u)
-    pivot = mat[c]
-    for j, l in lam.items():
-        mat[j] = vec_sub(mat[j], vec_mul_poly(pivot, l))
-    # rewrite the next map into the changed basis of F_{k+1}; its coordinate
-    # along the cancelled basis vector must vanish (composite is zero)
-    if k + 1 < len(res.matrices):
-        nxt = res.matrices[k + 1]
-        for idx, image in enumerate(nxt):
-            new_c = image[c]
-            for j, l in lam.items():
-                new_c = new_c + image[j] * l
-            if not new_c.is_zero():
-                raise AssertionError("pruning produced a nonzero cancelled coordinate")
-            nxt[idx] = tuple(p for t, p in enumerate(image) if t != c)
-    # drop the cancelled source column and target row
-    del mat[c]
-    res.matrices[k] = [tuple(p for t, p in enumerate(img) if t != r) for img in mat]
-    if k > 0:
-        del res.matrices[k - 1][r]
-    res.twists[k + 1] = tuple(t for i, t in enumerate(res.twists[k + 1]) if i != c)
-    res.twists[k] = tuple(t for i, t in enumerate(res.twists[k]) if i != r)
-
-
-def minimalize(res: FreeResolution) -> FreeResolution:
-    """Unit-entry Gaussian pruning, iterated to fixpoint."""
-    changed = True
-    while changed:
-        changed = False
-        for k in range(len(res.matrices)):
-            hit = _find_unit(res.matrices[k])
-            if hit is not None:
-                _prune_once(res, k, *hit)
-                changed = True
-                break
-    while res.matrices and not res.matrices[-1]:
-        res.matrices.pop()
-        res.twists.pop()
-    res.minimal = True
-    return res
-
-
-def free_resolution(I: Ideal, minimal: bool = True, budget: int | None = None) -> FreeResolution:
-    """A graded free resolution of R/I (minimal by default)."""
+def free_resolution(I: Ideal, budget: int | None = None) -> FreeResolution:
+    """The minimal graded free resolution of R/I."""
     ring = I.ring
     for g in I.generators:
         if not g.is_homogeneous():
             raise ValueError("free resolutions require homogeneous generators")
-    res = FreeResolution(ring, [(0,)], [], minimal=False)
+    if any(g.degree() == 0 for g in I.generators):
+        return FreeResolution(ring, [()], [])  # I = (1), so R/I = 0
+    res = FreeResolution(ring, [(0,)], [])
+    marks = [((0,) * ring.num_vars, 0)]
     current: list[Vec] = [(g,) for g in I.generators]
-    if not current:
-        return res
-    step = 0
     while current:
-        step += 1
-        if step > ring.num_vars + 2:
-            raise StepBudgetExceeded("resolution exceeded the Hilbert syzygy bound")
-        prev_twists = res.twists[-1]
-        degree_of = lambda v: next(
-            c.degree() + t for c, t in zip(v, prev_twists) if not c.is_zero()
-        )
-        res.matrices.append(list(current))
-        res.twists.append(tuple(degree_of(v) for v in current))
-        syz = syzygy_generators(current, ring, budget)
-        syz = [v for v in syz if not vec_is_zero(v)]
-        if not syz:
-            break
-        current = module_groebner(syz, ring, budget)
-    if minimal:
-        minimalize(res)
+        if len(res.matrices) == ring.num_vars:
+            raise InternalInconsistency("resolution ran past the Hilbert syzygy bound")
+        kept, syzygies = minimal_syzygies(current, ring, marks, budget)
+        gens = [current[i] for i in kept]
+        marks = induced_marks(ring, gens, marks)
+        res.matrices.append(gens)
+        res.twists.append(tuple(sum(mark) for mark, _ in marks))
+        current = syzygies
+    if res.has_unit_entry():
+        raise InternalInconsistency("the resolution has a unit entry, so it is not minimal")
     return res

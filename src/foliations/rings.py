@@ -214,6 +214,10 @@ class Polynomial:
 
     def __add__(self, other: Polynomial) -> Polynomial:
         self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         d = dict(self.terms)
         for e, c in other.terms:
             s = d.get(e, Fraction(0)) + c

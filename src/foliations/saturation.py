@@ -16,15 +16,20 @@ The two must agree; the engine test suite checks that on a random corpus.
 
 from __future__ import annotations
 
-from .groebner import Ideal, ideal_equal, reduced_groebner_basis
+from .groebner import Ideal, ideal_equal
 from .modules import syzygy_generators
 from .rings import PolyRing, Polynomial, grevlex_cheapest
 
 
 def _canonical(ring: PolyRing, gens: list[Polynomial], budget: int | None) -> Ideal:
     """Ideal with its reduced Groebner basis as generators (and cached)."""
-    gb = reduced_groebner_basis(gens, ring, budget)
-    out = Ideal(ring, gb)
+    return _with_basis(Ideal(ring, gens), budget)
+
+
+def _with_basis(I: Ideal, budget: int | None) -> Ideal:
+    """I with its reduced Groebner basis, computed once, as generators."""
+    gb = I.groebner_basis(budget)
+    out = Ideal(I.ring, gb)
     out._gb = gb
     return out
 
@@ -78,7 +83,11 @@ def colon(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
 
 
 def saturate_variable(I: Ideal, var: int, budget: int | None = None) -> Ideal:
-    """I : z_var^oo for homogeneous I, by the cheapest-variable order trick."""
+    """I : z_var^oo for homogeneous I, by the cheapest-variable order trick.
+
+    Once the cheap-order basis has no z_var content, the ideal in hand is
+    saturated, and it is returned with its (cached) default-order basis.
+    """
     ring = I.ring
     current = I
     while True:
@@ -98,10 +107,9 @@ def saturate_variable(I: Ideal, var: int, budget: int | None = None) -> Ideal:
                     ),
                 )
             divided.append(g)
-        back = [ring.from_dict(g.as_dict()) for g in divided]
-        current = _canonical(ring, back, budget)
         if not changed:
-            return current
+            return _with_basis(current, budget)
+        current = _canonical(ring, [ring.from_dict(g.as_dict()) for g in divided], budget)
 
 
 def irrelevant_ideal(ring: PolyRing) -> Ideal:

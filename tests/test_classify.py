@@ -1,5 +1,6 @@
 """Classification verdicts on the paper's fixtures and engine-level schemes."""
 
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -144,6 +145,32 @@ def test_resolution_heavy_regressions(corpus, exceptional2):
     r = classify(apply_projectivity(exceptional2, MOVE_EXCEPTIONAL_D2))
     assert r.splitting_type == (-1, 0)
     assert r.betti == {(0, 0): 1, (1, 4): 4, (2, 5): 2, (2, 6): 1}
+
+
+# -- coordinate independence -------------------------------------------------------
+
+MOVE_L1111_GENERIC = [[-1, -1, -1, -1], [1, -1, 0, 0], [-1, -1, 1, -1], [1, 1, -1, 0]]
+
+
+def test_exceptional_d3_report_under_every_variable_order():
+    # (0,3,1,2) and (1,3,0,2) once ran the resolution past the syzygy bound
+    base = classify(exceptional_form(3))
+    assert base.splitting_type == (-2, 0)
+    for order in permutations(range(4)):
+        relabel = [[1 if order[i] == j else 0 for j in range(4)] for i in range(4)]
+        assert classify(apply_projectivity(exceptional_form(3), relabel)) == base, order
+
+
+def test_l1111_generic_report_after_a_change_of_coordinates(corpus):
+    # once ran the resolution past the syzygy bound
+    form = dict(corpus)["L1111-generic"]
+    assert classify(apply_projectivity(form, MOVE_L1111_GENERIC)) == classify(form)
+
+
+@pytest.mark.parametrize("name, form", [pytest.param(n, f, id=n) for n, f in build_corpus()])
+def test_corpus_reports_after_a_change_of_coordinates(name, form):
+    A = [[1, 0, 1, 0], [2, 1, 0, 0], [0, 0, 1, 1], [0, 1, 0, 1]]
+    assert classify(apply_projectivity(form, A)) == classify(form)
 
 
 # -- the splitting type against a dense oracle ------------------------------------

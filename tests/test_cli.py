@@ -141,6 +141,28 @@ def test_failed_internal_checks_exit_4(l1111_file, monkeypatch, capsys, exc):
     assert "Traceback" not in err
 
 
+def test_resolution_past_the_syzygy_bound_exits_4(l1111_file, monkeypatch, capsys):
+    # a step past the number of variables contradicts Hilbert's syzygy
+    # theorem: an engine bug (exit 4), not a budget that ran out (exit 3)
+    import foliations.resolutions as resolutions
+
+    real = resolutions.minimal_syzygies
+
+    def endless(gens, ring, marks, budget=None):
+        kept, syzygies = real(gens, ring, marks, budget)
+        fake = (ring.variable(0),) + (ring.zero(),) * (len(kept) - 1)
+        return kept, syzygies or [fake]
+
+    monkeypatch.setattr(resolutions, "minimal_syzygies", endless)
+    assert main(["classify", l1111_file]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: InternalInconsistency: ")
+    assert "Hilbert syzygy bound" in err
+    assert main(["classify", "--dir", str(Path(l1111_file).parent)]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Hilbert syzygy bound" in err
+
+
 def test_classify_directory(tmp_path, capsys):
     for name, weights in [("a", "1,1,1,-3"), ("b", "1,-1,1,-1")]:
         assert main([

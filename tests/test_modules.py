@@ -8,7 +8,6 @@ from foliations.modules import (
     module_groebner,
     module_normal_form,
     syzygy_generators,
-    syzygy_module,
     vec_is_zero,
 )
 from foliations.rings import PolyRing
@@ -17,18 +16,31 @@ R = PolyRing(4)
 Z = R.variables()
 
 
+def _syzygies(polys):
+    """Syzygies of homogeneous polynomials, with the twists of their module."""
+    return syzygy_generators([(g,) for g in polys], R), tuple(g.degree() for g in polys)
+
+
+def _degree(u, twists):
+    """The degree of a syzygy, asserting that it is homogeneous."""
+    assert all(c.is_homogeneous() for c in u)
+    degrees = {c.degree() + t for c, t in zip(u, twists) if not c.is_zero()}
+    assert len(degrees) == 1
+    return degrees.pop()
+
+
 def test_koszul_pair():
-    syz = syzygy_module([Z[0], Z[1]])
+    syz, twists = _syzygies([Z[0], Z[1]])
     assert len(syz) == 1
-    assert [str(c) for c in syz[0].components] == ["z1", "-z0"]
-    assert syz[0].twists == (1, 1)
-    assert syz[0].degree() == 2
+    assert [str(c) for c in syz[0]] == ["z1", "-z0"]
+    assert twists == (1, 1)
+    assert _degree(syz[0], twists) == 2
 
 
 def test_koszul_four_variables():
-    syz = syzygy_module(list(Z))
+    syz, twists = _syzygies(list(Z))
     assert len(syz) == 6
-    assert all(s.is_homogeneous() and s.degree() == 2 for s in syz)
+    assert all(_degree(s, twists) == 2 for s in syz)
 
 
 def test_l1111_linear_syzygy_dimension_via_linear_algebra():
@@ -46,12 +58,12 @@ def test_l1111_linear_syzygy_dimension_via_linear_algebra():
 
     assert graded_syzygy_dimension(tuple(F), 1) == 3
     # the Schreyer-style generators of internal degree 4 span that same space
-    syz = syzygy_module(F)
-    degree_four = [s for s in syz if s.degree() == 4]
+    syz, twists = _syzygies(F)
+    degree_four = [s for s in syz if _degree(s, twists) == 4]
     rows = []
     for s in degree_four:
         row = []
-        for comp in s.components:
+        for comp in s:
             for i in range(4):
                 row.append(comp.coefficient(tuple(1 if k == i else 0 for k in range(4))))
         rows.append(row)

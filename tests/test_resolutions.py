@@ -1,12 +1,21 @@
 """Free resolutions: Betti tables, exactness certificates, minimality."""
 
+from itertools import combinations
 from random import Random
 
-from foliations.groebner import Ideal
+import pytest
+
+from foliations.classify import monomials_of_degree
+from foliations.formfile import parse_form_file
+from foliations.forms import singular_ideal
+from foliations.groebner import Ideal, normal_form
 from foliations.hilbert import hilbert_data
+from foliations.linalg import rank
 from foliations.resolutions import free_resolution
-from foliations.rings import PolyRing
+from foliations.rings import PolyRing, mono_divides
 from foliations.saturation import saturate
+
+from .conftest import build_corpus
 
 R = PolyRing(4)
 Z = R.variables()
@@ -51,10 +60,10 @@ def test_six_edges_is_acm():
     assert res.betti() == {(0, 0): 1, (1, 3): 4, (2, 4): 3}
 
 
-def test_hilbert_alternating_sum_identity():
-    rng = Random(17)
+def _samples():
     from .conftest import random_homogeneous
 
+    rng = Random(17)
     samples = [
         Ideal(R, [Z[0], Z[1]]),
         six_edges(),
@@ -63,7 +72,11 @@ def test_hilbert_alternating_sum_identity():
     for _ in range(4):
         gens = [random_homogeneous(rng, R, rng.randint(1, 3)) for _ in range(rng.randint(2, 3))]
         samples.append(Ideal(R, gens))
-    for I in samples:
+    return samples
+
+
+def test_hilbert_alternating_sum_identity():
+    for I in _samples():
         res = free_resolution(I)
         assert res.composites_are_zero()
         assert not res.has_unit_entry()
@@ -73,6 +86,8 @@ def test_hilbert_alternating_sum_identity():
 def test_resolution_of_whole_ring():
     res = free_resolution(Ideal(R, []))
     assert res.length == 0 and res.twists == [(0,)]
+    res = free_resolution(Ideal(R, [Z[0], R.one()]))  # R/(1) = 0
+    assert res.length == 0 and res.betti() == {}
 
 
 def test_auslander_buchsbaum_bound_for_saturated_ideals():
@@ -92,3 +107,93 @@ def test_auslander_buchsbaum_bound_for_saturated_ideals():
         res = free_resolution(S)
         assert res.length <= 3
         count += 1
+
+
+DISTRIBUTION_D2 = """ring z0 z1 z2 z3
+form (-z1^2*z2 + z0*z2^2 - z0*z1*z3 - z1^2*z3 - z0*z2*z3 + z1*z2*z3 - z1*z3^2) dz0 \
++ (z0*z1*z2 + z0*z2^2 + z0^2*z3 + z0*z1*z3 + z0*z2*z3 + z0*z3^2) dz1 \
++ (-z0^2*z2 - z0*z1*z2 + z0^2*z3 - z1*z2*z3 - z0*z3^2 - z1*z3^2) dz2 \
++ (-2*z0*z1*z2 + z1*z2^2 + z0*z2*z3 + z1*z2*z3) dz3
+"""
+
+
+def test_degree_two_distribution_resolves():
+    # a non-integrable form whose resolution once swelled to 536-bit
+    # coefficients without finishing in two minutes
+    S = saturate(singular_ideal(parse_form_file(DISTRIBUTION_D2).form))
+    res = free_resolution(S)
+    assert res.betti() == {(0, 0): 1, (1, 3): 4, (1, 4): 2, (2, 4): 1, (2, 5): 8, (3, 6): 4}
+    assert res.euler_numerator() == hilbert_data(S).numerator
+    assert res.composites_are_zero()
+    assert not res.has_unit_entry()
+
+
+# -- an independent Betti oracle: Koszul homology by dense ranks -------------------
+
+
+def _koszul_betti(I, top):
+    """beta_{i,j} = dim H_i(K(z0..z3) (x) R/I)_j for j <= top, by dense ranks.
+
+    (R/I)_d is spanned by the standard monomials of the reduced basis, and
+    the differential sends f e_S to sum_k (-1)^k z_{s_k} f e_{S - s_k}.
+    """
+    gb = I.groebner_basis()
+    leads = [g.leading_monomial() for g in gb]
+    standard = {}
+    products = {}
+
+    def cells(i, j):
+        d = j - i
+        if d not in standard:
+            standard[d] = [
+                m for m in monomials_of_degree(R, d) if not any(mono_divides(l, m) for l in leads)
+            ]
+        return [(S, m) for S in combinations(range(4), i) for m in standard[d]]
+
+    def times_variable(s, m):
+        if (s, m) not in products:
+            products[(s, m)] = normal_form(R.monomial(m) * Z[s], gb).terms
+        return products[(s, m)]
+
+    def rank_of_d(i, j):
+        source, target = cells(i, j), cells(i - 1, j)
+        if not source or not target:
+            return 0
+        row_of = {cell: r for r, cell in enumerate(target)}
+        matrix = [[0] * len(source) for _ in target]
+        for c, (S, m) in enumerate(source):
+            for k, s in enumerate(S):
+                rest = S[:k] + S[k + 1:]
+                for e, coeff in times_variable(s, m):
+                    matrix[row_of[(rest, e)]][c] += (-1) ** k * coeff
+        return rank(matrix)
+
+    table = {}
+    for j in range(top + 1):
+        ranks = [0] + [rank_of_d(i, j) for i in range(1, 5)] + [0]
+        for i in range(5):
+            beta = len(cells(i, j)) - ranks[i] - ranks[i + 1]
+            if beta:
+                table[(i, j)] = beta
+    return table
+
+
+def _check_against_koszul(I, res):
+    top = max(max(tw, default=0) for tw in res.twists)
+    assert _koszul_betti(I, top + 1) == res.betti()
+
+
+@pytest.mark.parametrize("I", _samples())
+def test_betti_table_matches_koszul_homology(I):
+    _check_against_koszul(I, free_resolution(I))
+
+
+def test_corpus_betti_tables_match_koszul_homology():
+    checked = 0
+    for _, form in build_corpus():
+        S = saturate(singular_ideal(form))
+        res = free_resolution(S)
+        if max(max(tw, default=0) for tw in res.twists) <= 8:
+            _check_against_koszul(S, res)
+            checked += 1
+    assert checked >= 10

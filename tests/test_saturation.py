@@ -4,7 +4,13 @@ from random import Random
 
 from foliations.groebner import Ideal, ideal_equal, normal_form
 from foliations.rings import PolyRing
-from foliations.saturation import colon, intersect, is_saturated_ideal, saturate
+from foliations.saturation import (
+    colon,
+    intersect,
+    is_saturated_ideal,
+    saturate,
+    saturate_variable,
+)
 
 R = PolyRing(4)
 Z = R.variables()
@@ -60,6 +66,27 @@ def test_saturation_skips_intersections_that_containment_decides(monkeypatch):
     assert len(calls) == 1
     assert ideal_equal(a, saturate(I, method="colon"))
     assert ideal_equal(a, I)
+
+
+def test_saturated_variable_keeps_the_basis_it_holds(monkeypatch):
+    # I is saturated in z0, so the cheap-order basis is the only new one
+    import foliations.groebner as groebner
+
+    I = Ideal(R, [Z[1] * Z[2] - Z[3] ** 2, Z[0] * Z[1] + Z[2] ** 2])
+    gb = I.groebner_basis()
+    calls = []
+    real = groebner.groebner_basis
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "groebner_basis", counting)
+    S = saturate_variable(I, 0)
+    assert len(calls) == 1
+    assert calls[0][1].order != R.order
+    assert S.generators == tuple(gb) and S.groebner_basis() == gb
+    assert len(calls) == 1
 
 
 def random_monomial_or_binomial_ideal(rng, size=3):
