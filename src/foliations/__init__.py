@@ -4,8 +4,10 @@ The package is organized in layers:
 
 * ``rings`` -- sparse exact-rational polynomials and graded monomial orders.
 * ``linalg`` -- exact Gaussian elimination over Q.
-* ``groebner``, ``modules``, ``resolutions``, ``hilbert``, ``saturation``,
-  ``ext`` -- the commutative-algebra engine (Groebner bases, syzygies, free
+* ``modules`` -- the one Buchberger engine: module Groebner bases, division,
+  syzygies and minimal resolution steps, with ideals as rank-1 modules.
+* ``groebner``, ``resolutions``, ``hilbert``, ``saturation``, ``ext`` -- the
+  commutative algebra built on it (ideals and reduced bases, free
   resolutions, Hilbert series, colon/saturation, Ext modules).
 * ``forms`` -- projective 1-forms, exterior calculus, singular schemes, and
   the standard constructors (logarithmic, pull-back, exceptional).

@@ -31,9 +31,10 @@ from dataclasses import dataclass
 
 from .ext import ExtModule, ext_module
 from .forms import ProjectiveOneForm, singular_ideal
-from .groebner import Ideal, InternalInconsistency, ideal_equal
+from .groebner import Ideal, ideal_equal
 from .hilbert import HilbertData, hilbert_data
 from .linalg import kernel_basis, rank
+from .modules import InternalInconsistency
 from .resolutions import FreeResolution, free_resolution
 from .rings import Exponent, PolyRing, Polynomial
 from .saturation import saturate

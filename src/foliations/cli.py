@@ -40,8 +40,9 @@ from .forms import (
     singular_ideal,
     validate,
 )
-from .groebner import StepBudgetExceeded, ideal_equal
+from .groebner import ideal_equal
 from .hilbert import hilbert_data
+from .modules import StepBudgetExceeded
 from .rings import PolyRing
 from .saturation import saturate
 

@@ -24,9 +24,10 @@ from .forms import (
     validate,
     wedge_1_2,
 )
-from .groebner import Ideal, StepBudgetExceeded, ideal_equal
+from .groebner import Ideal, ideal_equal
 from .hilbert import hilbert_data
 from .linalg import determinant
+from .modules import StepBudgetExceeded
 from .rings import PolyRing, Polynomial, map_to_ring
 from .saturation import saturate
 

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from .groebner import Ideal
+from .groebner import Ideal, normal_form
 from .hilbert import hilbert_data
 from .rings import (
     PolyRing,
@@ -280,8 +280,6 @@ def logarithmic_form(
     for f in factors:
         if f.is_zero() or not f.is_homogeneous():
             raise Inhomogeneous("factors must be nonzero homogeneous polynomials")
-    from .groebner import normal_form
-
     for i, f in enumerate(factors):
         for j, g in enumerate(factors):
             if i != j and normal_form(f, [g]).is_zero():

@@ -96,23 +96,6 @@ def kernel_basis(rows: Sequence[Sequence], ncols: int | None = None) -> list[lis
     return basis
 
 
-def solve(rows: Sequence[Sequence], rhs: Sequence) -> list[Fraction] | None:
-    """One solution of A x = b, or None when inconsistent."""
-    m = to_matrix(rows)
-    b = [Fraction(x) for x in rhs]
-    if not m:
-        return [] if all(x == 0 for x in b) else None
-    aug = [row + [bv] for row, bv in zip(m, b)]
-    red, pivots = rref(aug)
-    ncols = len(m[0])
-    if ncols in pivots:
-        return None
-    x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = red[r][ncols]
-    return x
-
-
 def determinant(rows: Sequence[Sequence]) -> Fraction:
     m = to_matrix(rows)
     n = len(m)
@@ -133,21 +116,3 @@ def determinant(rows: Sequence[Sequence]) -> Fraction:
                 f = m[i][c] / inv
                 m[i] = [a - f * b for a, b in zip(m[i], m[c])]
     return det
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> Matrix:
-    bt = list(zip(*b))
-    return [
-        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
-        for row in a
-    ]
-
-
-def mat_inverse(rows: Sequence[Sequence]) -> Matrix:
-    m = to_matrix(rows)
-    n = len(m)
-    aug = [row + [Fraction(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
-    red, pivots = rref(aug)
-    if pivots != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in red]

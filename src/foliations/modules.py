@@ -12,11 +12,18 @@ steps.  It takes only pairs whose leading terms share a component, lowest
 lcm first, and prunes them by the Gebauer-Moeller chain criterion: a pending
 pair (i, j) goes when a new leading term t divides its lcm and neither
 lcm(i, t) nor lcm(j, t) equals it, and of t's new pairs one is kept per
-minimal lcm (the product criterion does not hold for modules).  The kept
-pairs still generate the syzygies of the leading terms, so by Schreyer's
-theorem their lifts -- one per zero reduction, plus those from reducing the
-input generators -- generate the syzygy module.  Every returned syzygy is
-certified by exact expansion.
+minimal lcm.  The kept pairs still generate the syzygies of the leading
+terms, so by Schreyer's theorem their lifts -- one per zero reduction, plus
+those from reducing the input generators -- generate the syzygy module.
+Every returned syzygy is certified by exact expansion.
+
+Ideals are rank-1 modules of the same loop (``groebner`` has none of its
+own).  Only there, and only when no syzygies are tracked, is a new pair with
+coprime leading terms skipped (the product criterion, Buchberger's first):
+its S-polynomial reduces to zero, but the zero reduction carries the Koszul
+syzygy, which a tracked run must keep.  In higher rank the criterion fails:
+two vectors whose leading monomials are coprime can have an S-vector that
+does not reduce to zero.
 
 A resolution step (``minimal_syzygies``) runs the loop degree by degree:
 the degree of a generator or of a pair's lcm is its entry degree plus
@@ -33,7 +40,6 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Sequence
 
-from .groebner import DEFAULT_PAIR_BUDGET, StepBudgetExceeded
 from .rings import (
     Exponent,
     PolyRing,
@@ -43,6 +49,17 @@ from .rings import (
     mono_lcm,
     mono_mul,
 )
+
+DEFAULT_PAIR_BUDGET = 200_000
+
+
+class StepBudgetExceeded(RuntimeError):
+    """A configured step budget ran out before the computation finished."""
+
+
+class InternalInconsistency(RuntimeError):
+    """An internal check or a theorem the engine relies on failed: an engine bug."""
+
 
 Vec = tuple[Polynomial, ...]
 Marks = Sequence[tuple[Exponent, int]]
@@ -89,15 +106,23 @@ def vec_leading(
     """Leading module term (component, monomial, coefficient).
 
     TOP order unless Schreyer ``marks`` are given (see the module docstring).
+    Order keys are computed only once a second nonzero component shows up,
+    so a vector with one nonzero component, such as every vector of a rank-1
+    run, costs no key at all.
     """
     best = None
     key = None
     for comp, p in enumerate(v):
-        if p.is_zero():
+        if not p.terms:
             continue
         e, c = p.terms[0]
+        if best is None:
+            best = (comp, e, c)
+            continue
+        if key is None:
+            key = _term_key(ring, marks, best[0], best[1])
         k = _term_key(ring, marks, comp, e)
-        if key is None or k > key:
+        if k > key:
             key, best = k, (comp, e, c)
     if best is None:
         raise ValueError("zero vector has no leading term")
@@ -173,13 +198,16 @@ class _PairQueue:
 
     Entries are keyed by (lcm, component, i, j), so the pop order is fixed.
     With marks the key starts with the degree, and input generators queue
-    too.  Registering a leading term prunes the pairs as
-    ``groebner._update_pairs`` does, less the product criterion.
+    too.  Registering a leading term prunes the pairs by the Gebauer-Moeller
+    criteria of the module docstring.  With ``coprime`` set, a new pair whose
+    leading terms are coprime is not queued (the product criterion); its lcm
+    still counts when the minimal lcms are chosen.
     """
 
-    def __init__(self, ring: PolyRing, marks: Marks | None):
+    def __init__(self, ring: PolyRing, marks: Marks | None, coprime: bool):
         self.ring = ring
         self.marks = marks
+        self.coprime = coprime
         self.leads: list[tuple[int, Exponent]] = []
         self.heap: list[tuple[object, int, int, int | None, Exponent | None]] = []
 
@@ -205,14 +233,19 @@ class _PairQueue:
         ]
         heapq.heapify(self.heap)
         first_with_lcm: dict[Exponent, int] = {}
+        skipped: set[Exponent] = set()
         for i, (c, e) in enumerate(leads):
             if c == comp:
-                first_with_lcm.setdefault(mono_lcm(e, lm), i)
+                L = mono_lcm(e, lm)
+                first_with_lcm.setdefault(L, i)
+                if self.coprime and L == mono_mul(e, lm):
+                    skipped.add(L)
         minimal: list[Exponent] = []
         for L in sorted(first_with_lcm, key=self.ring.exp_key):
             if not any(mono_divides(M, L) for M in minimal):
                 minimal.append(L)
-                heapq.heappush(self.heap, (self._key(comp, L), comp, first_with_lcm[L], t, L))
+                if L not in skipped:
+                    heapq.heappush(self.heap, (self._key(comp, L), comp, first_with_lcm[L], t, L))
         leads.append((comp, lm))
 
     def pop(self) -> tuple[int, int | None] | None:
@@ -250,13 +283,18 @@ def _buchberger(
     generators are reduced up front.  With ``marks`` they enter at their
     degree, and only those that do not reduce to zero are kept; the others
     contribute no syzygy.
+
+    An untracked rank-1 run -- the basis of an ideal -- also applies the
+    product criterion.  A tracked run keeps the coprime pairs: their zero
+    reductions are the Koszul syzygies.
     """
     limit = DEFAULT_PAIR_BUDGET if budget is None else budget
     basis: list[Vec] = []
     reps: list[Vec | None] = []
     syzygies: list[Vec] = []
     kept: list[int] = []
-    queue = _PairQueue(ring, marks)
+    ideal = not track and all(len(f) == 1 for f in gens)
+    queue = _PairQueue(ring, marks, coprime=ideal)
 
     def reduce_and_add(v: Vec, rep: Vec | None, drop_zero: bool = False) -> bool:
         steps, r = module_reduce(ring, v, basis, marks)
@@ -293,9 +331,8 @@ def _buchberger(
             continue
         steps_done += 1
         if steps_done > limit:
-            raise StepBudgetExceeded(
-                f"{'syzygy' if track else 'module'} pair budget {limit} exhausted"
-            )
+            kind = "syzygy" if track else "ideal" if ideal else "module"
+            raise StepBudgetExceeded(f"{kind} pair budget {limit} exhausted")
         svec, ti, tj = _module_spair(ring, basis[i], basis[j], marks)
         rep = vec_sub(vec_mul_term(reps[i], *ti), vec_mul_term(reps[j], *tj)) if track else None
         reduce_and_add(svec, rep)

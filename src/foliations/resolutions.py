@@ -21,9 +21,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groebner import Ideal, InternalInconsistency
+from .groebner import Ideal
 from .hilbert import IntPoly, _add, _shift
 from .modules import (
+    InternalInconsistency,
     Vec,
     induced_marks,
     minimal_syzygies,

@@ -278,12 +278,6 @@ class Polynomial:
             tuple((mono_mul(e, exponents), c * coeff) for e, c in self.terms),
         )
 
-    def monic(self) -> Polynomial:
-        if not self.terms:
-            return self
-        lc = self.terms[0][1]
-        return Polynomial(self.ring, tuple((e, c / lc) for e, c in self.terms))
-
     def primitive(self) -> Polynomial:
         """Scale to coprime integer coefficients with positive leading sign.
 

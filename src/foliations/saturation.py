@@ -4,8 +4,9 @@ Colon and intersection reduce to syzygy computations.  Saturation with
 respect to the irrelevant ideal is done two independent ways:
 
 * ``variables``: intersect the single-variable saturations I : z_i^oo, each
-  obtained from a Groebner basis in the grevlex order that makes z_i
-  cheapest, dividing every basis element by its z_i content (Bayer-Stillman).
+  obtained from one Groebner basis, in the grevlex order that makes z_i
+  cheapest, by dividing every basis element by its z_i content
+  (Bayer-Stillman), so one basis per variable.
   An intersection that containment decides is skipped: when one side lies in
   the other, checked by membership against the cached reduced bases, the
   smaller side is the intersection.
@@ -83,33 +84,31 @@ def colon(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
 
 
 def saturate_variable(I: Ideal, var: int, budget: int | None = None) -> Ideal:
-    """I : z_var^oo for homogeneous I, by the cheapest-variable order trick.
+    """I : z_var^oo for homogeneous I, from one basis in the cheap order.
 
-    Once the cheap-order basis has no z_var content, the ideal in hand is
-    saturated, and it is returned with its (cached) default-order basis.
+    Dividing each element of a grevlex basis with z_var last by its z_var
+    content gives a basis of I : z_var^oo (Bayer-Stillman; Eisenbud, Prop.
+    15.12).  So one basis per variable decides it: when no element has z_var
+    content, I is returned with its (cached) default-order basis.
     """
     ring = I.ring
-    current = I
-    while True:
-        cheap = current.with_order(grevlex_cheapest(var))
-        gb = cheap.groebner_basis(budget)
-        divided = []
-        changed = False
-        for g in gb:
-            shift = min(e[var] for e, _ in g.terms)
-            if shift > 0:
-                changed = True
-                g = Polynomial(
-                    g.ring,
-                    tuple(
-                        (tuple(x - shift if i == var else x for i, x in enumerate(e)), c)
-                        for e, c in g.terms
-                    ),
-                )
-            divided.append(g)
-        if not changed:
-            return _with_basis(current, budget)
-        current = _canonical(ring, [ring.from_dict(g.as_dict()) for g in divided], budget)
+    divided = []
+    changed = False
+    for g in I.with_order(grevlex_cheapest(var)).groebner_basis(budget):
+        shift = min(e[var] for e, _ in g.terms)
+        if shift > 0:
+            changed = True
+            g = Polynomial(
+                g.ring,
+                tuple(
+                    (tuple(x - shift if i == var else x for i, x in enumerate(e)), c)
+                    for e, c in g.terms
+                ),
+            )
+        divided.append(g)
+    if not changed:
+        return _with_basis(I, budget)
+    return _canonical(ring, [ring.from_dict(g.as_dict()) for g in divided], budget)
 
 
 def irrelevant_ideal(ring: PolyRing) -> Ideal:
@@ -152,7 +151,3 @@ def saturate(
                 return current
             current = step
     raise ValueError(f"unknown saturation method {method!r}")
-
-
-def is_saturated_ideal(I: Ideal, budget: int | None = None) -> bool:
-    return ideal_equal(_canonical(I.ring, list(I.generators), budget), saturate(I, budget=budget))

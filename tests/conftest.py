@@ -137,3 +137,12 @@ def random_homogeneous(rng, ring: PolyRing, degree: int, max_terms: int = 4):
             exp[rng.randrange(ring.num_vars)] += 1
         terms[tuple(exp)] = random_rational(rng)
     return ring.from_dict(terms)
+
+
+def mat_mul(a, b) -> list[list[Fraction]]:
+    """The exact matrix product a @ b."""
+    bt = list(zip(*b))
+    return [
+        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
+        for row in a
+    ]

@@ -71,9 +71,11 @@ def test_split_needs_curve(l112):
 def test_is_saturated_engine_example():
     # (z0^2, z0z1, z0z2, z0z3) is not a foliation ideal; engine-level check
     # exercised through the raw saturation surface instead
-    from foliations.saturation import is_saturated_ideal
+    from foliations.groebner import ideal_equal
+    from foliations.saturation import saturate
 
-    assert not is_saturated_ideal(Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]]))
+    I = Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]])
+    assert not ideal_equal(I, saturate(I))
 
 
 def test_rao_of_skew_lines_engine_level():

@@ -29,9 +29,10 @@ from foliations.forms import (
     wedge_1_2,
 )
 from foliations.groebner import ideal_equal
-from foliations.linalg import mat_mul
 from foliations.rings import PolyRing
 from foliations.saturation import saturate
+
+from .conftest import mat_mul
 
 R = PolyRing(4)
 Z = R.variables()

@@ -5,19 +5,28 @@ from random import Random
 
 import pytest
 
-from foliations.groebner import (
-    Ideal,
-    StepBudgetExceeded,
-    ideal_equal,
-    is_groebner_basis,
-    normal_form,
-    reduced_groebner_basis,
-    s_polynomial,
-)
-from foliations.rings import PolyRing
+from foliations.groebner import Ideal, ideal_equal, normal_form, reduced_groebner_basis
+from foliations.modules import StepBudgetExceeded
+from foliations.rings import PolyRing, grevlex_cheapest, mono_div, mono_lcm
 
 R = PolyRing(4)
 Z = R.variables()
+
+
+def s_polynomial(f, g):
+    lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
+    a = f.mul_term(mono_div(lcm, f.leading_monomial()), 1 / f.leading_coeff())
+    b = g.mul_term(mono_div(lcm, g.leading_monomial()), 1 / g.leading_coeff())
+    return a - b
+
+
+def is_groebner_basis(G) -> bool:
+    """Certificate check, free of pair criteria: every S-polynomial reduces to zero."""
+    return all(
+        normal_form(s_polynomial(G[i], G[j]), G).is_zero()
+        for i in range(len(G))
+        for j in range(i + 1, len(G))
+    )
 
 
 def test_already_reduced():
@@ -101,18 +110,29 @@ def test_ideal_equal_examples():
 
 def test_budget_exhaustion_is_an_error():
     gens = [Z[0] * Z[2] - Z[1] ** 2, Z[0] * Z[3] - Z[1] * Z[2], Z[1] * Z[3] - Z[2] ** 2]
-    with pytest.raises(StepBudgetExceeded):
+    with pytest.raises(StepBudgetExceeded, match="^ideal pair budget 0 exhausted$"):
         reduced_groebner_basis(gens, R, budget=0)
+
+
+def test_coprime_leading_terms_make_no_pair():
+    # the product criterion: the one pair has coprime leading terms z0^2 and
+    # z2^2, so the basis needs no S-polynomial at all
+    gens = [Z[0] ** 2 + Z[1] * Z[3], Z[2] ** 2]
+    assert reduced_groebner_basis(gens, R, budget=0) == [gens[1], gens[0]]
 
 
 def test_reduced_basis_matches_sympy():
     # an outside oracle: sympy's reduced grevlex basis over QQ is also monic,
-    # so the two bases must agree term by term
+    # so the two bases must agree term by term; each cheap order is sympy's
+    # grevlex with z_var listed last
     sympy = pytest.importorskip("sympy")
     from .conftest import random_homogeneous
 
     syms = sympy.symbols("z0:4")
     rng = Random(2026)
+    orders = [(None, list(range(4)))] + [
+        (grevlex_cheapest(var), [i for i in range(4) if i != var] + [var]) for var in range(4)
+    ]
     for _ in range(8):
         gens = [
             random_homogeneous(rng, R, rng.randint(1, 3)) for _ in range(rng.randint(3, 4))
@@ -125,10 +145,21 @@ def test_reduced_basis_matches_sympy():
             )
             for g in gens
         ]
-        expected = sympy.groebner(exprs, *syms, order="grevlex", domain=sympy.QQ)
-        expected_terms = sorted(
-            sorted((e, Fraction(int(c.numerator), int(c.denominator))) for e, c in p.terms())
-            for p in expected.polys
-        )
-        ours = sorted(sorted(g.terms) for g in reduced_groebner_basis(gens, R))
-        assert ours == expected_terms
+        for order, perm in orders:
+            ring = R if order is None else R.with_order(order)
+            expected = sympy.groebner(
+                exprs, *(syms[i] for i in perm), order="grevlex", domain=sympy.QQ
+            )
+            expected_terms = sorted(
+                sorted(
+                    (
+                        tuple(m[perm.index(i)] for i in range(4)),
+                        Fraction(int(c.numerator), int(c.denominator)),
+                    )
+                    for m, c in p.terms()
+                )
+                for p in expected.polys
+            )
+            moved = [ring.from_dict(g.as_dict()) for g in gens]
+            ours = sorted(sorted(g.terms) for g in reduced_groebner_basis(moved, ring))
+            assert ours == expected_terms

@@ -3,15 +3,7 @@
 from fractions import Fraction
 from random import Random
 
-from foliations.linalg import (
-    determinant,
-    kernel_basis,
-    mat_inverse,
-    mat_mul,
-    rank,
-    rref,
-    solve,
-)
+from foliations.linalg import determinant, kernel_basis, rank, rref
 
 
 def test_rref_and_rank():
@@ -33,15 +25,6 @@ def test_kernel_dimension_complements_rank():
             assert all(
                 sum(a * b for a, b in zip(row, v)) == 0 for row in m
             )
-
-
-def test_solve_and_inverse():
-    m = [[2, 1], [1, 3]]
-    x = solve(m, [5, 5])
-    assert x == [Fraction(2), Fraction(1)]
-    assert solve([[1, 1], [1, 1]], [0, 1]) is None
-    inv = mat_inverse(m)
-    assert mat_mul(m, inv) == [[1, 0], [0, 1]]
 
 
 def test_determinant():

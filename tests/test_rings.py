@@ -192,9 +192,7 @@ def test_apply_composition_matches_evaluation_oracle():
     # convention: applying A then B equals applying the product A@B, checked
     # against evaluation at random rational points
     rng = Random(5)
-    from .conftest import random_polynomial
-
-    from foliations.linalg import mat_mul
+    from .conftest import mat_mul, random_polynomial
 
     for _ in range(10):
         p = random_polynomial(rng, R, max_degree=3)

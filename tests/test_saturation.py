@@ -3,14 +3,8 @@
 from random import Random
 
 from foliations.groebner import Ideal, ideal_equal, normal_form
-from foliations.rings import PolyRing
-from foliations.saturation import (
-    colon,
-    intersect,
-    is_saturated_ideal,
-    saturate,
-    saturate_variable,
-)
+from foliations.rings import PolyRing, grevlex_cheapest
+from foliations.saturation import colon, intersect, saturate, saturate_variable
 
 R = PolyRing(4)
 Z = R.variables()
@@ -26,7 +20,8 @@ def test_colon_examples():
 def test_saturation_examples():
     I = Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]])
     assert [str(g) for g in saturate(I).generators] == ["z0"]
-    assert is_saturated_ideal(Ideal(R, [Z[0], Z[1]]))
+    I = Ideal(R, [Z[0], Z[1]])
+    assert ideal_equal(I, saturate(I))
     assert [str(g) for g in saturate(Ideal(R, list(Z))).generators] == ["1"]
 
 
@@ -68,25 +63,42 @@ def test_saturation_skips_intersections_that_containment_decides(monkeypatch):
     assert ideal_equal(a, I)
 
 
+def _count_bases(monkeypatch) -> list:
+    """Record the ring of every basis computation, at the one engine seam."""
+    import foliations.modules as modules
+
+    calls = []
+    real = modules._buchberger
+
+    def counting(gens, ring, *args, **kwargs):
+        calls.append(ring)
+        return real(gens, ring, *args, **kwargs)
+
+    monkeypatch.setattr(modules, "_buchberger", counting)
+    return calls
+
+
 def test_saturated_variable_keeps_the_basis_it_holds(monkeypatch):
     # I is saturated in z0, so the cheap-order basis is the only new one
-    import foliations.groebner as groebner
-
     I = Ideal(R, [Z[1] * Z[2] - Z[3] ** 2, Z[0] * Z[1] + Z[2] ** 2])
     gb = I.groebner_basis()
-    calls = []
-    real = groebner.groebner_basis
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(groebner, "groebner_basis", counting)
+    calls = _count_bases(monkeypatch)
     S = saturate_variable(I, 0)
     assert len(calls) == 1
-    assert calls[0][1].order != R.order
+    assert calls[0].order != R.order
     assert S.generators == tuple(gb) and S.groebner_basis() == gb
     assert len(calls) == 1
+
+
+def test_variable_saturation_takes_one_basis_per_order(monkeypatch):
+    # the cheap-order basis (z0*z1, z0*z2 + z0*z3), divided by z0, is already
+    # a basis of I : z0^oo (Bayer-Stillman): only its default-order basis follows
+    I = Ideal(R, [Z[0] * Z[1], Z[0] * Z[2] + Z[0] * Z[3]])
+    calls = _count_bases(monkeypatch)
+    S = saturate_variable(I, 0)
+    assert [ring.order for ring in calls] == [grevlex_cheapest(0), R.order]
+    assert S.generators == (Z[2] + Z[3], Z[1])
+    assert S.groebner_basis() == list(S.generators) and len(calls) == 2
 
 
 def random_monomial_or_binomial_ideal(rng, size=3):
