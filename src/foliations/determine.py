@@ -28,7 +28,7 @@ from .groebner import Ideal, ideal_equal
 from .hilbert import hilbert_data
 from .linalg import determinant
 from .modules import StepBudgetExceeded
-from .rings import PolyRing, Polynomial, map_to_ring
+from .rings import PolyRing, Polynomial, Rational, exact, map_to_ring
 from .saturation import saturate
 
 
@@ -111,7 +111,8 @@ def linear_syzygy_space(form: ProjectiveOneForm) -> list[LinearSyzygy]:
         lead = next((i for i, x in enumerate(v) if x), None)
         if lead is None:
             continue
-        v = [x / v[lead] for x in v]
+        pivot = Fraction(v[lead])
+        v = [x / pivot for x in v]
         reduced.append(v)
         pivots.append(lead)
     out = []
@@ -178,11 +179,11 @@ class DistributionFamily:
     def parameter_dim(self) -> int:
         return len(self.syzygy_basis)
 
-    def matrix_at(self, alpha) -> list[list[Fraction]]:
+    def matrix_at(self, alpha) -> list[list[Rational]]:
         n = self.base.ring.num_vars
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m: list[list[Rational]] = [[0] * n for _ in range(n)]
         for coeff, mat in zip(alpha, self.matrices):
-            c = Fraction(coeff)
+            c = exact(Fraction(coeff))
             if c:
                 for i in range(n):
                     for j in range(n):
@@ -193,7 +194,7 @@ class DistributionFamily:
         ring = self.base.ring
         acc = [ring.zero()] * ring.num_vars
         for coeff, tup in zip(alpha, self.member_tuples):
-            c = Fraction(coeff)
+            c = exact(Fraction(coeff))
             if c:
                 acc = [a + f.scale(c) for a, f in zip(acc, tup)]
         return tuple(acc)
@@ -477,7 +478,8 @@ def pullback_structure(
     vec = next((v for v in consts if v[0] != 0), None)
     if vec is None:
         raise NoConstantSyzygy("no constant syzygy with nonzero first coordinate")
-    a = [x / vec[0] for x in vec]
+    first = Fraction(vec[0])
+    a = [x / first for x in vec]
     n = 4
     C = [[Fraction(0)] * n for _ in range(n)]
     C[0][0] = Fraction(1)

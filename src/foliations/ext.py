@@ -11,6 +11,7 @@ come out exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .groebner import Ideal
 from .hilbert import ModuleHilbert, module_hilbert
@@ -74,13 +75,23 @@ def _dual_images(matrix: list[Vec], dual_source_rank: int) -> list[Vec]:
 
 
 def _lift(ring: PolyRing, v: Vec, basis: list[Vec]) -> list:
-    """Coefficients expressing v over the module Groebner basis (must be exact)."""
+    """Coefficients expressing v over the module Groebner basis (must be exact).
+
+    The division is fraction-free, so its steps are replayed with their
+    scalings (``module_reduce``) and the sum divided by their product.
+    """
     steps, r = module_reduce(ring, v, basis)
     if not vec_is_zero(r):
         raise AssertionError("lift through the kernel basis left a remainder")
     coeffs = [ring.zero()] * len(basis)
-    for t_exp, t_c, k in steps:
-        coeffs[k] = coeffs[k] + ring.monomial(t_exp, t_c)
+    scale = 1
+    for a, m, b, k in steps:
+        if a != 1:
+            coeffs = [c.scale(a) for c in coeffs]
+            scale *= a
+        coeffs[k] = coeffs[k] + ring.monomial(m, b)
+    if scale != 1:
+        coeffs = [c.scale(Fraction(1, scale)) for c in coeffs]
     return coeffs
 
 

