@@ -3,7 +3,8 @@
 The package is organized in layers:
 
 * ``rings`` -- sparse exact-rational polynomials and graded monomial orders.
-* ``linalg`` -- exact Gaussian elimination over Q.
+* ``linalg`` -- one exact fraction-free elimination over Q: echelon, rank
+  and kernel bases of dense rational matrices.
 * ``modules`` -- the one Buchberger engine: module Groebner bases, division,
   syzygies and minimal resolution steps, with ideals as rank-1 modules.
 * ``groebner``, ``resolutions``, ``hilbert``, ``saturation``, ``ext`` -- the

@@ -91,11 +91,9 @@ def _syzygy_matrix(
         cols.extend((i, m) for m in source_monos)
     target_deg = entry_degree + max(f.degree() for f in coefficients)
     target = {m: r for r, m in enumerate(monomials_of_degree(ring, target_deg))}
-    from fractions import Fraction
-
-    matrix = [[Fraction(0)] * len(cols) for _ in target]
+    matrix = [[0] * len(cols) for _ in target]
     for c, (i, m) in enumerate(cols):
-        prod = coefficients[i].mul_term(m, Fraction(1))
+        prod = coefficients[i].mul_term(m, 1)
         for e, coeff in prod.terms:
             matrix[target[e]][c] += coeff
     return matrix, cols
@@ -127,7 +125,7 @@ def graded_syzygy_dimension(coefficients: tuple[Polynomial, ...], entry_degree: 
     if entry_degree < 0:
         return 0
     matrix, cols = _syzygy_matrix(coefficients, entry_degree)
-    return len(cols) - (rank(matrix) if matrix else 0)
+    return len(cols) - rank(matrix)
 
 
 # -- shared analysis ------------------------------------------------------------

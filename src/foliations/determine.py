@@ -26,7 +26,7 @@ from .forms import (
 )
 from .groebner import Ideal, ideal_equal
 from .hilbert import hilbert_data
-from .linalg import determinant
+from .linalg import echelon, rank
 from .modules import StepBudgetExceeded
 from .rings import PolyRing, Polynomial, Rational, exact, map_to_ring
 from .saturation import saturate
@@ -49,7 +49,7 @@ class LinearSyzygy:
     def to_matrix(self) -> "SyzygyMatrix":
         ring = self.entries[0].ring
         n = ring.num_vars
-        m = [[Fraction(0)] * n for _ in range(n)]
+        m: list[list[Rational]] = [[0] * n for _ in range(n)]
         for j, ell in enumerate(self.entries):
             for e, c in ell.terms:
                 i = next(k for k, x in enumerate(e) if x)
@@ -61,7 +61,7 @@ class LinearSyzygy:
 class SyzygyMatrix:
     """The matrix M with (z_0..z_3) . M recovering the syzygy entries."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    entries: tuple[tuple[Rational, ...], ...]
 
     def to_syzygy(self, ring: PolyRing) -> LinearSyzygy:
         n = ring.num_vars
@@ -74,9 +74,6 @@ class SyzygyMatrix:
             cols.append(acc)
         return LinearSyzygy(tuple(cols))
 
-    def det(self) -> Fraction:
-        return determinant([list(row) for row in self.entries])
-
     def is_identity(self) -> bool:
         n = len(self.entries)
         return all(
@@ -84,47 +81,22 @@ class SyzygyMatrix:
         )
 
 
-def _flatten(entries: tuple[Polynomial, ...], n: int) -> list[Fraction]:
-    flat = [Fraction(0)] * (n * n)
-    for j, ell in enumerate(entries):
-        for e, c in ell.terms:
-            i = next(k for k, x in enumerate(e) if x)
-            flat[j * n + i] = c
-    return flat
+def _columns(matrix: SyzygyMatrix) -> list[Rational]:
+    """The entries of the matrix column by column: the layout of the echelon."""
+    return [x for col in zip(*matrix.entries) for x in col]
 
 
 def linear_syzygy_space(form: ProjectiveOneForm) -> list[LinearSyzygy]:
     """Basis of the linear syzygies, Euler first, remainder in echelon form."""
     ring = form.ring
     n = ring.num_vars
-    raw = graded_syzygy_basis(form.coefficients, 1)
-    euler = tuple(ring.variable(j) for j in range(n))
-    rows = [_flatten(euler, n)] + [_flatten(s, n) for s in raw]
-    reduced: list[list[Fraction]] = []
-    pivots: list[int] = []
-    for row in rows:
-        v = list(row)
-        for p, r in zip(pivots, reduced):
-            if v[p]:
-                f = v[p]
-                v = [a - f * b for a, b in zip(v, r)]
-        lead = next((i for i, x in enumerate(v) if x), None)
-        if lead is None:
-            continue
-        pivot = Fraction(v[lead])
-        v = [x / pivot for x in v]
-        reduced.append(v)
-        pivots.append(lead)
+    euler = LinearSyzygy(tuple(ring.variable(j) for j in range(n)))
+    raw = [LinearSyzygy(s) for s in graded_syzygy_basis(form.coefficients, 1)]
     out = []
-    for v in reduced:
-        entries = []
-        for j in range(n):
-            d = {}
-            for i in range(n):
-                if v[j * n + i]:
-                    d[tuple(1 if k == i else 0 for k in range(n))] = v[j * n + i]
-            entries.append(ring.from_dict(d))
-        out.append(LinearSyzygy(tuple(entries)))
+    for row in echelon([_columns(s.to_matrix()) for s in [euler] + raw]):
+        pivot = next(x for x in row if x)
+        cols = [[exact(Fraction(x, pivot)) for x in row[j * n : (j + 1) * n]] for j in range(n)]
+        out.append(SyzygyMatrix(tuple(zip(*cols))).to_syzygy(ring))
     return out
 
 
@@ -141,7 +113,7 @@ def distribution_from_matrix(
     form: ProjectiveOneForm, matrix: SyzygyMatrix, budget: int | None = None
 ) -> ProjectiveOneForm:
     """Coefficients M . (F_0..F_3): the distribution attached to the syzygy."""
-    if matrix.det() == 0:
+    if rank(matrix.entries) < len(matrix.entries):
         raise SingularMatrix("the syzygy matrix is not invertible")
     new = _apply_matrix(form.coefficients, matrix.entries)
     result = validate(new)
@@ -179,11 +151,18 @@ class DistributionFamily:
     def parameter_dim(self) -> int:
         return len(self.syzygy_basis)
 
+    def _weights(self, alpha) -> list[Rational]:
+        """The exact coordinates of a parameter point, one per syzygy."""
+        if len(alpha) != self.parameter_dim:
+            raise ValueError(
+                f"parameter {alpha} has {len(alpha)} coordinates, not {self.parameter_dim}"
+            )
+        return [exact(Fraction(a)) for a in alpha]
+
     def matrix_at(self, alpha) -> list[list[Rational]]:
         n = self.base.ring.num_vars
         m: list[list[Rational]] = [[0] * n for _ in range(n)]
-        for coeff, mat in zip(alpha, self.matrices):
-            c = exact(Fraction(coeff))
+        for c, mat in zip(self._weights(alpha), self.matrices):
             if c:
                 for i in range(n):
                     for j in range(n):
@@ -193,14 +172,14 @@ class DistributionFamily:
     def member_coefficients(self, alpha) -> tuple[Polynomial, ...]:
         ring = self.base.ring
         acc = [ring.zero()] * ring.num_vars
-        for coeff, tup in zip(alpha, self.member_tuples):
-            c = exact(Fraction(coeff))
+        for c, tup in zip(self._weights(alpha), self.member_tuples):
             if c:
                 acc = [a + f.scale(c) for a, f in zip(acc, tup)]
         return tuple(acc)
 
     def member_form(self, alpha) -> ProjectiveOneForm:
-        if determinant(self.matrix_at(alpha)) == 0:
+        # the degenerate locus is the determinant of the pencil
+        if self.degenerate_locus.evaluate(self._weights(alpha)) == 0:
             raise SingularMatrix(f"parameter {alpha} lies in the degenerate locus")
         return validate(self.member_coefficients(alpha))
 

@@ -1,118 +1,88 @@
-"""Exact linear algebra over Q (lists of Fractions).
+"""Exact linear algebra over Q by one fraction-free elimination.
 
-Small dense routines used for graded-piece computations: row reduction,
-rank, kernel bases, and determinants.  Everything is exact; no pivoting
-heuristics are needed beyond skipping zero pivots.
+Rows hold ``int`` or ``Fraction`` entries.  ``echelon`` makes each row
+integral and primitive, then reduces it against the rows already kept, at
+their pivots, with the one integer step v <- (p*v - f*r) / content: an
+integer-preserving elimination after Bareiss (1968) that divides by the
+content of the row, not by the previous pivot.  ``rank`` counts the kept
+rows, and ``kernel_basis`` back-reduces them with the same step to read off
+the RREF-canonical kernel.  No ``Fraction`` is built inside the elimination.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Sequence
 
-Matrix = list[list[Fraction]]
+from .rings import Rational
 
 
-def to_matrix(rows: Sequence[Sequence]) -> Matrix:
-    return [[Fraction(x) for x in row] for row in rows]
+def _primitive(row: Sequence[Rational]) -> list[int]:
+    den = lcm(*(x.denominator for x in row))
+    ints = [x.numerator * (den // x.denominator) for x in row]
+    g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else ints
 
 
-def rref(rows: Sequence[Sequence]) -> tuple[Matrix, list[int]]:
-    """Reduced row echelon form; returns (matrix, pivot column indices)."""
-    m = to_matrix(rows)
-    if not m:
-        return [], []
-    ncols = len(m[0])
+def _step(v: list[int], r: list[int], c: int) -> list[int]:
+    """v with column c cleared by r, whose pivot is at c: (p*v - f*r) / content."""
+    p, f = r[c], v[c]
+    w = [p * a - f * b for a, b in zip(v, r)]
+    g = gcd(*w)
+    return [x // g for x in w] if g > 1 else w
+
+
+def _pivot(row: list[int]) -> int:
+    return next(c for c, x in enumerate(row) if x)
+
+
+def echelon(rows: Sequence[Sequence[Rational]]) -> list[list[int]]:
+    """Primitive integer rows spanning the row space, in insertion order.
+
+    Each kept row is zero at the pivots of the rows kept before it; its
+    pivot is its first nonzero column.
+    """
+    kept: list[list[int]] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
-
-
-def rank(rows: Sequence[Sequence]) -> int:
-    """Rank via integer fraction-free elimination of int or Fraction rows."""
-    from math import gcd, lcm
-
-    m: list[list[int]] = []
     for row in rows:
         if not any(row):
             continue
-        den = lcm(*(x.denominator for x in row))
-        ints = [x.numerator * (den // x.denominator) for x in row]
-        g = gcd(*ints)
-        m.append([x // g for x in ints])
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c]), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        p = m[r][c]
-        for i in range(r + 1, len(m)):
-            f = m[i][c]
-            if f:
-                row = [a * p - f * b for a, b in zip(m[i], m[r])]
-                g = gcd(*row)
-                m[i] = [x // g for x in row] if g > 1 else row
-        r += 1
-        if r == len(m):
-            break
-    return r
+        v = _primitive(row)
+        for r, c in zip(kept, pivots):
+            if v[c]:
+                v = _step(v, r, c)
+        if any(v):
+            kept.append(v)
+            pivots.append(_pivot(v))
+    return kept
 
 
-def kernel_basis(rows: Sequence[Sequence], ncols: int | None = None) -> list[list[Fraction]]:
+def rank(rows: Sequence[Sequence[Rational]]) -> int:
+    return len(echelon(rows))
+
+
+def kernel_basis(rows: Sequence[Sequence[Rational]], ncols: int | None = None) -> list[list[Rational]]:
     """Basis of the right kernel {x : A x = 0}, in RREF-derived canonical form."""
-    m = [list(row) for row in rows]
     if ncols is None:
-        if not m:
+        if not rows:
             raise ValueError("need ncols for an empty matrix")
-        ncols = len(m[0])
-    red, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+        ncols = len(rows[0])
+    kept = echelon(rows)
+    pivots = [_pivot(r) for r in kept]
+    for j, c in enumerate(pivots):
+        for i in range(j):
+            if kept[i][c]:
+                kept[i] = _step(kept[i], kept[j], c)
+    pivot_set = set(pivots)
     basis = []
-    for fc in free:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -red[r][fc]
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        v: list[Rational] = [0] * ncols
+        v[fc] = 1
+        for r, c in zip(kept, pivots):
+            if r[fc]:
+                v[c] = Fraction(-r[fc], r[c])
         basis.append(v)
     return basis
-
-
-def determinant(rows: Sequence[Sequence]) -> Fraction:
-    m = to_matrix(rows)
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant needs a square matrix")
-    det = Fraction(1)
-    for c in range(n):
-        pivot = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != c:
-            m[c], m[pivot] = m[pivot], m[c]
-            det = -det
-        det *= m[c][c]
-        inv = m[c][c]
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = m[i][c] / inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det

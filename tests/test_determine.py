@@ -9,6 +9,7 @@ from foliations.determine import (
     NoConstantSyzygy,
     SingularMatrix,
     SyzygyMatrix,
+    _scan_candidates,
     constant_syzygy_space,
     distribution_family,
     distribution_from_matrix,
@@ -29,6 +30,7 @@ from foliations.forms import (
     wedge_1_2,
 )
 from foliations.groebner import ideal_equal
+from foliations.linalg import rank
 from foliations.rings import PolyRing
 from foliations.saturation import saturate
 
@@ -83,6 +85,41 @@ def test_singular_matrix_rejected(l1111):
     zero = SyzygyMatrix(tuple(tuple(Fraction(0) for _ in range(4)) for _ in range(4)))
     with pytest.raises(SingularMatrix):
         distribution_from_matrix(l1111, zero)
+
+
+def test_member_needs_one_coordinate_per_parameter(l1111):
+    family = distribution_family(l1111)
+    for alpha in [(1, 1), (1, 1, 0, 5, 7)]:
+        for method in (family.matrix_at, family.member_coefficients, family.member_form):
+            with pytest.raises(ValueError, match="coordinates"):
+                method(alpha)
+
+
+def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
+    forms = dict(corpus)
+    for name in ("L1111", "exceptional-d2", "L1112", "pullback-d1"):
+        family = distribution_family(forms[name])
+        for alpha in _scan_candidates(family.parameter_dim):
+            singular = rank(family.matrix_at(alpha)) < 4
+            assert (family.degenerate_locus.evaluate(alpha) == 0) == singular
+            try:
+                family.member_form(alpha)
+                rejected = False
+            except SingularMatrix:
+                rejected = True
+            assert rejected == singular, (name, alpha)
+
+
+def test_nonzero_singular_member_rejected(l1111):
+    family = distribution_family(l1111)
+    alpha = (0, 0, 1)
+    matrix = family.matrix_at(alpha)
+    assert any(any(row) for row in matrix) and rank(matrix) < 4
+    assert family.degenerate_locus.evaluate(alpha) == 0
+    with pytest.raises(SingularMatrix):
+        family.member_form(alpha)
+    with pytest.raises(SingularMatrix):
+        distribution_from_matrix(l1111, SyzygyMatrix(tuple(map(tuple, matrix))))
 
 
 def test_family_members_share_singular_ideal(l1111):

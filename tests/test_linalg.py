@@ -1,15 +1,17 @@
-"""Exact linear algebra sanity checks."""
+"""Exact linear algebra sanity checks, with sympy as the outside oracle."""
 
 from fractions import Fraction
 from random import Random
 
-from foliations.linalg import determinant, kernel_basis, rank, rref
+import sympy as sp
+
+from foliations.linalg import echelon, kernel_basis, rank
 
 
-def test_rref_and_rank():
+def test_echelon_and_rank():
     m = [[1, 2, 3], [2, 4, 6], [1, 0, 1]]
-    red, pivots = rref(m)
-    assert pivots == [0, 1]
+    rows = echelon(m)
+    assert [next(c for c, x in enumerate(r) if x) for r in rows] == [0, 1]
     assert rank(m) == 2
 
 
@@ -27,20 +29,42 @@ def test_kernel_dimension_complements_rank():
             )
 
 
-def test_determinant():
-    assert determinant([[1, 2], [3, 4]]) == -2
-    assert determinant([[1, 2], [2, 4]]) == 0
-    rng = Random(9)
-    for _ in range(10):
-        m = [[Fraction(rng.randint(-3, 3)) for _ in range(3)] for _ in range(3)]
-        brute = sum(
-            sign
-            * m[0][a]
-            * m[1][b]
-            * m[2][c]
-            for a, b, c, sign in [
-                (0, 1, 2, 1), (1, 2, 0, 1), (2, 0, 1, 1),
-                (2, 1, 0, -1), (1, 0, 2, -1), (0, 2, 1, -1),
+def _random_matrix(rng: Random) -> list[list]:
+    """Tall, wide or square; int or Fraction entries; some zero rows; some low rank."""
+    nrows, ncols = rng.randint(1, 8), rng.randint(1, 8)
+    if rng.random() < 0.3:
+        inner = rng.randint(1, min(nrows, ncols))
+        a = [[rng.randint(-3, 3) for _ in range(inner)] for _ in range(nrows)]
+        b = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(ncols)] for _ in range(inner)]
+        m = [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    else:
+        density = rng.choice([0.3, 0.6, 1.0])
+        m = [
+            [
+                (Fraction(rng.randint(-9, 9), rng.randint(1, 5)) if rng.random() < 0.5 else rng.randint(-9, 9))
+                if rng.random() < density
+                else 0
+                for _ in range(ncols)
             ]
-        )
-        assert determinant(m) == brute
+            for _ in range(nrows)
+        ]
+    for row in m:
+        if rng.random() < 0.15:
+            row[:] = [0] * ncols
+    return m
+
+
+def _to_fraction(x) -> Fraction:
+    return Fraction(int(x.p), int(x.q))
+
+
+def test_rank_and_kernel_match_sympy():
+    rng = Random(11)
+    cases = [_random_matrix(rng) for _ in range(120)]
+    cases += [[[0] * 4 for _ in range(3)], [[0] * 2 for _ in range(5)]]
+    for m in cases:
+        ncols = len(m[0])
+        oracle = sp.Matrix([[sp.Rational(x.numerator, x.denominator) for x in row] for row in m])
+        assert rank(m) == oracle.rank()
+        expected = [[_to_fraction(x) for x in v] for v in oracle.nullspace()]
+        assert kernel_basis(m, ncols=ncols) == expected
