@@ -9,11 +9,12 @@ The package is organized in layers:
   syzygies and minimal resolution steps, with ideals as rank-1 modules.
 * ``groebner``, ``resolutions``, ``hilbert``, ``saturation``, ``ext`` -- the
   commutative algebra built on it (ideals and reduced bases, free
-  resolutions, Hilbert series, colon/saturation, Ext modules).
+  resolutions, Hilbert series, colon/saturation, the top Ext of a
+  resolution).
 * ``forms`` -- projective 1-forms, exterior calculus, singular schemes, and
   the standard constructors (logarithmic, pull-back, exceptional).
-* ``classify`` -- decision procedures: saturated / curve / ACM / split,
-  splitting type, Rao dimensions.
+* ``classify`` -- ``classify``, the one report of the decisions: saturated /
+  curve / ACM / split, splitting type, Rao dimensions, Betti table.
 * ``determine`` -- linear syzygy families and determination of a split
   foliation by its singular scheme.
 * ``formfile`` / ``cli`` -- the input language and command-line surface.

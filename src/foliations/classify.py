@@ -1,8 +1,11 @@
 """Decision procedures on the singular scheme of a P^3 foliation.
 
-Saturation, the curve test (locally free tangent sheaf), the ACM test
-(split tangent sheaf), the splitting type and Hartshorne-Rao dimensions,
-all read from one ``_Analysis`` of the form.  The split verdict is computed
+``classify`` answers every question in one ``ClassificationReport``:
+saturation, the curve test (locally free tangent sheaf), the ACM test
+(split tangent sheaf), the splitting type and Hartshorne-Rao dimensions.
+All are read from one ``_Analysis`` of the form: one saturation I^sat, its
+minimal free resolution, and Ext^3(R/I^sat, R) as the top Ext of that
+resolution when it has length 3.  The split verdict is computed
 along two independent routes -- curve + saturated and curve + ACM -- whose
 agreement is itself a theorem, so a disagreement signals an engine bug and
 raises instead of returning.
@@ -29,10 +32,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .ext import ExtModule, ext_module
+from .ext import top_ext
 from .forms import ProjectiveOneForm, singular_ideal
-from .groebner import Ideal, ideal_equal
-from .hilbert import HilbertData, hilbert_data
+from .groebner import Ideal
+from .hilbert import HilbertData, ModuleHilbert, hilbert_data
 from .linalg import kernel_basis, rank
 from .modules import InternalInconsistency
 from .resolutions import FreeResolution, free_resolution
@@ -139,7 +142,7 @@ class _Analysis:
     saturated: bool
     sat_hilbert: HilbertData
     resolution: FreeResolution
-    ext3: ExtModule
+    ext3: ModuleHilbert | None  # Ext^3(R/I^sat, R); None when it vanishes
 
     @classmethod
     def of(cls, form: ProjectiveOneForm, budget: int | None = None) -> "_Analysis":
@@ -149,49 +152,32 @@ class _Analysis:
         sat = saturate(I, budget=budget)
         saturated = I.groebner_basis(budget) == sat.groebner_basis(budget)
         res = free_resolution(sat, budget=budget)
-        e3 = ext_module(sat, 3, resolution=res, budget=budget)
+        # depth R/I^sat >= 1, so the resolution has length at most 3
+        # (Auslander-Buchsbaum) and Ext^3 is zero or the top Ext
+        if res.length > 3:
+            raise InternalInconsistency(
+                f"the resolution of a saturated ideal has length {res.length} > 3"
+            )
+        e3 = top_ext(res, budget) if res.length == 3 else None
         return cls(form, I, sat, saturated, hilbert_data(sat, budget), res, e3)
 
     def curve(self) -> bool:
-        return self.sat_hilbert.krull_dim == 2 and self.ext3.krull_dim <= 0
+        """Locally free test: Z is an equidimensional locally CM curve.
+
+        dim R/I^sat = 2, and Ext^3(R/I^sat, R) has finite length: a
+        point of Z, isolated or embedded, would put a positive-dimensional
+        piece into the support of Ext^3, while a nonzero finite-length
+        Ext^3 is the dual of the Rao module of a curve that is not ACM.
+        """
+        return self.sat_hilbert.krull_dim == 2 and (
+            self.ext3 is None or self.ext3.krull_dim <= 0
+        )
 
     def acm(self) -> bool:
         return self.resolution.length == 2
 
 
-# -- public decision procedures --------------------------------------------------
-
-
-def is_saturated(form: ProjectiveOneForm, budget: int | None = None) -> bool:
-    """True when the coefficient ideal (F_0..F_n) equals its saturation.
-
-    Works for plane forms as well as P^3 forms.
-    """
-    I = singular_ideal(form, budget)
-    return ideal_equal(I, saturate(I, budget=budget), budget)
-
-
-def is_curve(form: ProjectiveOneForm, budget: int | None = None) -> bool:
-    """Locally-free test: Z is an equidimensional locally CM curve.
-
-    Checked as dim R/I^sat = 2 together with Ext^3(R/I^sat, R) of finite
-    length; the Ext condition rules out isolated and embedded points while
-    allowing a nonzero finite-length Rao dual.
-    """
-    return _Analysis.of(form, budget).curve()
-
-
-def is_acm(form: ProjectiveOneForm, budget: int | None = None) -> bool:
-    """ACM test: the minimal free resolution of R/I^sat has length exactly 2."""
-    a = _Analysis.of(form, budget)
-    if not a.curve():
-        raise ValueError("the ACM test applies to curve singular schemes only")
-    return a.acm()
-
-
-def is_split(form: ProjectiveOneForm, budget: int | None = None) -> bool:
-    a = _Analysis.of(form, budget)
-    return _split_from(a)
+# -- reading the report off the analysis ------------------------------------------
 
 
 def _split_from(a: _Analysis) -> bool:
@@ -205,22 +191,12 @@ def _split_from(a: _Analysis) -> bool:
     return route_a
 
 
-def splitting_type(form: ProjectiveOneForm, budget: int | None = None) -> tuple[int, int]:
+def _splitting_type_from(analysis: _Analysis) -> tuple[int, int]:
     """The pair (a, b), a <= b, with tangent sheaf O(a) (+) O(b).
 
-    Read off the minimal resolution of R/I: the twists of F_2 are
-    {d+2, d+2-a, d+2-b} less one d+1 for each constant syzygy, that is for
-    each 1 in (a, b).  Such a syzygy makes one F_i non-minimal, and the
-    resolution drops it from F_1.  The table is checked against the Hilbert
-    numerator of R/I^sat.
+    Read off the Betti table, as the module docstring explains, once the
+    table is checked against the Hilbert numerator of R/I^sat.
     """
-    a = _Analysis.of(form, budget)
-    if not _split_from(a):
-        raise ValueError("splitting type is defined for split forms only")
-    return _splitting_type_from(a)
-
-
-def _splitting_type_from(analysis: _Analysis) -> tuple[int, int]:
     res = analysis.resolution
     d = analysis.form.degree
     if res.euler_numerator() != analysis.sat_hilbert.numerator:
@@ -245,21 +221,14 @@ def _splitting_type_from(analysis: _Analysis) -> tuple[int, int]:
     return (a, b)
 
 
-def rao_dimensions(form: ProjectiveOneForm, budget: int | None = None) -> dict[int, int]:
+def _rao_from(analysis: _Analysis) -> dict[int, int]:
     """Graded dimensions of the Hartshorne-Rao module sum_k H^1(I_Z(k)).
 
-    Computed as the graded dual of Ext^3(R/I^sat, R): the Rao dimension in
-    degree k is the Ext^3 dimension in degree -4-k (local duality twist
-    convention for four variables).
+    The Rao module is the graded dual of Ext^3(R/I^sat, R) (Rao, "Liaison
+    among curves in P^3", 1979), with the local duality twist -4 of four
+    variables: its dimension in degree k is that of Ext^3 in degree -4-k.
     """
-    a = _Analysis.of(form, budget)
-    if not a.curve():
-        raise ValueError("Rao dimensions apply to curve singular schemes only")
-    return _rao_from(a)
-
-
-def _rao_from(analysis: _Analysis) -> dict[int, int]:
-    if analysis.ext3.is_zero():
+    if analysis.ext3 is None:
         return {}
     support = analysis.ext3.finite_support()
     return {(-4 - deg): dim for deg, dim in sorted(support.items(), reverse=True)}

@@ -1,10 +1,11 @@
 """Command-line surface: check, classify, syzygies, family, determine, make, gb, sat.
 
 Exit codes: 0 success; 1 parse/validation errors (including precondition
-failures); 2 the command needs an integrable form and the input is not;
-3 a step budget ran out or the analysis is inconclusive; 4 an internal check
-or certificate failed, which is an engine bug and not a verdict.
-``classify --dir`` reports each failed file on stderr and exits with the
+failures and a missing input flag of ``make``); 2 the command needs an
+integrable form and the input is not; 3 a step budget ran out or the
+analysis is inconclusive; 4 an internal check or certificate failed, which
+is an engine bug and not a verdict.  ``classify --dir`` classifies the
+files in turn, reports each failed file on stderr and exits with the
 largest per-file code, which is 1, 3 or 4.  ``--json`` selects a stable
 machine-readable report; identical inputs produce byte-identical reports
 except for the timings field.
@@ -14,16 +15,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
 from .classify import ConsistencyFailure, InternalInconsistency, classify
 from .determine import (
-    NoConstantSyzygy,
     distribution_family,
     integrable_members,
     is_determined_by_singular_scheme,
@@ -46,7 +44,6 @@ from .modules import StepBudgetExceeded
 from .rings import PolyRing
 from .saturation import saturate
 
-BUDGET_ENV = "FOLIATIONS_STEP_BUDGET"
 INTERNAL_FAILURES = (InternalInconsistency, ConsistencyFailure, AssertionError)
 
 
@@ -126,11 +123,8 @@ def _classification_payload(path: str, budget: int | None) -> dict:
     return payload
 
 
-def _classify_worker(
-    item: tuple[str, int | None]
-) -> tuple[str, dict | None, str | None, int]:
+def _classify_file(path: str, budget: int | None) -> tuple[str, dict | None, str | None, int]:
     """(path, payload, error, exit code) for one file of ``classify --dir``."""
-    path, budget = item
     try:
         return path, _classification_payload(path, budget), None, 0
     except (ParseError, FormError) as exc:
@@ -162,12 +156,7 @@ def cmd_classify(args) -> int:
         if not paths:
             print(f"no .form files under {args.dir}", file=sys.stderr)
             return 1
-        items = [(p, args.budget) for p in paths]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_classify_worker, items))
-        else:
-            results = [_classify_worker(it) for it in items]
+        results = [_classify_file(p, args.budget) for p in paths]
         payloads = []
         for path, payload, error, _ in results:
             if error is not None:
@@ -326,15 +315,23 @@ def _parse_poly_list(ring: PolyRing, text: str):
     return out
 
 
+def _flag(args, name: str) -> str:
+    """The value of a flag that ``make <kind>`` needs; ValueError when absent."""
+    value = getattr(args, name)
+    if value is None:
+        raise ValueError(f"make {args.kind} needs --{name}")
+    return value
+
+
 def cmd_make(args) -> int:
     if args.kind == "logarithmic":
         ring = PolyRing(args.vars)
-        factors = _parse_poly_list(ring, args.factors)
-        weights = [Fraction(w.strip()) for w in args.weights.split(",")]
+        factors = _parse_poly_list(ring, _flag(args, "factors"))
+        weights = [Fraction(w.strip()) for w in _flag(args, "weights").split(",")]
         form = logarithmic_form(factors, weights)
         name = args.name or "logarithmic"
     elif args.kind == "pullback":
-        plane = _read_form(args.plane).form
+        plane = _read_form(_flag(args, "plane")).form
         form = pullback_from_plane(plane)
         name = args.name or "pullback"
     elif args.kind == "exceptional":
@@ -361,23 +358,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="foliations",
         description="Exact analysis of codimension-one foliations on P^3 via their singular schemes",
     )
-    env_budget = os.environ.get(BUDGET_ENV)
-    default_budget = int(env_budget) if env_budget else None
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, needs_file=True):
         if needs_file:
             p.add_argument("file", help="a .form input file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--budget", type=int, default=default_budget, help="step budget override")
+        p.add_argument("--budget", type=int, help="step budget override")
 
     common(sub.add_parser("check", help="validate, integrability, codimension"))
     p = sub.add_parser("classify", help="saturated/curve/ACM/split verdicts and splitting type")
     p.add_argument("file", nargs="?", help="a .form input file")
     p.add_argument("--dir", help="classify every .form file in a directory")
-    p.add_argument("--jobs", type=int, default=1, help="parallel workers for --dir")
-    p.add_argument("--json", action="store_true")
-    p.add_argument("--budget", type=int, default=default_budget)
+    common(p, needs_file=False)
     common(sub.add_parser("syzygies", help="linear and constant syzygy spaces"))
     common(sub.add_parser("family", help="distribution family and integrable members"))
     common(sub.add_parser("determine", help="determination by the singular scheme"))
@@ -415,7 +408,7 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, FormError, NoConstantSyzygy, ValueError) as exc:
+    except (ParseError, FormError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except StepBudgetExceeded as exc:

@@ -26,17 +26,13 @@ from .forms import (
 )
 from .groebner import Ideal, ideal_equal
 from .hilbert import hilbert_data
-from .linalg import echelon, rank
+from .linalg import echelon
 from .modules import StepBudgetExceeded
-from .rings import PolyRing, Polynomial, Rational, exact, map_to_ring
+from .rings import PolyRing, Polynomial, Rational, exact
 from .saturation import saturate
 
 
 class SingularMatrix(ValueError):
-    pass
-
-
-class NoConstantSyzygy(FormError):
     pass
 
 
@@ -74,12 +70,6 @@ class SyzygyMatrix:
             cols.append(acc)
         return LinearSyzygy(tuple(cols))
 
-    def is_identity(self) -> bool:
-        n = len(self.entries)
-        return all(
-            self.entries[i][j] == (1 if i == j else 0) for i in range(n) for j in range(n)
-        )
-
 
 def _columns(matrix: SyzygyMatrix) -> list[Rational]:
     """The entries of the matrix column by column: the layout of the echelon."""
@@ -107,21 +97,6 @@ def constant_syzygy_space(form: ProjectiveOneForm) -> list[tuple[Fraction, ...]]
     for s in raw:
         out.append(tuple(p.coefficient((0,) * form.ring.num_vars) for p in s))
     return out
-
-
-def distribution_from_matrix(
-    form: ProjectiveOneForm, matrix: SyzygyMatrix, budget: int | None = None
-) -> ProjectiveOneForm:
-    """Coefficients M . (F_0..F_3): the distribution attached to the syzygy."""
-    if rank(matrix.entries) < len(matrix.entries):
-        raise SingularMatrix("the syzygy matrix is not invertible")
-    new = _apply_matrix(form.coefficients, matrix.entries)
-    result = validate(new)
-    if not ideal_equal(
-        singular_ideal(result, budget), singular_ideal(form, budget), budget
-    ):
-        raise AssertionError("invertible matrix changed the singular ideal")
-    return result
 
 
 def _apply_matrix(F: tuple[Polynomial, ...], m) -> list[Polynomial]:
@@ -158,16 +133,6 @@ class DistributionFamily:
                 f"parameter {alpha} has {len(alpha)} coordinates, not {self.parameter_dim}"
             )
         return [exact(Fraction(a)) for a in alpha]
-
-    def matrix_at(self, alpha) -> list[list[Rational]]:
-        n = self.base.ring.num_vars
-        m: list[list[Rational]] = [[0] * n for _ in range(n)]
-        for c, mat in zip(self._weights(alpha), self.matrices):
-            if c:
-                for i in range(n):
-                    for j in range(n):
-                        m[i][j] += c * mat.entries[i][j]
-        return m
 
     def member_coefficients(self, alpha) -> tuple[Polynomial, ...]:
         ring = self.base.ring
@@ -318,7 +283,7 @@ def _scan_candidates(p: int) -> list[tuple[Fraction, ...]]:
 
 
 def integrable_members(
-    family: DistributionFamily, budget: int | None = None, scan_limit: int = 400
+    family: DistributionFamily, budget: int | None = None
 ) -> FamilyIntegrability:
     """Classify the integrable members of the family.
 
@@ -344,7 +309,7 @@ def integrable_members(
 
     def collect_witnesses(count: int) -> list[tuple[tuple[Fraction, ...], ProjectiveOneForm]]:
         found = [base_member]
-        for alpha in _scan_candidates(p)[:scan_limit]:
+        for alpha in _scan_candidates(p):
             if len(found) >= count:
                 break
             if all(q.evaluate(alpha) == 0 for q in system):
@@ -428,53 +393,3 @@ def is_determined_by_singular_scheme(
         return Determination("unique", "integrability system has only the base solution")
     return Determination("inconclusive", f"family analysis ({outcome.kind})")
 
-
-# -- pull-back recognition --------------------------------------------------------
-
-
-@dataclass
-class PullbackStructure:
-    plane_form: ProjectiveOneForm
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-
-def pullback_structure(
-    form: ProjectiveOneForm, budget: int | None = None
-) -> PullbackStructure | None:
-    """Recover the plane foliation a pull-back came from.
-
-    Performs the coordinate change z_0 = a_0 z'_0, z_j = z'_j + a_j z'_0 for
-    a constant syzygy (a_i), then checks the transformed coefficients do not
-    involve z'_0; for an integrable pull-back this must hold, so a None
-    return means the form is not a linear pull-back from (1:0:0:0)-like
-    center after that change.
-    """
-    if form.ring.num_vars != 4:
-        raise ValueError("pull-back recognition applies to P^3 forms")
-    consts = constant_syzygy_space(form)
-    if not consts:
-        raise NoConstantSyzygy("the form admits no constant syzygy")
-    vec = next((v for v in consts if v[0] != 0), None)
-    if vec is None:
-        raise NoConstantSyzygy("no constant syzygy with nonzero first coordinate")
-    first = Fraction(vec[0])
-    a = [x / first for x in vec]
-    n = 4
-    C = [[Fraction(0)] * n for _ in range(n)]
-    C[0][0] = Fraction(1)
-    for j in range(1, n):
-        C[j][0] = a[j]
-        C[j][j] = Fraction(1)
-    from .forms import apply_projectivity
-
-    eta = apply_projectivity(form, C)
-    if not eta.coefficients[0].is_zero():
-        raise AssertionError("constant syzygy failed to kill the dz'_0 coefficient")
-    for g in eta.coefficients[1:]:
-        if 0 in g.variables_used():
-            return None
-    plane_ring = PolyRing(3)
-    plane = validate(
-        [map_to_ring(g, plane_ring, [0, 0, 1, 2]) for g in eta.coefficients[1:]]
-    )
-    return PullbackStructure(plane, tuple(tuple(row) for row in C))

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .forms import FormError, ProjectiveOneForm, validate
-from .rings import PolyRing, Polynomial, render
+from .rings import PolyRing, Polynomial
 
 
 class ParseError(ValueError):
@@ -232,8 +232,5 @@ def print_form_file(
         lines.append(f"name {name}")
     if expected_degree is not None:
         lines.append(f"expected-degree {expected_degree}")
-    terms = [
-        f"({render(f)}) dz{i}" for i, f in enumerate(form.coefficients) if not f.is_zero()
-    ]
-    lines.append("form " + " + ".join(terms))
+    lines.append(f"form {form}")
     return "\n".join(lines) + "\n"

@@ -174,11 +174,6 @@ class ModuleHilbert:
     def is_finite_length(self) -> bool:
         return self.krull_dim <= 0
 
-    def dimension_at(self, degree: int) -> int:
-        return sum(
-            h.dimension_at(degree - t) for t, h in zip(self.twists, self.slots)
-        )
-
     def finite_support(self) -> dict[int, int]:
         """degree -> dimension map; only valid for finite-length modules."""
         if not self.is_finite_length():

@@ -1,7 +1,8 @@
 """Colon ideals, intersections, and saturation.
 
 Colon and intersection reduce to syzygy computations.  Saturation with
-respect to the irrelevant ideal is done two independent ways:
+respect to the irrelevant ideal m = (z_0, ..., z_n) is done two independent
+ways:
 
 * ``variables``: intersect the single-variable saturations I : z_i^oo, each
   obtained from one Groebner basis, in the grevlex order that makes z_i
@@ -10,9 +11,10 @@ respect to the irrelevant ideal is done two independent ways:
   An intersection that containment decides is skipped: when one side lies in
   the other, checked by membership against the cached reduced bases, the
   smaller side is the intersection.
-* ``colon``: iterate I <- I : J until the chain stabilizes.
+* ``colon``: iterate I <- I : m until the chain stabilizes.
 
-The two must agree; the engine test suite checks that on a random corpus.
+``saturate`` runs the first; ``saturate_by_colon`` runs the second, as the
+oracle the engine test suite checks it against on a random corpus.
 """
 
 from __future__ import annotations
@@ -115,39 +117,28 @@ def irrelevant_ideal(ring: PolyRing) -> Ideal:
     return Ideal(ring, ring.variables())
 
 
-def saturate(
-    I: Ideal,
-    J: Ideal | None = None,
-    budget: int | None = None,
-    method: str = "auto",
-) -> Ideal:
-    """I : J^oo (J defaults to the irrelevant ideal).
-
-    ``method`` is one of ``auto``, ``variables`` (irrelevant ideal only), or
-    ``colon``; the two concrete algorithms are independent and must agree.
-    """
+def saturate(I: Ideal, *, budget: int | None = None) -> Ideal:
+    """I : m^oo for the irrelevant ideal m, by the ``variables`` algorithm."""
     if not I.is_homogeneous():
         raise ValueError("saturation requires a homogeneous ideal")
-    irrelevant = J is None or ideal_equal(J, irrelevant_ideal(I.ring), budget)
-    if method == "auto":
-        method = "variables" if irrelevant else "colon"
-    if method == "variables":
-        if not irrelevant:
-            raise ValueError("the variables method applies to the irrelevant ideal only")
-        result: Ideal | None = None
-        for var in range(I.ring.num_vars):
-            piece = saturate_variable(I, var, budget)
-            if result is None or _includes(result, piece, budget):
-                result = piece
-            elif not _includes(piece, result, budget):
-                result = intersect(result, piece, budget)
-        return result
-    if method == "colon":
-        target = J if J is not None else irrelevant_ideal(I.ring)
-        current = _canonical(I.ring, list(I.generators), budget)
-        while True:
-            step = colon(current, target, budget)
-            if ideal_equal(step, current, budget):
-                return current
-            current = step
-    raise ValueError(f"unknown saturation method {method!r}")
+    result: Ideal | None = None
+    for var in range(I.ring.num_vars):
+        piece = saturate_variable(I, var, budget)
+        if result is None or _includes(result, piece, budget):
+            result = piece
+        elif not _includes(piece, result, budget):
+            result = intersect(result, piece, budget)
+    return result
+
+
+def saturate_by_colon(I: Ideal, *, budget: int | None = None) -> Ideal:
+    """I : m^oo by the ``colon`` algorithm, the independent oracle of ``saturate``."""
+    if not I.is_homogeneous():
+        raise ValueError("saturation requires a homogeneous ideal")
+    target = irrelevant_ideal(I.ring)
+    current = _canonical(I.ring, list(I.generators), budget)
+    while True:
+        step = colon(current, target, budget)
+        if ideal_equal(step, current, budget):
+            return current
+        current = step

@@ -7,16 +7,16 @@ import pytest
 
 from foliations.classify import (
     ConsistencyFailure,
+    _Analysis,
+    _rao_from,
     classify,
     graded_syzygy_dimension,
-    is_curve,
-    is_saturated,
-    is_split,
-    rao_dimensions,
-    splitting_type,
 )
-from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form, validate
+from foliations.ext import top_ext
+from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form
 from foliations.groebner import Ideal
+from foliations.hilbert import hilbert_data
+from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing
 
 from .conftest import build_corpus
@@ -56,16 +56,14 @@ def test_exceptional_report(exceptional2):
 
 
 def test_pullback_types(pullback_d1, pullback_d2):
-    assert splitting_type(pullback_d2) == (-1, 1)
-    assert splitting_type(pullback_d1) == (0, 1)
+    assert classify(pullback_d2).splitting_type == (-1, 1)
+    assert classify(pullback_d1).splitting_type == (0, 1)
 
 
 def test_split_needs_curve(l112):
-    assert not is_split(l112)
-    with pytest.raises(ValueError):
-        splitting_type(l112)
-    with pytest.raises(ValueError):
-        rao_dimensions(l112)
+    r = classify(l112)
+    assert not r.is_curve and not r.is_split
+    assert r.splitting_type is None and r.rao_dims is None
 
 
 def test_is_saturated_engine_example():
@@ -78,26 +76,64 @@ def test_is_saturated_engine_example():
     assert not ideal_equal(I, saturate(I))
 
 
-def test_rao_of_skew_lines_engine_level():
-    # not a foliation ideal either: exercised through Ext directly
-    from foliations.ext import ext_module
+SKEW_LINES = [Z[0] * Z[2], Z[0] * Z[3], Z[1] * Z[2], Z[1] * Z[3]]
+# the rational quartic curve (s^4 : s^3 t : s t^3 : t^4), not ACM
+RATIONAL_QUARTIC = [
+    Z[0] * Z[3] - Z[1] * Z[2],
+    Z[1] ** 3 - Z[0] ** 2 * Z[2],
+    Z[2] ** 3 - Z[1] * Z[3] ** 2,
+    Z[0] * Z[2] ** 2 - Z[1] ** 2 * Z[3],
+]
 
-    I = Ideal(R, [Z[0] * Z[2], Z[0] * Z[3], Z[1] * Z[2], Z[1] * Z[3]])
-    e3 = ext_module(I, 3)
-    rao = {(-4 - deg): dim for deg, dim in e3.finite_support().items()}
-    assert rao == {0: 1}
+
+@pytest.mark.parametrize(
+    "gens, betti, rao",
+    [
+        pytest.param(
+            SKEW_LINES,
+            {(0, 0): 1, (1, 2): 4, (2, 3): 4, (3, 4): 1},
+            {0: 1},
+            id="skew-lines",
+        ),
+        pytest.param(
+            RATIONAL_QUARTIC,
+            {(0, 0): 1, (1, 2): 1, (1, 3): 3, (2, 4): 4, (3, 5): 1},
+            {1: 1},
+            id="rational-quartic",
+        ),
+    ],
+)
+def test_rao_of_skew_lines_engine_level(gens, betti, rao):
+    # not foliation ideals: a saturated curve ideal put through the Rao
+    # read-out of classify, on the top Ext of its length-3 resolution
+    from foliations.groebner import ideal_equal
+    from foliations.saturation import saturate
+
+    I = Ideal(R, gens)
+    assert ideal_equal(I, saturate(I))
+    res = free_resolution(I)
+    assert res.betti() == betti
+    analysis = _Analysis(
+        form=None, ideal=I, saturation=I, saturated=True,
+        sat_hilbert=hilbert_data(I), resolution=res, ext3=top_ext(res),
+    )
+    assert analysis.curve() and not analysis.acm()
+    assert _rao_from(analysis) == rao
 
 
 def test_twisted_cubic_is_acm_engine_level():
-    from foliations.resolutions import free_resolution
-
     I = Ideal(R, [Z[0] * Z[2] - Z[1] ** 2, Z[0] * Z[3] - Z[1] * Z[2], Z[1] * Z[3] - Z[2] ** 2])
     assert free_resolution(I).length == 2
 
 
 def test_plane_saturation(plane_deg1, plane_deg2):
-    assert is_saturated(plane_deg1)
-    assert is_saturated(plane_deg2)
+    from foliations.forms import singular_ideal
+    from foliations.groebner import ideal_equal
+    from foliations.saturation import saturate
+
+    for form in (plane_deg1, plane_deg2):
+        I = singular_ideal(form)
+        assert ideal_equal(I, saturate(I))
 
 
 def test_syzygy_dimensions_drive_splitting(l1111, exceptional2):

@@ -190,3 +190,20 @@ def test_pullback_make(tmp_path, capsys):
     out = tmp_path / "pb.form"
     assert main(["make", "pullback", "--plane", str(plane), "-o", str(out)]) == 0
     assert main(["check", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["make", "logarithmic", "--weights", "1,-1"], "--factors"),
+        (["make", "logarithmic", "--factors", "z0,z1"], "--weights"),
+        (["make", "pullback"], "--plane"),
+    ],
+    ids=["no-factors", "no-weights", "no-plane"],
+)
+def test_make_names_a_missing_input_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "x.form"
+    assert main(argv + ["-o", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and flag in err
+    assert not out.exists()

@@ -16,13 +16,7 @@ import pytest
 
 import foliations.modules as modules
 from foliations.classify import _Analysis, _split_from
-from foliations.determine import (
-    NoConstantSyzygy,
-    _family_from,
-    integrable_members,
-    is_determined_by_singular_scheme,
-    pullback_structure,
-)
+from foliations.determine import _family_from, integrable_members, is_determined_by_singular_scheme
 from foliations.forms import singular_ideal
 from foliations.groebner import Ideal
 from foliations.modules import minimal_syzygies, module_normal_form, syzygy_generators
@@ -66,14 +60,6 @@ def test_outputs_hold_exact_coefficients(name, form):
     verdict = is_determined_by_singular_scheme(form)
     if verdict.witness is not None:
         _assert_exact(verdict.witness.coefficients, "witness")
-    try:
-        structure = pullback_structure(form)
-    except NoConstantSyzygy:
-        return
-    if structure is not None:
-        for c in (c for row in structure.matrix for c in row):
-            assert type(c) in (int, Fraction), f"pull-back matrix entry {c!r}"
-        _assert_exact(structure.plane_form.coefficients, "plane form")
 
 
 def _integral_input():

@@ -6,26 +6,19 @@ import pytest
 
 from foliations.determine import (
     DistributionFamily,
-    NoConstantSyzygy,
     SingularMatrix,
-    SyzygyMatrix,
     _scan_candidates,
     constant_syzygy_space,
     distribution_family,
-    distribution_from_matrix,
     integrability_system,
     integrable_members,
     is_determined_by_singular_scheme,
     linear_syzygy_space,
-    pullback_structure,
 )
 from foliations.forms import (
     ProjectiveOneForm,
-    apply_projectivity,
     exterior_derivative,
     integrability_check,
-    logarithmic_form,
-    pullback_from_plane,
     singular_ideal,
     wedge_1_2,
 )
@@ -34,10 +27,17 @@ from foliations.linalg import rank
 from foliations.rings import PolyRing
 from foliations.saturation import saturate
 
-from .conftest import mat_mul
-
 R = PolyRing(4)
 Z = R.variables()
+IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+def _matrix_at(family, alpha) -> list[list]:
+    """The member matrix sum_k alpha_k M_k of the pencil."""
+    return [
+        [sum(a * m.entries[i][j] for a, m in zip(alpha, family.matrices)) for j in range(4)]
+        for i in range(4)
+    ]
 
 
 # -- syzygy <-> matrix correspondence ------------------------------------------
@@ -45,7 +45,7 @@ Z = R.variables()
 
 def test_euler_maps_to_identity(l1111):
     basis = linear_syzygy_space(l1111)
-    assert basis[0].to_matrix().is_identity()
+    assert basis[0].to_matrix().entries == IDENTITY
 
 
 def test_syzygy_matrix_round_trip(l1111):
@@ -66,31 +66,31 @@ def test_constant_syzygies(l1111, exceptional2, pullback_d2):
     assert (Fraction(1), Fraction(0), Fraction(0), Fraction(0)) in [tuple(v) for v in consts]
 
 
-# -- matrix action ---------------------------------------------------------------
+# -- matrix action, through the members of the family -----------------------------
 
 
 def test_identity_matrix_returns_same_form(l1111):
-    eye = SyzygyMatrix(tuple(tuple(Fraction(int(i == j)) for j in range(4)) for i in range(4)))
-    assert distribution_from_matrix(l1111, eye) == l1111
+    family = distribution_family(l1111)
+    assert _matrix_at(family, (1, 0, 0)) == [list(row) for row in IDENTITY]
+    assert family.member_form((1, 0, 0)) == l1111
 
 
 def test_scalar_matrix_scales(l1111):
-    lam = Fraction(5)
-    m = SyzygyMatrix(tuple(tuple(lam if i == j else Fraction(0) for j in range(4)) for i in range(4)))
-    out = distribution_from_matrix(l1111, m)
+    family = distribution_family(l1111)
+    out = family.member_form((5, 0, 0))
     assert out.is_proportional_to(l1111)
 
 
 def test_singular_matrix_rejected(l1111):
-    zero = SyzygyMatrix(tuple(tuple(Fraction(0) for _ in range(4)) for _ in range(4)))
+    family = distribution_family(l1111)
     with pytest.raises(SingularMatrix):
-        distribution_from_matrix(l1111, zero)
+        family.member_form((0, 0, 0))
 
 
 def test_member_needs_one_coordinate_per_parameter(l1111):
     family = distribution_family(l1111)
     for alpha in [(1, 1), (1, 1, 0, 5, 7)]:
-        for method in (family.matrix_at, family.member_coefficients, family.member_form):
+        for method in (family.member_coefficients, family.member_form):
             with pytest.raises(ValueError, match="coordinates"):
                 method(alpha)
 
@@ -100,7 +100,7 @@ def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
     for name in ("L1111", "exceptional-d2", "L1112", "pullback-d1"):
         family = distribution_family(forms[name])
         for alpha in _scan_candidates(family.parameter_dim):
-            singular = rank(family.matrix_at(alpha)) < 4
+            singular = rank(_matrix_at(family, alpha)) < 4
             assert (family.degenerate_locus.evaluate(alpha) == 0) == singular
             try:
                 family.member_form(alpha)
@@ -113,13 +113,11 @@ def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
 def test_nonzero_singular_member_rejected(l1111):
     family = distribution_family(l1111)
     alpha = (0, 0, 1)
-    matrix = family.matrix_at(alpha)
+    matrix = _matrix_at(family, alpha)
     assert any(any(row) for row in matrix) and rank(matrix) < 4
     assert family.degenerate_locus.evaluate(alpha) == 0
     with pytest.raises(SingularMatrix):
         family.member_form(alpha)
-    with pytest.raises(SingularMatrix):
-        distribution_from_matrix(l1111, SyzygyMatrix(tuple(map(tuple, matrix))))
 
 
 def test_family_members_share_singular_ideal(l1111):
@@ -254,29 +252,3 @@ def test_determination_requires_split(l112):
     with pytest.raises(ValueError):
         is_determined_by_singular_scheme(l112)
 
-
-# -- pull-back recognition -------------------------------------------------------
-
-
-def test_pullback_round_trip(plane_deg2, pullback_d2):
-    st = pullback_structure(pullback_d2)
-    assert st is not None
-    assert st.plane_form.is_proportional_to(plane_deg2)
-
-
-def test_pullback_detected_after_projectivity(plane_deg2, pullback_d2):
-    A = [[1, 1, 0, 2], [0, 1, 1, 0], [1, 0, 1, 0], [0, 2, 0, 1]]
-    moved = apply_projectivity(pullback_d2, A)
-    st = pullback_structure(moved)
-    assert st is not None
-    # the recovered plane form is the original one moved by the induced
-    # plane projectivity, namely the lower 3x3 block of A @ C
-    M = mat_mul(A, [list(r) for r in st.matrix])
-    B = [row[1:] for row in M[1:]]
-    expected = apply_projectivity(plane_deg2, B)
-    assert st.plane_form.is_proportional_to(expected)
-
-
-def test_no_constant_syzygy(l1111):
-    with pytest.raises(NoConstantSyzygy):
-        pullback_structure(l1111)

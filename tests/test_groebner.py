@@ -15,8 +15,8 @@ Z = R.variables()
 
 def s_polynomial(f, g):
     lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
-    a = f.mul_term(mono_div(lcm, f.leading_monomial()), 1 / f.leading_coeff())
-    b = g.mul_term(mono_div(lcm, g.leading_monomial()), 1 / g.leading_coeff())
+    a = f.mul_term(mono_div(lcm, f.leading_monomial()), Fraction(1) / f.leading_coeff())
+    b = g.mul_term(mono_div(lcm, g.leading_monomial()), Fraction(1) / g.leading_coeff())
     return a - b
 
 
@@ -95,12 +95,18 @@ def test_membership_by_construction():
 
 
 def test_every_s_polynomial_reduces():
-    I = Ideal(R, [Z[0] ** 2 - Z[1] * Z[3], Z[1] ** 2 - Z[0] * Z[2], Z[2] ** 2 - Z[1] * Z[3]])
-    gb = I.groebner_basis()
-    assert is_groebner_basis(gb)
-    for i in range(len(gb)):
-        for j in range(i + 1, len(gb)):
-            assert normal_form(s_polynomial(gb[i], gb[j]), gb).is_zero()
+    ideals = [
+        [Z[0] ** 2 - Z[1] * Z[3], Z[1] ** 2 - Z[0] * Z[2], Z[2] ** 2 - Z[1] * Z[3]],
+        # a reduced basis of 6 elements, monic with Fraction tails
+        [Z[0] * Z[1] - 3 * Z[2] ** 2, 3 * Z[0] ** 2 - Z[1] * Z[3], Z[2] * Z[3] - 7 * Z[0] * Z[2]],
+    ]
+    for gens in ideals:
+        gb = Ideal(R, gens).groebner_basis()
+        assert is_groebner_basis(gb)
+        for i in range(len(gb)):
+            for j in range(i + 1, len(gb)):
+                assert normal_form(s_polynomial(gb[i], gb[j]), gb).is_zero()
+    assert len(gb) == 6
 
 
 def test_ideal_equal_examples():

@@ -4,7 +4,13 @@ from random import Random
 
 from foliations.groebner import Ideal, ideal_equal, normal_form
 from foliations.rings import PolyRing, grevlex_cheapest
-from foliations.saturation import colon, intersect, saturate, saturate_variable
+from foliations.saturation import (
+    colon,
+    intersect,
+    saturate,
+    saturate_by_colon,
+    saturate_variable,
+)
 
 R = PolyRing(4)
 Z = R.variables()
@@ -57,9 +63,9 @@ def test_saturation_skips_intersections_that_containment_decides(monkeypatch):
 
     monkeypatch.setattr(saturation, "intersect", counting)
     I = Ideal(R, [Z[0] ** 2, Z[1] * Z[2], Z[3] ** 2])
-    a = saturate(I, method="variables")
+    a = saturate(I)
     assert len(calls) == 1
-    assert ideal_equal(a, saturate(I, method="colon"))
+    assert ideal_equal(a, saturate_by_colon(I))
     assert ideal_equal(a, I)
 
 
@@ -123,6 +129,6 @@ def test_two_saturation_algorithms_agree_on_random_ideals():
     rng = Random(101)
     for _ in range(12):
         I = random_monomial_or_binomial_ideal(rng)
-        a = saturate(I, method="variables")
-        b = saturate(I, method="colon")
+        a = saturate(I)
+        b = saturate_by_colon(I)
         assert ideal_equal(a, b)
