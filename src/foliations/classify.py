@@ -3,10 +3,16 @@
 ``classify`` answers every question in one ``ClassificationReport``:
 saturation, the curve test (locally free tangent sheaf), the ACM test
 (split tangent sheaf), the splitting type and Hartshorne-Rao dimensions.
-All are read from one ``_Analysis`` of the form: one saturation I^sat, its
-minimal free resolution, and Ext^3(R/I^sat, R) as the top Ext of that
-resolution when it has length 3.  The split verdict is computed
-along two independent routes -- curve + saturated and curve + ACM -- whose
+All are read from one ``_Analysis`` of the form: the saturated singular
+ideal I^sat, its minimal free resolution, and Ext^3(R/I^sat, R) as the top
+Ext of that resolution when it has length 3.
+
+The singular ideal I is resolved first.  By Auslander-Buchsbaum (Eisenbud,
+Thm 19.9), depth R/I >= 1, that is I = I^sat, exactly when the resolution
+of R/I has length at most 3.  So a length <= 3 both says I is saturated and
+is the resolution of I^sat; only a length-4 resolution sends I through
+``saturate``, and I^sat is resolved in its place.  The split verdict is
+computed along two routes -- curve + saturated and curve + ACM -- whose
 agreement is itself a theorem, so a disagreement signals an engine bug and
 raises instead of returning.
 
@@ -47,8 +53,15 @@ class ConsistencyFailure(RuntimeError):
     """The Betti table of a split form does not match any splitting type."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassificationReport:
+    """The verdicts on one form.
+
+    The Rao dimensions and the Betti table are held as flat tuples, so a
+    report is hashable and cannot change; ``rao_dims`` and ``betti`` read
+    them back as fresh dicts, in the order they were computed.
+    """
+
     degree: int
     codim_ok: bool
     saturated: bool
@@ -56,9 +69,21 @@ class ClassificationReport:
     is_acm: bool
     is_split: bool
     splitting_type: tuple[int, int] | None
-    rao_dims: dict[int, int] | None
-    betti: dict[tuple[int, int], int]
+    rao_flat: tuple[int, ...] | None  # degree, dimension, degree, dimension, ...
+    betti_flat: tuple[int, ...]  # i, twist, count, i, twist, count, ...
     normal_twist: int
+
+    @property
+    def rao_dims(self) -> dict[int, int] | None:
+        if self.rao_flat is None:
+            return None
+        it = iter(self.rao_flat)
+        return dict(zip(it, it))
+
+    @property
+    def betti(self) -> dict[tuple[int, int], int]:
+        it = iter(self.betti_flat)
+        return {(i, t): n for i, t, n in zip(it, it, it)}
 
 
 # -- graded syzygy linear algebra ----------------------------------------------
@@ -134,6 +159,21 @@ def graded_syzygy_dimension(coefficients: tuple[Polynomial, ...], entry_degree: 
 # -- shared analysis ------------------------------------------------------------
 
 
+def saturated_resolution(I: Ideal, budget: int | None = None) -> tuple[Ideal, FreeResolution]:
+    """I^sat and the minimal free resolution of R/I^sat, resolving I first.
+
+    By Auslander-Buchsbaum, pd R/I = 4 - depth R/I, and depth R/I >= 1
+    exactly when the irrelevant ideal is not associated to I, that is when
+    I is saturated.  So a resolution of length <= 3 returns I itself (the
+    same object) with it; a longer one is dropped for that of ``saturate(I)``.
+    """
+    res = free_resolution(I, budget=budget)
+    if res.length <= 3:
+        return I, res
+    sat = saturate(I, budget=budget)
+    return sat, free_resolution(sat, budget=budget)
+
+
 @dataclass
 class _Analysis:
     form: ProjectiveOneForm
@@ -149,9 +189,9 @@ class _Analysis:
         if form.ring.num_vars != 4:
             raise ValueError("classification requires a form on P^3 (4 variables)")
         I = singular_ideal(form, budget)
-        sat = saturate(I, budget=budget)
-        saturated = I.groebner_basis(budget) == sat.groebner_basis(budget)
-        res = free_resolution(sat, budget=budget)
+        # resolve I first: a length <= 3 means I is saturated (see
+        # saturated_resolution), and only a length 4 costs a saturation
+        sat, res = saturated_resolution(I, budget)
         # depth R/I^sat >= 1, so the resolution has length at most 3
         # (Auslander-Buchsbaum) and Ext^3 is zero or the top Ext
         if res.length > 3:
@@ -159,7 +199,7 @@ class _Analysis:
                 f"the resolution of a saturated ideal has length {res.length} > 3"
             )
         e3 = top_ext(res, budget) if res.length == 3 else None
-        return cls(form, I, sat, saturated, hilbert_data(sat, budget), res, e3)
+        return cls(form, I, sat, sat is I, hilbert_data(sat, budget), res, e3)
 
     def curve(self) -> bool:
         """Locally free test: Z is an equidimensional locally CM curve.
@@ -262,7 +302,7 @@ def _report_from(a: _Analysis) -> ClassificationReport:
         is_acm=acm,
         is_split=split,
         splitting_type=stype,
-        rao_dims=rao,
-        betti=a.resolution.betti(),
+        rao_flat=None if rao is None else tuple(x for item in rao.items() for x in item),
+        betti_flat=tuple(x for (i, t), n in a.resolution.betti().items() for x in (i, t, n)),
         normal_twist=form.degree + 2,
     )

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .classify import _Analysis, _report_from, _split_from, graded_syzygy_basis
+from .classify import _Analysis, _report_from, _split_from, graded_syzygy_basis, saturated_resolution
 from .forms import (
     FormError,
     ProjectiveOneForm,
@@ -384,9 +384,8 @@ def is_determined_by_singular_scheme(
     outcome = integrable_members(_family_from(analysis), budget)
     witnesses = outcome.non_base_members(form)
     for w in witnesses:
-        same = ideal_equal(
-            saturate(singular_ideal(w, budget), budget=budget), analysis.saturation, budget
-        )
+        w_sat, _ = saturated_resolution(singular_ideal(w, budget), budget)
+        same = ideal_equal(w_sat, analysis.saturation, budget)
         if same and integrability_check(w):
             return Determination("non-unique", "integrable family member", w)
     if outcome.kind == "finite" and outcome.complete:

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from foliations.formfile import parse_form_file
 from foliations.forms import (
     ProjectiveOneForm,
     exceptional_form,
@@ -14,6 +15,17 @@ from foliations.forms import (
     validate,
 )
 from foliations.rings import PolyRing
+
+
+# a non-integrable degree-2 form whose singular ideal is not saturated: its
+# resolution has length 4, and its saturation once swelled to 536-bit
+# coefficients without finishing in two minutes
+DISTRIBUTION_D2 = """ring z0 z1 z2 z3
+form (-z1^2*z2 + z0*z2^2 - z0*z1*z3 - z1^2*z3 - z0*z2*z3 + z1*z2*z3 - z1*z3^2) dz0 \
++ (z0*z1*z2 + z0*z2^2 + z0^2*z3 + z0*z1*z3 + z0*z2*z3 + z0*z3^2) dz1 \
++ (-z0^2*z2 - z0*z1*z2 + z0^2*z3 - z1*z2*z3 - z0*z3^2 - z1*z3^2) dz2 \
++ (-2*z0*z1*z2 + z1*z2^2 + z0*z2*z3 + z1*z2*z3) dz3
+"""
 
 
 @pytest.fixture(scope="session")
@@ -74,6 +86,11 @@ def pullback_d1(plane_deg1) -> ProjectiveOneForm:
 @pytest.fixture(scope="session")
 def pullback_d2(plane_deg2) -> ProjectiveOneForm:
     return pullback_from_plane(plane_deg2)
+
+
+@pytest.fixture(scope="session")
+def distribution_d2() -> ProjectiveOneForm:
+    return parse_form_file(DISTRIBUTION_D2).form
 
 
 def build_corpus() -> list[tuple[str, ProjectiveOneForm]]:

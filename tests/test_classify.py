@@ -66,6 +66,26 @@ def test_split_needs_curve(l112):
     assert r.splitting_type is None and r.rao_dims is None
 
 
+def test_unsaturated_distribution_report(distribution_d2):
+    # the one path where I is not saturated: its resolution has length 4,
+    # so saturate(I) runs and I^sat is resolved in its place
+    r = classify(distribution_d2)
+    assert (r.degree, r.saturated, r.is_curve, r.is_acm, r.is_split) == (2, False, False, False, False)
+    assert r.splitting_type is None and r.rao_dims is None
+    assert r.betti == {(0, 0): 1, (1, 3): 4, (1, 4): 2, (2, 4): 1, (2, 5): 8, (3, 6): 4}
+
+
+def test_report_is_hashable_and_cannot_change(l112, l1111):
+    r = classify(l1111)
+    assert hash(r) == hash(classify(l1111)) and r == classify(l1111)
+    r.betti[(0, 0)] = 99
+    r.rao_dims[5] = 1
+    assert r.betti[(0, 0)] == 1 and r.rao_dims == {}
+    with pytest.raises(AttributeError):
+        r.saturated = False
+    assert len({r, classify(l112)}) == 2
+
+
 def test_is_saturated_engine_example():
     # (z0^2, z0z1, z0z2, z0z3) is not a foliation ideal; engine-level check
     # exercised through the raw saturation surface instead

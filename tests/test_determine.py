@@ -24,6 +24,7 @@ from foliations.forms import (
 )
 from foliations.groebner import ideal_equal
 from foliations.linalg import rank
+from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing
 from foliations.saturation import saturate
 
@@ -213,19 +214,26 @@ def test_determination_analyses_the_form_once(l1111, monkeypatch):
         return real_of(cls, form, budget)
 
     base = singular_ideal(l1111).generators
-    saturated = []
+    resolved, saturated = [], []
+
+    def counted_resolution(I, *args, **kwargs):
+        resolved.append(I.generators == base)
+        return free_resolution(I, *args, **kwargs)
 
     def counted_saturate(I, *args, **kwargs):
         saturated.append(I.generators == base)
         return saturate(I, *args, **kwargs)
 
     monkeypatch.setattr(classify_mod._Analysis, "of", classmethod(counted_of))
+    monkeypatch.setattr(classify_mod, "free_resolution", counted_resolution)
     monkeypatch.setattr(classify_mod, "saturate", counted_saturate)
     monkeypatch.setattr(determine_mod, "saturate", counted_saturate)
     verdict = is_determined_by_singular_scheme(l1111)
     assert verdict.kind == "non-unique"
     assert analyses == [l1111]
-    assert saturated.count(True) == 1
+    # the base ideal is saturated, which its resolution of length 2 shows
+    assert resolved.count(True) == 1
+    assert saturated.count(True) == 0
 
 
 def test_exceptional_unique(exceptional2):

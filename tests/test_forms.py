@@ -20,9 +20,7 @@ from foliations.forms import (
     projectivize,
     pullback_from_plane,
     singular_ideal,
-    strip_common_monomial,
     validate,
-    wedge_1_2,
 )
 from foliations.groebner import Ideal, ideal_equal
 from foliations.rings import PolyRing, apply_linear_change

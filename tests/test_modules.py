@@ -2,7 +2,6 @@
 
 from random import Random
 
-from foliations.groebner import Ideal
 from foliations.linalg import rank
 from foliations.modules import (
     module_groebner,

@@ -6,16 +6,15 @@ from random import Random
 import pytest
 
 from foliations.classify import monomials_of_degree
-from foliations.formfile import parse_form_file
 from foliations.forms import singular_ideal
-from foliations.groebner import Ideal, normal_form
+from foliations.groebner import Ideal, ideal_equal, normal_form
 from foliations.hilbert import hilbert_data
 from foliations.linalg import rank
 from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing, mono_divides
-from foliations.saturation import saturate
+from foliations.saturation import intersect, saturate
 
-from .conftest import build_corpus
+from .conftest import build_corpus, random_homogeneous
 
 R = PolyRing(4)
 Z = R.variables()
@@ -61,8 +60,6 @@ def test_six_edges_is_acm():
 
 
 def _samples():
-    from .conftest import random_homogeneous
-
     rng = Random(17)
     samples = [
         Ideal(R, [Z[0], Z[1]]),
@@ -90,13 +87,11 @@ def test_resolution_of_whole_ring():
     assert res.length == 0 and res.betti() == {}
 
 
-def test_auslander_buchsbaum_bound_for_saturated_ideals():
-    # saturated non-irrelevant ideals have depth >= 1, so length <= 3 here
+def _random_saturations():
+    """Five seeded saturations of random ideals, none of them (1)."""
     rng = Random(23)
-    from .conftest import random_homogeneous
-
-    count = 0
-    while count < 5:
+    out = []
+    while len(out) < 5:
         gens = [random_homogeneous(rng, R, rng.randint(1, 2)) for _ in range(2)]
         I = Ideal(R, [g for g in gens if not g.is_zero()])
         if not I.generators:
@@ -104,23 +99,39 @@ def test_auslander_buchsbaum_bound_for_saturated_ideals():
         S = saturate(I)
         if [str(g) for g in S.generators] == ["1"]:
             continue
-        res = free_resolution(S)
-        assert res.length <= 3
-        count += 1
+        out.append((I, S))
+    return out
 
 
-DISTRIBUTION_D2 = """ring z0 z1 z2 z3
-form (-z1^2*z2 + z0*z2^2 - z0*z1*z3 - z1^2*z3 - z0*z2*z3 + z1*z2*z3 - z1*z3^2) dz0 \
-+ (z0*z1*z2 + z0*z2^2 + z0^2*z3 + z0*z1*z3 + z0*z2*z3 + z0*z3^2) dz1 \
-+ (-z0^2*z2 - z0*z1*z2 + z0^2*z3 - z1*z2*z3 - z0*z3^2 - z1*z3^2) dz2 \
-+ (-2*z0*z1*z2 + z1*z2^2 + z0*z2*z3 + z1*z2*z3) dz3
-"""
+def test_auslander_buchsbaum_bound_for_saturated_ideals():
+    # saturated non-irrelevant ideals have depth >= 1, so length <= 3 here
+    for _, S in _random_saturations():
+        assert free_resolution(S).length <= 3
 
 
-def test_degree_two_distribution_resolves():
-    # a non-integrable form whose resolution once swelled to 536-bit
-    # coefficients without finishing in two minutes
-    S = saturate(singular_ideal(parse_form_file(DISTRIBUTION_D2).form))
+def test_resolution_length_decides_saturation(distribution_d2):
+    # depth R/I >= 1, that is pd R/I <= 3 (Auslander-Buchsbaum), exactly
+    # when I is saturated: classify reads "saturated" off the length, and
+    # saturate stays the independent oracle for that verdict
+    def agree(I):
+        length = free_resolution(I).length
+        assert (length <= 3) == ideal_equal(I, saturate(I)), I
+        return length
+
+    for _, form in build_corpus():
+        agree(singular_ideal(form))
+    assert agree(singular_ideal(distribution_d2)) == 4
+    assert agree(Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]])) == 4
+    line_and_point = intersect(Ideal(R, [Z[0], Z[1]]), Ideal(R, [Z[0], Z[2], Z[3]]))
+    assert agree(line_and_point) == 3
+    assert agree(Ideal(R, [Z[0] * Z[2], Z[0] * Z[3], Z[1] * Z[2], Z[1] * Z[3]])) == 3
+    for I, S in _random_saturations():
+        agree(I)
+        agree(S)
+
+
+def test_degree_two_distribution_resolves(distribution_d2):
+    S = saturate(singular_ideal(distribution_d2))
     res = free_resolution(S)
     assert res.betti() == {(0, 0): 1, (1, 3): 4, (1, 4): 2, (2, 4): 1, (2, 5): 8, (3, 6): 4}
     assert res.euler_numerator() == hilbert_data(S).numerator

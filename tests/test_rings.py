@@ -8,10 +8,8 @@ import pytest
 from hypothesis import given, settings
 
 from foliations.rings import (
-    GREVLEX,
     LEX,
     PolyRing,
-    Polynomial,
     RingMismatch,
     apply_linear_change,
     dehomogenize,
