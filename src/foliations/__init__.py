@@ -27,7 +27,6 @@ from .rings import (
     Polynomial,
     RingMismatch,
     apply_linear_change,
-    dehomogenize,
     grevlex_cheapest,
     homogenize,
 )
@@ -39,7 +38,6 @@ __all__ = [
     "Polynomial",
     "RingMismatch",
     "apply_linear_change",
-    "dehomogenize",
     "grevlex_cheapest",
     "homogenize",
 ]

@@ -9,12 +9,12 @@ Ext of that resolution when it has length 3.
 
 The singular ideal I is resolved first.  By Auslander-Buchsbaum (Eisenbud,
 Thm 19.9), depth R/I >= 1, that is I = I^sat, exactly when the resolution
-of R/I has length at most 3.  So a length <= 3 both says I is saturated and
-is the resolution of I^sat; only a length-4 resolution sends I through
-``saturate``, and I^sat is resolved in its place.  The split verdict is
-computed along two routes -- curve + saturated and curve + ACM -- whose
-agreement is itself a theorem, so a disagreement signals an engine bug and
-raises instead of returning.
+of R/I has length at most 3: then it is the resolution of I^sat, and only
+a length 4 sends I through ``saturate``.  The first step of a resolution
+is a Groebner basis in the ring order, so it holds in(I), from which the
+codim check and the Hilbert data come with no basis of their own.  The
+split verdict is computed along two routes -- curve + saturated and
+curve + ACM -- whose agreement is a theorem, so a disagreement raises.
 
 The splitting type is read off the minimal free resolution of R/I^sat
 (= R/I for a split form) that the ACM test already holds.  When the
@@ -30,8 +30,8 @@ twist d+1 in F_2.  So, with k the number of 1s in (a, b),
     F_2 = R(-d-2) (+) R(-d-2+a) (+) R(-d-2+b), less k copies of R(-d-1).
 
 The alternating twist sum of the resolution must equal the Hilbert
-numerator of R/I^sat computed from Groebner leading terms, which checks
-the table along a second route.
+numerator of R/in(I^sat): the two share only step 0, so this checks every
+later step of the table along a second route.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .ext import top_ext
-from .forms import ProjectiveOneForm, singular_ideal
+from .forms import ProjectiveOneForm, check_codim
 from .groebner import Ideal
 from .hilbert import HilbertData, ModuleHilbert, hilbert_data
 from .linalg import kernel_basis, rank
@@ -188,10 +188,11 @@ class _Analysis:
     def of(cls, form: ProjectiveOneForm, budget: int | None = None) -> "_Analysis":
         if form.ring.num_vars != 4:
             raise ValueError("classification requires a form on P^3 (4 variables)")
-        I = singular_ideal(form, budget)
+        I = Ideal(form.ring, form.coefficients)
         # resolve I first: a length <= 3 means I is saturated (see
-        # saturated_resolution), and only a length 4 costs a saturation
+        # saturated_resolution), and step 0 holds in(I) for hilbert_data
         sat, res = saturated_resolution(I, budget)
+        check_codim(I, budget)
         # depth R/I^sat >= 1, so the resolution has length at most 3
         # (Auslander-Buchsbaum) and Ext^3 is zero or the top Ext
         if res.length > 3:

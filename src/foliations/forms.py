@@ -216,9 +216,13 @@ def integrability_check(form: ProjectiveOneForm | AffineOneForm) -> bool:
 
 def singular_ideal(form: ProjectiveOneForm, budget: int | None = None) -> Ideal:
     """The ideal (F_0, ..., F_n); raises CodimTooSmall when codim Z < 2."""
-    I = Ideal(form.ring, form.coefficients)
+    return check_codim(Ideal(form.ring, form.coefficients), budget)
+
+
+def check_codim(I: Ideal, budget: int | None = None) -> Ideal:
+    """I itself, once its zero set is checked to have codimension >= 2."""
     dim = hilbert_data(I, budget).krull_dim
-    if dim >= form.ring.num_vars - 1:
+    if dim >= I.ring.num_vars - 1:
         raise CodimTooSmall(
             f"singular scheme has affine dimension {dim}: a common divisor survived"
         )

@@ -8,7 +8,8 @@ the ``Ideal`` view that the rest of the package works with.  The reduced
 basis returned to callers is monic and sorted by leading monomial, so it is
 the unique reduced Groebner basis for the ring's order.  An ``Ideal`` holds
 that basis wrapped for division together with its leading terms, so a
-membership test divides at once.
+membership test divides at once, and the initial ideal in(I) that the
+first step of ``free_resolution`` built, with the Hilbert numerator of R/I.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .modules import Lead, Vec, module_groebner, module_normal_form, module_reduce
-from .rings import PolyRing, Polynomial
+from .rings import Exponent, PolyRing, Polynomial
 
 
 @dataclass
@@ -28,6 +29,8 @@ class Ideal:
     generators: tuple[Polynomial, ...]
     _gb: list[Polynomial] | None = field(default=None, repr=False, compare=False)
     _held: tuple[list[Vec], list[Lead]] | None = field(default=None, repr=False, compare=False)
+    _initial: list[Exponent] | None = field(default=None, repr=False, compare=False)
+    _numerator: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
         gens = tuple(g for g in generators if not g.is_zero())
@@ -36,8 +39,7 @@ class Ideal:
                 raise ValueError("generator from a different ring")
         self.ring = ring
         self.generators = gens
-        self._gb = None
-        self._held = None
+        self._gb = self._held = self._initial = self._numerator = None
 
     def groebner_basis(self, budget: int | None = None) -> list[Polynomial]:
         if self._gb is None:

@@ -152,9 +152,16 @@ def hilbert_from_numerator(numerator: IntPoly, num_vars: int) -> HilbertData:
 
 
 def hilbert_data(I: Ideal, budget: int | None = None) -> HilbertData:
-    """Hilbert data of R/I via the leading-term ideal of a Groebner basis."""
-    lt = [g.leading_monomial() for g in I.groebner_basis(budget)]
-    return hilbert_from_numerator(monomial_numerator(lt, I.ring.num_vars), I.ring.num_vars)
+    """Hilbert data of R/I, that of R/in(I) (Eisenbud, Thm 15.26); one numerator per I.
+
+    in(I) is held from the first step of ``free_resolution(I)``, else read off
+    the reduced basis.  Equal to a resolution's alternating twist sum, the
+    numerator still checks every later step of that resolution.
+    """
+    if I._numerator is None:
+        lt = I._initial or [g.leading_monomial() for g in I.groebner_basis(budget)]
+        I._numerator = monomial_numerator(lt, I.ring.num_vars)
+    return hilbert_from_numerator(I._numerator, I.ring.num_vars)
 
 
 # -- graded quotients of free modules ----------------------------------------

@@ -8,7 +8,9 @@ the map before: the resolution is minimal as it comes, and its twists are
 the graded Betti numbers.  The syzygies a step lifts from its S-pairs are
 the next step's generators, ordered by the Schreyer order the step induces
 (each F_k carries marks: the leading monomial of each generator, carried
-down the frame, and a rank; see ``modules``).
+down the frame, and a rank; see ``modules``).  Step 0 runs on I with the
+trivial mark, so its basis is a Groebner basis of I in the ring order: the
+``Ideal`` keeps those leading monomials as in(I), for ``hilbert_data``.
 
 Two checks certify the output.  A graded resolution is minimal exactly when
 no map has a unit entry, which ``has_unit_entry`` tests.  R/I has
@@ -100,7 +102,9 @@ def free_resolution(I: Ideal, budget: int | None = None) -> FreeResolution:
     while current:
         if len(res.matrices) == ring.num_vars:
             raise InternalInconsistency("resolution ran past the Hilbert syzygy bound")
-        kept, syzygies = minimal_syzygies(current, ring, marks, budget)
+        kept, syzygies, leads = minimal_syzygies(current, ring, marks, budget)
+        if not res.matrices:
+            I._initial = [e for _, e, _ in leads]
         gens = [current[i] for i in kept]
         marks = induced_marks(ring, gens, marks)
         res.matrices.append(gens)

@@ -252,11 +252,6 @@ class Polynomial:
             raise ValueError("zero polynomial has no leading term")
         return self.terms[0][0]
 
-    def leading_coeff(self) -> Rational:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        return self.terms[0][1]
-
     def degree(self) -> int:
         """Total degree; -1 for the zero polynomial."""
         if not self.terms:
@@ -481,17 +476,6 @@ def homogenize(p: Polynomial, var: int, target_degree: int) -> Polynomial:
         new = list(e)
         new[var] = target_degree - mono_degree(e)
         d[tuple(new)] = c
-    return p.ring.from_dict(d)
-
-
-def dehomogenize(p: Polynomial, var: int) -> Polynomial:
-    """Set z_var = 1."""
-    d: dict[Exponent, Rational] = {}
-    for e, c in p.terms:
-        new = list(e)
-        new[var] = 0
-        key = tuple(new)
-        d[key] = d.get(key, 0) + c
     return p.ring.from_dict(d)
 
 

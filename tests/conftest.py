@@ -156,6 +156,15 @@ def random_homogeneous(rng, ring: PolyRing, degree: int, max_terms: int = 4):
     return ring.from_dict(terms)
 
 
+def dehomogenize(p, var: int):
+    """p with z_var set to 1."""
+    d = {}
+    for e, c in p.terms:
+        key = e[:var] + (0,) + e[var + 1:]
+        d[key] = d.get(key, 0) + c
+    return p.ring.from_dict(d)
+
+
 def mat_mul(a, b) -> list[list[Fraction]]:
     """The exact matrix product a @ b."""
     bt = list(zip(*b))

@@ -293,3 +293,31 @@ def test_shifted_betti_table_is_a_consistency_failure(l1111, monkeypatch):
     monkeypatch.setattr(classify_mod, "free_resolution", shifted)
     with pytest.raises(ConsistencyFailure, match="Hilbert series"):
         classify(l1111)
+
+
+def test_classify_builds_one_groebner_basis(l1111, monkeypatch):
+    # the first resolution step is a Groebner basis of I in the ring order,
+    # so in(I) comes from it: no reduced basis of I, one Hilbert numerator,
+    # and one Buchberger run per resolution step
+    import foliations.groebner as groebner_mod
+    import foliations.hilbert as hilbert_mod
+    import foliations.modules as modules_mod
+
+    calls = {}
+
+    def count(module, name):
+        real = getattr(module, name)
+        calls[name] = 0
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    count(groebner_mod, "reduced_groebner_basis")
+    count(hilbert_mod, "monomial_numerator")
+    count(modules_mod, "_buchberger")
+    report = classify(l1111)
+    assert report.is_split and report.betti == {(0, 0): 1, (1, 3): 4, (2, 4): 3}
+    assert calls == {"reduced_groebner_basis": 0, "monomial_numerator": 1, "_buchberger": 2}

@@ -149,9 +149,9 @@ def test_resolution_past_the_syzygy_bound_exits_4(l1111_file, monkeypatch, capsy
     real = resolutions.minimal_syzygies
 
     def endless(gens, ring, marks, budget=None):
-        kept, syzygies = real(gens, ring, marks, budget)
+        kept, syzygies, leads = real(gens, ring, marks, budget)
         fake = (ring.variable(0),) + (ring.zero(),) * (len(kept) - 1)
-        return kept, syzygies or [fake]
+        return kept, syzygies or [fake], leads
 
     monkeypatch.setattr(resolutions, "minimal_syzygies", endless)
     assert main(["classify", l1111_file]) == 4

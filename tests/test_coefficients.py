@@ -89,7 +89,7 @@ def test_integral_run_stays_integral(monkeypatch):
             assert type(c) is int, f"{what}: {c!r}"
     assert all(type(c) is int and c > 0 for _, _, c in leads)
     marks = [((0, 0, 0, 0), 0)]
-    _, resolved = minimal_syzygies(gens, R, marks)
+    _, resolved, _ = minimal_syzygies(gens, R, marks)
     for c in _coefficients(p for u in resolved for p in u):
         assert type(c) is int
 

@@ -5,6 +5,10 @@ from random import Random
 
 import pytest
 
+from foliations.classify import classify
+from foliations.cli import main
+from foliations.determine import is_determined_by_singular_scheme
+from foliations.formfile import print_form_file
 from foliations.forms import (
     AffineOneForm,
     HomogeneousTwoForm,
@@ -149,13 +153,22 @@ def test_l1111_six_edges(l1111):
     assert ideal_equal(I, Ideal(R, expected))
 
 
-def test_codim_too_small_detected():
+def test_codim_too_small_detected(tmp_path, capsys):
     # all coefficients share the non-monomial factor (z0+z1): validation
-    # cannot strip it, the singular ideal check must reject it
+    # cannot strip it, the singular ideal check must reject it -- also
+    # where the analysis resolves the ideal before it checks the codim
     common = Z[0] + Z[1]
     form = validate([Z[1] * common, -Z[0] * common, R.zero(), R.zero()])
     with pytest.raises(CodimTooSmall):
         singular_ideal(form)
+    with pytest.raises(CodimTooSmall):
+        classify(form)
+    with pytest.raises(CodimTooSmall):
+        is_determined_by_singular_scheme(form)
+    path = tmp_path / "common-factor.form"
+    path.write_text(print_form_file(form))
+    assert main(["classify", str(path)]) == 1
+    assert "common divisor" in capsys.readouterr().err
 
 
 def test_singular_ideal_transforms_by_substitution(l1111):
@@ -191,7 +204,9 @@ def test_projectivize_chart_restriction():
     z1, z2, z3 = ring.variables()
     affine = AffineOneForm(ring, (z2, -z1, z3 * z3))
     form = projectivize(affine, new_var=0)
-    from foliations.rings import dehomogenize, map_to_ring
+    from foliations.rings import map_to_ring
+
+    from .conftest import dehomogenize
 
     chart = [dehomogenize(f, 0) for f in form.coefficients[1:]]
     back = [map_to_ring(p, ring, [0, 0, 1, 2]) for p in chart]

@@ -15,8 +15,8 @@ Z = R.variables()
 
 def s_polynomial(f, g):
     lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
-    a = f.mul_term(mono_div(lcm, f.leading_monomial()), Fraction(1) / f.leading_coeff())
-    b = g.mul_term(mono_div(lcm, g.leading_monomial()), Fraction(1) / g.leading_coeff())
+    a = f.mul_term(mono_div(lcm, f.leading_monomial()), Fraction(1) / f.terms[0][1])
+    b = g.mul_term(mono_div(lcm, g.leading_monomial()), Fraction(1) / g.terms[0][1])
     return a - b
 
 

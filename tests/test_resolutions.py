@@ -8,7 +8,7 @@ import pytest
 from foliations.classify import monomials_of_degree
 from foliations.forms import singular_ideal
 from foliations.groebner import Ideal, ideal_equal, normal_form
-from foliations.hilbert import hilbert_data
+from foliations.hilbert import _minimalize, hilbert_data
 from foliations.linalg import rank
 from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing, mono_divides
@@ -125,6 +125,25 @@ def test_resolution_length_decides_saturation(distribution_d2):
     line_and_point = intersect(Ideal(R, [Z[0], Z[1]]), Ideal(R, [Z[0], Z[2], Z[3]]))
     assert agree(line_and_point) == 3
     assert agree(Ideal(R, [Z[0] * Z[2], Z[0] * Z[3], Z[1] * Z[2], Z[1] * Z[3]])) == 3
+    for I, S in _random_saturations():
+        agree(I)
+        agree(S)
+
+
+def test_first_step_holds_the_initial_ideal_of_the_reduced_basis(distribution_d2):
+    # hilbert_data reads in(I) off the first resolution step once I is
+    # resolved; the reduced basis, tied to sympy in test_groebner, is the
+    # independent route to the same monomial ideal
+    def agree(I):
+        free_resolution(I)
+        held = _minimalize(frozenset(I._initial))
+        assert held == {g.leading_monomial() for g in I.groebner_basis()}, I
+
+    for _, form in build_corpus():
+        agree(singular_ideal(form))
+    I = singular_ideal(distribution_d2)
+    agree(I)
+    agree(saturate(I))
     for I, S in _random_saturations():
         agree(I)
         agree(S)
