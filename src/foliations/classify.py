@@ -166,8 +166,11 @@ def saturated_resolution(I: Ideal, budget: int | None = None) -> tuple[Ideal, Fr
     exactly when the irrelevant ideal is not associated to I, that is when
     I is saturated.  So a resolution of length <= 3 returns I itself (the
     same object) with it; a longer one is dropped for that of ``saturate(I)``.
+    Raises CodimTooSmall when codim Z(I) < 2, checked on the in(I) that
+    step 0 of the resolution holds, before any saturation is paid for.
     """
     res = free_resolution(I, budget=budget)
+    check_codim(I, budget)
     if res.length <= 3:
         return I, res
     sat = saturate(I, budget=budget)
@@ -189,10 +192,9 @@ class _Analysis:
         if form.ring.num_vars != 4:
             raise ValueError("classification requires a form on P^3 (4 variables)")
         I = Ideal(form.ring, form.coefficients)
-        # resolve I first: a length <= 3 means I is saturated (see
-        # saturated_resolution), and step 0 holds in(I) for hilbert_data
+        # resolve I first: step 0 holds in(I) for the codim check and
+        # hilbert_data, and a length <= 3 means I is saturated
         sat, res = saturated_resolution(I, budget)
-        check_codim(I, budget)
         # depth R/I^sat >= 1, so the resolution has length at most 3
         # (Auslander-Buchsbaum) and Ext^3 is zero or the top Ext
         if res.length > 3:

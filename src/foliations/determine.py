@@ -20,7 +20,6 @@ from .forms import (
     ProjectiveOneForm,
     exterior_derivative,
     integrability_check,
-    singular_ideal,
     validate,
     wedge_1_2,
 )
@@ -384,7 +383,7 @@ def is_determined_by_singular_scheme(
     outcome = integrable_members(_family_from(analysis), budget)
     witnesses = outcome.non_base_members(form)
     for w in witnesses:
-        w_sat, _ = saturated_resolution(singular_ideal(w, budget), budget)
+        w_sat, _ = saturated_resolution(Ideal(w.ring, w.coefficients), budget)
         same = ideal_equal(w_sat, analysis.saturation, budget)
         if same and integrability_check(w):
             return Determination("non-unique", "integrable family member", w)

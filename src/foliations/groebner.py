@@ -8,8 +8,8 @@ the ``Ideal`` view that the rest of the package works with.  The reduced
 basis returned to callers is monic and sorted by leading monomial, so it is
 the unique reduced Groebner basis for the ring's order.  An ``Ideal`` holds
 that basis wrapped for division together with its leading terms, so a
-membership test divides at once, and the initial ideal in(I) that the
-first step of ``free_resolution`` built, with the Hilbert numerator of R/I.
+membership test divides at once, and in(I): the leading monomials that the
+first step of ``free_resolution`` handed it, else the reduced basis's.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
+from .hilbert import monomial_numerator
 from .modules import Lead, Vec, module_groebner, module_normal_form, module_reduce
 from .rings import Exponent, PolyRing, Polynomial
 
@@ -29,7 +30,7 @@ class Ideal:
     generators: tuple[Polynomial, ...]
     _gb: list[Polynomial] | None = field(default=None, repr=False, compare=False)
     _held: tuple[list[Vec], list[Lead]] | None = field(default=None, repr=False, compare=False)
-    _initial: list[Exponent] | None = field(default=None, repr=False, compare=False)
+    _initial: Sequence[Exponent] | None = field(default=None, repr=False, compare=False)
     _numerator: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
@@ -45,6 +46,22 @@ class Ideal:
         if self._gb is None:
             self._gb = reduced_groebner_basis(list(self.generators), self.ring, budget)
         return self._gb
+
+    def hold_initial(self, monomials: Sequence[Exponent]) -> None:
+        """Keep the leading monomials of a Groebner basis of I in the ring order as in(I)."""
+        self._initial = monomials
+
+    def initial_monomials(self, budget: int | None = None) -> Sequence[Exponent]:
+        """Generators of in(I): those held by ``hold_initial``, else the reduced basis's."""
+        if self._initial is None:
+            self._initial = [g.leading_monomial() for g in self.groebner_basis(budget)]
+        return self._initial
+
+    def hilbert_numerator(self, budget: int | None = None) -> tuple[int, ...]:
+        """Numerator of Hilb(R/I) over (1-t)^n, that of R/in(I) (Eisenbud, Thm 15.26)."""
+        if self._numerator is None:
+            self._numerator = monomial_numerator(self.initial_monomials(budget), self.ring.num_vars)
+        return self._numerator
 
     def _division_basis(self, budget: int | None) -> tuple[list[Vec], list[Lead]]:
         """The reduced basis as 1-tuples, with their leading terms, built once."""

@@ -11,10 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from .groebner import Ideal
 from .rings import Exponent, mono_degree
+
+if TYPE_CHECKING:
+    from .groebner import Ideal  # groebner imports monomial_numerator from here
 
 IntPoly = tuple[int, ...]  # dense coefficients in the formal variable t
 
@@ -158,10 +160,7 @@ def hilbert_data(I: Ideal, budget: int | None = None) -> HilbertData:
     the reduced basis.  Equal to a resolution's alternating twist sum, the
     numerator still checks every later step of that resolution.
     """
-    if I._numerator is None:
-        lt = I._initial or [g.leading_monomial() for g in I.groebner_basis(budget)]
-        I._numerator = monomial_numerator(lt, I.ring.num_vars)
-    return hilbert_from_numerator(I._numerator, I.ring.num_vars)
+    return hilbert_from_numerator(I.hilbert_numerator(budget), I.ring.num_vars)
 
 
 # -- graded quotients of free modules ----------------------------------------

@@ -104,7 +104,7 @@ def free_resolution(I: Ideal, budget: int | None = None) -> FreeResolution:
             raise InternalInconsistency("resolution ran past the Hilbert syzygy bound")
         kept, syzygies, leads = minimal_syzygies(current, ring, marks, budget)
         if not res.matrices:
-            I._initial = [e for _, e, _ in leads]
+            I.hold_initial([e for _, e, _ in leads])
         gens = [current[i] for i in kept]
         marks = induced_marks(ring, gens, marks)
         res.matrices.append(gens)

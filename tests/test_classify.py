@@ -316,8 +316,31 @@ def test_classify_builds_one_groebner_basis(l1111, monkeypatch):
         monkeypatch.setattr(module, name, counted)
 
     count(groebner_mod, "reduced_groebner_basis")
+    # Ideal.hilbert_numerator and the module Hilbert data of hilbert call it
+    count(groebner_mod, "monomial_numerator")
     count(hilbert_mod, "monomial_numerator")
     count(modules_mod, "_buchberger")
     report = classify(l1111)
     assert report.is_split and report.betti == {(0, 0): 1, (1, 3): 4, (2, 4): 3}
     assert calls == {"reduced_groebner_basis": 0, "monomial_numerator": 1, "_buchberger": 2}
+
+
+def test_codim_one_form_is_rejected_before_saturation(distribution_d2, monkeypatch):
+    # a common non-monomial factor times the non-saturated singular ideal of
+    # DISTRIBUTION_D2: its resolution has length 4, but the codim check on
+    # step 0 rejects the form before saturate is paid for
+    import foliations.classify as classify_mod
+    from foliations.forms import CodimTooSmall, validate
+
+    R = distribution_d2.ring
+    common = R.variable(0) + R.variable(1)
+    form = validate([common * f for f in distribution_d2.coefficients])
+    assert free_resolution(Ideal(R, form.coefficients)).length == 4
+
+    def no_saturation(*args, **kwargs):
+        raise AssertionError("saturate called on a codim 1 ideal")
+
+    monkeypatch.setattr(classify_mod, "saturate", no_saturation)
+    for budget in (None, 10**6):
+        with pytest.raises(CodimTooSmall):
+            classify(form, budget=budget)
