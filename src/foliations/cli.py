@@ -8,16 +8,19 @@ is an engine bug and not a verdict.  ``classify --dir`` classifies the
 files in turn, reports each failed file on stderr and exits with the
 largest per-file code, which is 1, 3 or 4.  ``--json`` selects a stable
 machine-readable report; identical inputs produce byte-identical reports
-except for the timings field.
+except for the timings field.  ``main`` can be called many times in one
+process: it builds its argument parser on the first call and reuses it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 import time
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .classify import ConsistencyFailure, InternalInconsistency, classify
@@ -28,7 +31,7 @@ from .determine import (
     linear_syzygy_space,
     constant_syzygy_space,
 )
-from .formfile import FormFile, ParseError, parse_form_file, print_form_file
+from .formfile import FormFile, ParseError, parse_form_file, parse_polynomial, print_form_file
 from .forms import (
     FormError,
     exceptional_form,
@@ -303,15 +306,17 @@ def cmd_sat(args) -> int:
 
 
 def _parse_poly_list(ring: PolyRing, text: str):
-    from .formfile import _Parser
-
+    """The comma-separated polynomials of ``text``; an error names its factor."""
     out = []
-    for chunk in text.split(","):
-        parser = _Parser(chunk.strip())
-        poly = parser.parse_expr(ring)
-        if parser.peek().kind != "end":
-            raise ParseError("trailing input in polynomial", 1, 1)
-        out.append(poly)
+    start = 0
+    for number, chunk in enumerate(text.split(","), 1):
+        # blank out what precedes the chunk, keeping its newlines and width
+        before = re.sub(r"[^\n]", " ", text[:start])
+        try:
+            out.append(parse_polynomial(ring, before + chunk))
+        except ParseError as exc:
+            raise ParseError(f"{exc.message} in factor {number}", exc.line, exc.column) from None
+        start += len(chunk) + 1
     return out
 
 
@@ -353,6 +358,7 @@ def cmd_make(args) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="foliations",

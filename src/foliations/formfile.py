@@ -10,7 +10,8 @@
 Polynomial expressions use integers, rationals p/q, the ring variables,
 ``+ - * ^`` and parentheses; a missing coefficient before ``dz<i>`` means 1.
 A unary minus negates the whole power: ``-z0^2*z1`` is ``-(z0^2)*z1``.
-The parser is whitespace-insensitive and reports line/column positions.
+The parser is whitespace-insensitive. Tokens keep only their offset; the
+line/column position an error reports is counted when it is raised.
 Printing produces the canonical layout above; print-then-parse is the
 identity on forms and parse-then-print is the identity on canonical files.
 """
@@ -28,8 +29,7 @@ from .rings import PolyRing, Polynomial
 class ParseError(ValueError):
     def __init__(self, message: str, line: int, column: int):
         super().__init__(f"{line}:{column}: {message}")
-        self.line = line
-        self.column = column
+        self.message, self.line, self.column = message, line, column
 
 
 @dataclass(frozen=True)
@@ -39,72 +39,69 @@ class FormFile:
     expected_degree: int | None = None
 
 
+# A token after any whitespace and comments; ``bad`` is a character that starts none.
 _TOKEN = re.compile(
-    r"(?P<ws>\s+)|(?P<comment>#[^\n]*)|(?P<number>\d+(?:/\d+)?)"
-    r"|(?P<word>[A-Za-z][A-Za-z0-9-]*)|(?P<sym>[-+*^()])"
+    r"(?:\s+|#.*)*(?:(?P<number>\d+(?:/\d+)?)|(?P<word>[A-Za-z][A-Za-z0-9-]*)"
+    r"|(?P<sym>[-+*^()])|(?P<end>\Z)|(?P<bad>.))"
 )
+_VARIABLE = re.compile(r"z\d+").fullmatch
+_DIFFERENTIAL = re.compile(r"dz\d+").fullmatch
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str  # number | word | sym | end
-    text: str
-    line: int
-    column: int
+def _error(text: str, offset: int, message: str) -> ParseError:
+    """A ParseError at the line and column of ``text[offset]``."""
+    line = text.count("\n", 0, offset) + 1
+    return ParseError(message, line, offset - text.rfind("\n", 0, offset))
 
 
-def _tokenize(text: str) -> list[_Tok]:
+def _tokenize(text: str) -> list[tuple[str, str, int]]:
+    """(kind, text, offset) tokens, kind number | word | sym | end."""
     tokens = []
-    line, col = 1, 1
+    match = _TOKEN.match
     pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", line, col)
+    while True:
+        m = match(text, pos)
         kind = m.lastgroup
-        chunk = m.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(_Tok(kind, chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            col = len(chunk) - chunk.rfind("\n")
-        else:
-            col += len(chunk)
+        token = (kind, m.group(kind), m.start(kind))
+        if kind == "bad":
+            raise _error(text, token[2], f"unexpected character {token[1]!r}")
+        tokens.append(token)
+        if kind == "end":
+            return tokens
         pos = m.end()
-    tokens.append(_Tok("end", "", line, col))
-    return tokens
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
 
-    def peek(self) -> _Tok:
+    def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
 
-    def next(self) -> _Tok:
+    def next(self) -> tuple[str, str, int]:
         t = self.tokens[self.pos]
         self.pos += 1
         return t
 
-    def fail(self, message: str) -> ParseError:
-        t = self.peek()
-        return ParseError(message, t.line, t.column)
+    def fail(self, message: str, token: tuple[str, str, int] | None = None) -> ParseError:
+        """A ParseError at ``token``, by default the next one."""
+        return _error(self.text, (token or self.peek())[2], message)
 
     def expect_word(self, word: str) -> None:
         t = self.next()
-        if t.kind != "word" or t.text != word:
-            raise ParseError(f"expected {word!r}, found {t.text!r}", t.line, t.column)
+        if t[0] != "word" or t[1] != word:
+            raise self.fail(f"expected {word!r}, found {t[1]!r}", t)
 
     # -- grammar -----------------------------------------------------------
+    # No other token shares the text of a symbol or of the end (""), so it is told by that.
 
     def parse_file(self) -> FormFile:
         self.expect_word("ring")
         names = []
-        while self.peek().kind == "word" and re.fullmatch(r"z\d+", self.peek().text):
-            names.append(self.next().text)
+        while self.peek()[0] == "word" and _VARIABLE(self.peek()[1]):
+            names.append(self.next()[1])
         if len(names) < 2:
             raise self.fail("ring declaration needs at least two variables")
         if names != [f"z{i}" for i in range(len(names))]:
@@ -113,40 +110,36 @@ class _Parser:
 
         name = None
         expected = None
-        while self.peek().kind == "word" and self.peek().text in ("name", "expected-degree"):
-            key = self.next().text
+        while self.peek()[0] == "word" and self.peek()[1] in ("name", "expected-degree"):
+            key = self.next()[1]
+            t = self.next()
             if key == "name":
-                t = self.next()
-                if t.kind not in ("word", "number"):
-                    raise ParseError("expected a name", t.line, t.column)
-                name = t.text
+                if t[0] not in ("word", "number"):
+                    raise self.fail("expected a name", t)
+                name = t[1]
             else:
-                t = self.next()
-                if t.kind != "number" or "/" in t.text:
-                    raise ParseError("expected an integer degree", t.line, t.column)
-                expected = int(t.text)
+                if t[0] != "number" or "/" in t[1]:
+                    raise self.fail("expected an integer degree", t)
+                expected = int(t[1])
 
         self.expect_word("form")
         coeffs = [ring.zero() for _ in range(ring.num_vars)]
         sign = 1
         first = True
         while True:
-            t = self.peek()
+            text = self.peek()[1]
             if not first:
-                if t.kind == "end":
+                if text == "":
                     break
-                if t.kind == "sym" and t.text in "+-":
+                if text in ("+", "-"):
                     self.next()
-                    sign = 1 if t.text == "+" else -1
+                    sign = 1 if text == "+" else -1
                 else:
-                    raise self.fail(f"expected '+', '-' or end of form, found {t.text!r}")
+                    raise self.fail(f"expected '+', '-' or end of form, found {text!r}")
             poly, dz = self.parse_term(ring)
             coeffs[dz] = coeffs[dz] + poly.scale(sign)
             sign = 1
             first = False
-        t = self.next()
-        if t.kind != "end":
-            raise ParseError(f"trailing input {t.text!r}", t.line, t.column)
 
         form = validate(coeffs)
         if expected is not None and form.degree != expected:
@@ -157,70 +150,78 @@ class _Parser:
 
     def parse_term(self, ring: PolyRing) -> tuple[Polynomial, int]:
         t = self.peek()
-        if t.kind == "word" and re.fullmatch(r"dz\d+", t.text):
+        if t[0] == "word" and _DIFFERENTIAL(t[1]):
             poly = ring.one()
         else:
             poly = self.parse_expr(ring)
         t = self.next()
-        if t.kind != "word" or not re.fullmatch(r"dz\d+", t.text):
-            raise ParseError(f"expected dz<i>, found {t.text!r}", t.line, t.column)
-        index = int(t.text[2:])
+        if t[0] != "word" or not _DIFFERENTIAL(t[1]):
+            raise self.fail(f"expected dz<i>, found {t[1]!r}", t)
+        index = int(t[1][2:])
         if index >= ring.num_vars:
-            raise ParseError(f"differential {t.text} outside the ring", t.line, t.column)
+            raise self.fail(f"differential {t[1]} outside the ring", t)
         return poly, index
 
     def parse_expr(self, ring: PolyRing) -> Polynomial:
         acc = self.parse_product(ring)
         while True:
-            t = self.peek()
-            if t.kind == "sym" and t.text in "+-":
-                self.next()
-                rhs = self.parse_product(ring)
-                acc = acc + rhs if t.text == "+" else acc - rhs
-            else:
+            text = self.peek()[1]
+            if text not in ("+", "-"):
                 return acc
+            self.next()
+            rhs = self.parse_product(ring)
+            acc = acc + rhs if text == "+" else acc - rhs
 
     def parse_product(self, ring: PolyRing) -> Polynomial:
         acc = self.parse_power(ring)
-        while self.peek().kind == "sym" and self.peek().text == "*":
+        while self.peek()[1] == "*":
             self.next()
             acc = acc * self.parse_power(ring)
         return acc
 
     def parse_power(self, ring: PolyRing) -> Polynomial:
-        if self.peek().kind == "sym" and self.peek().text == "-":
+        if self.peek()[1] == "-":
             self.next()
             return -self.parse_power(ring)
         base = self.parse_atom(ring)
-        if self.peek().kind == "sym" and self.peek().text == "^":
+        if self.peek()[1] == "^":
             self.next()
             t = self.next()
-            if t.kind != "number" or "/" in t.text:
-                raise ParseError("exponent must be a nonnegative integer", t.line, t.column)
-            return base ** int(t.text)
+            if t[0] != "number" or "/" in t[1]:
+                raise self.fail("exponent must be a nonnegative integer", t)
+            return base ** int(t[1])
         return base
 
     def parse_atom(self, ring: PolyRing) -> Polynomial:
-        t = self.next()
-        if t.kind == "number":
-            return ring.constant(Fraction(t.text))
-        if t.kind == "sym" and t.text == "(":
+        kind, text, _ = t = self.next()
+        if kind == "number":
+            return ring.constant(Fraction(text) if "/" in text else int(text))
+        if text == "(":
             inner = self.parse_expr(ring)
             closing = self.next()
-            if closing.kind != "sym" or closing.text != ")":
-                raise ParseError("expected ')'", closing.line, closing.column)
+            if closing[1] != ")":
+                raise self.fail("expected ')'", closing)
             return inner
-        if t.kind == "word" and re.fullmatch(r"z\d+", t.text):
-            index = int(t.text[1:])
+        if kind == "word" and _VARIABLE(text):
+            index = int(text[1:])
             if index >= ring.num_vars:
-                raise ParseError(f"variable {t.text} outside the ring", t.line, t.column)
+                raise self.fail(f"variable {text} outside the ring", t)
             return ring.variable(index)
-        raise ParseError(f"unexpected token {t.text!r}", t.line, t.column)
+        raise self.fail(f"unexpected token {text!r}", t)
 
 
 def parse_form_file(text: str) -> FormFile:
     """Parse and validate; raises ParseError or a validation FormError."""
     return _Parser(text).parse_file()
+
+
+def parse_polynomial(ring: PolyRing, text: str) -> Polynomial:
+    """One polynomial expression in ``ring``; raises ParseError."""
+    parser = _Parser(text)
+    poly = parser.parse_expr(ring)
+    if parser.peek()[1] != "":
+        raise parser.fail(f"trailing input {parser.peek()[1]!r}")
+    return poly
 
 
 def print_form_file(

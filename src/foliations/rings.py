@@ -14,7 +14,8 @@ every verdict downstream (membership, saturation, splitting) is exact.  An
 ``int`` and the ``Fraction`` of the same value compare, hash and render
 alike.
 
-Sums merge the two sorted term tuples in one pass.  The order key of an
+Sums merge the two sorted term tuples in one pass; a product with a
+single-term factor, or a power of one, needs no sort.  The order key of an
 exponent is memoized by its ring (``PolyRing.exp_key``), so the memo lives
 as long as the ring.
 """
@@ -308,6 +309,10 @@ class Polynomial:
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
         self._check(other)
+        if len(other.terms) == 1:
+            return self.mul_term(*other.terms[0])
+        if len(self.terms) == 1:
+            return other.mul_term(*self.terms[0])
         d: dict[Exponent, Rational] = {}
         for e1, c1 in self.terms:
             for e2, c2 in other.terms:
@@ -332,6 +337,9 @@ class Polynomial:
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:
             raise ValueError("negative power")
+        if n and len(self.terms) == 1:  # (c*x^e)^n = c^n*x^(n*e)
+            (e, c), = self.terms
+            return Polynomial(self.ring, ((tuple([k * n for k in e]), c**n),))
         result = self.ring.one()
         base = self
         while n:

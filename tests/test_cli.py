@@ -207,3 +207,55 @@ def test_make_names_a_missing_input_flag(tmp_path, capsys, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert not out.exists()
+
+
+def test_factor_errors_give_the_column_and_the_factor(tmp_path, capsys):
+    out = tmp_path / "x.form"
+    for factors, message in [
+        ("z0,z1 z2,z3", "1:7: trailing input 'z2' in factor 2"),
+        ("z0, z1 + $z2,z3", "1:10: unexpected character '$' in factor 2"),
+        ("z0,z1,z2,z9", "1:10: variable z9 outside the ring in factor 4"),
+        ("z0,z1,,z3", "1:7: unexpected token '' in factor 3"),
+    ]:
+        argv = ["make", "logarithmic", "--factors", factors, "--weights", "1,1,1,-3"]
+        assert main(argv + ["-o", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+
+def test_repeated_calls_share_one_parser_and_no_state(l1111_file, tmp_path, monkeypatch, capsys):
+    import foliations.cli as cli
+
+    assert main(["classify", l1111_file, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["verdicts"]["split"] is True
+    assert main(["classify", l1111_file]) == 0
+    assert capsys.readouterr().out == (
+        f"{l1111_file}: degree 2, integrable, saturated, curve, ACM, split (0, 0)\n"
+    )
+
+    budgets = []
+    real = cli.singular_ideal
+
+    def recording(form, budget=None):
+        budgets.append(budget)
+        return real(form, budget)
+
+    monkeypatch.setattr(cli, "singular_ideal", recording)
+    assert main(["check", l1111_file, "--budget", "5"]) == 0
+    assert main(["check", l1111_file]) == 0
+    assert budgets == [5, None]
+    capsys.readouterr()
+
+    for argv, name in [(["--d", "3"], "exceptional-d3"), ([], "exceptional-d2")]:
+        out = tmp_path / f"{name}.form"
+        assert main(["make", "exceptional", *argv, "-o", str(out)]) == 0
+        assert f"name {name}\n" in out.read_text()
+    capsys.readouterr()
+
+    with pytest.raises(SystemExit) as exit_:
+        main(["--help"])
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: foliations")
+    assert main(["classify", l1111_file]) == 0
+    assert capsys.readouterr().out.endswith("split (0, 0)\n")
+    assert cli._build_parser.cache_info().misses == 1

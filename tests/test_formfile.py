@@ -2,7 +2,7 @@
 
 import pytest
 
-from foliations.formfile import ParseError, parse_form_file, print_form_file
+from foliations.formfile import ParseError, parse_form_file, parse_polynomial, print_form_file
 from foliations.forms import EulerViolation, FormError, logarithmic_form
 from foliations.rings import PolyRing
 
@@ -99,3 +99,50 @@ def test_positioned_errors():
         parse_form_file("ring z0 z1 z2 z3\nform (z7) dz0")
     with pytest.raises(ParseError):
         parse_form_file("ring z0 z1 z2 z3\nform (z1) dz9")
+
+
+# the messages of the tokenizer that counted lines and columns as it went
+PINNED_ERRORS = [
+    ("\n\n  ring z0 z1\nform (z1 dz0", "4:10: expected ')'"),
+    ("# header\nring z0 z1\nform (z1) dz0 - (z0\n", "4:1: expected ')'"),
+    ("ring z0 z1\nform (z1) dz0 - (z0", "2:20: expected ')'"),
+    ("ring z0 z1\nform (z1) dz0 - $", "2:17: unexpected character '$'"),
+    ("ring z0 z1\n\tform\t(z1)    $ dz0", "2:15: unexpected character '$'"),
+    ("ring z0 z1 z2 z3\r\nform (z1) dz0 - (z0) dz1 + €", "2:28: unexpected character '€'"),
+    ("# c1\n# c2\nring z0 z1 z2 z3\n\nform z1^-2 dz0\n",
+     "5:9: exponent must be a nonnegative integer"),
+    ("# c1\n# c2\nring z0 z1 z2 z3\nform\n  (z1^1/2) dz0 - (z0) dz1\n",
+     "5:7: exponent must be a nonnegative integer"),
+    ("# c1\n# c2\nring z0 z1 z2 z3\n\n\t(z1 ^ -2) dz0\n", "5:2: expected 'form', found '('"),
+    ("ring z0 z1 z2 z3 # comment\nform (z7) dz0", "2:7: variable z7 outside the ring"),
+    ("ring z0 z1 z2 z3\r\n  form (z1) dz0 -\r\n (z0) dz9", "3:7: differential dz9 outside the ring"),
+    ("ring z0 z1\nform (z1) dz0 (z0) dz1", "2:15: expected '+', '-' or end of form, found '('"),
+    ("ring z0 z1\nform (z1) dz0 - (z0) dz1 z0   # trailing\n",
+     "2:26: expected '+', '-' or end of form, found 'z0'"),
+    ("ring z0 z2\nform z0 dz0", "2:1: variables must be named z0..z1 in order"),
+    ("ring z0\nform z0 dz0", "2:1: ring declaration needs at least two variables"),
+    ("  # only a comment\n", "2:1: expected 'ring', found ''"),
+    ("ring z0 z1\nexpected-degree 1/2\nform (z1) dz0 - (z0) dz1", "2:17: expected an integer degree"),
+    ("ring z0 z1\nform (z1) dz0 - (z0)   \n# end\n", "4:1: expected dz<i>, found ''"),
+    ("ring z0 z1\nform (z1)) dz0", "2:10: expected dz<i>, found ')'"),
+]
+
+
+@pytest.mark.parametrize("text, message", PINNED_ERRORS)
+def test_pinned_error_messages(text, message):
+    with pytest.raises(ParseError) as err:
+        parse_form_file(text)
+    assert str(err.value) == message
+    line, column, rest = message.split(":", 2)
+    assert (err.value.line, err.value.column, err.value.message) == (int(line), int(column), rest[1:])
+
+
+def test_parse_polynomial():
+    R = PolyRing(3)
+    assert str(parse_polynomial(R, " 1/2*z0^2 - (z1 + 3) * z2 # note")) == "1/2*z0^2 - z1*z2 - 3*z2"
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(R, "z0 +\n  z1 z2")
+    assert str(err.value) == "2:6: trailing input 'z2'"
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(R, "z3")
+    assert str(err.value) == "1:1: variable z3 outside the ring"

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 
 from foliations.rings import (
+    GREVLEX,
     LEX,
     PolyRing,
     RingMismatch,
@@ -80,6 +81,43 @@ def test_homogeneous_product_degree():
         prod = p * q
         if not prod.is_zero():
             assert prod.is_homogeneous() and prod.degree() == 5
+
+
+def _dict_product(p, q):
+    """p*q by summing every pair of terms and sorting once: the general path."""
+    d = {}
+    for e1, c1 in p.terms:
+        for e2, c2 in q.terms:
+            e = mono_mul(e1, e2)
+            d[e] = d.get(e, 0) + c1 * c2
+    return p.ring.from_dict(d).terms
+
+
+@pytest.mark.parametrize("order", [GREVLEX, LEX, grevlex_cheapest(1)], ids=str)
+def test_single_term_products_and_powers_match_the_general_product(order):
+    ring = PolyRing(4, order)
+    rng = Random(13)
+
+    def coefficient():
+        c = Fraction(rng.randint(-6, 6) or 1, rng.choice([1, 1, 2, 3]))
+        return c.numerator if rng.random() < 0.5 and c.denominator == 1 else c
+
+    def random_poly(size):
+        return ring.from_dict(
+            {tuple(rng.randint(0, 3) for _ in range(4)): coefficient() for _ in range(size)}
+        )
+
+    singles = [ring.zero(), ring.one(), ring.constant(Fraction(-3, 2)), ring.constant(5)]
+    singles += [random_poly(1) for _ in range(20)]
+    others = singles + [random_poly(rng.randint(2, 6)) for _ in range(20)]
+    for s in singles:
+        for q in others:
+            assert (s * q).terms == _dict_product(s, q) == (q * s).terms
+        for n in range(5):
+            power = ring.one().terms
+            for _ in range(n):
+                power = _dict_product(ring.from_dict(dict(power)), s)
+            assert (s**n).terms == power
 
 
 def test_ring_mismatch_rejected():
