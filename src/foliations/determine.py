@@ -6,26 +6,41 @@ members of the matrix pencil produce every distribution with the same
 singular scheme.  Integrable members are cut out by a quadratic system in
 the pencil parameters, which is solved by Groebner methods over Q; verdicts
 are backed by verified witnesses, never by a dimension claim alone.
+
+What is verified where:
+
+* the system's coefficients are those of omega ^ d omega, so a parameter
+  point solves the system exactly when its member is integrable as an
+  identity; a scan point is tested on the system first;
+* every member ``integrable_members`` reports is validated and runs
+  ``integrability_check`` once, just before it is kept, so candidates that
+  are degenerate or proportional to a kept member cost neither;
+* a witness of non-uniqueness is certified by its own integrability check
+  and by I_w = I: both tuples are forms of one degree, so the ideals agree
+  exactly when the tuples span one space (``_same_span``, three ranks).
+  Equal ideals have equal saturations, so no witness is resolved.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
-from .classify import _Analysis, _report_from, _split_from, graded_syzygy_basis, saturated_resolution
+from .classify import _Analysis, _report_from, _split_from, graded_syzygy_basis
 from .forms import (
     FormError,
     ProjectiveOneForm,
     exterior_derivative,
     integrability_check,
+    proportional,
     validate,
     wedge_1_2,
 )
 from .groebner import Ideal, ideal_equal
 from .hilbert import hilbert_data
-from .linalg import echelon
+from .linalg import echelon, rank
 from .modules import StepBudgetExceeded
 from .rings import PolyRing, Polynomial, Rational, exact
 from .saturation import saturate
@@ -259,26 +274,26 @@ class FamilyIntegrability:
     kind: str  # "finite" | "positive" | "inconclusive"
     complete: bool
     solution_cone_dim: int | None
-    members: list[tuple[tuple[Fraction, ...], ProjectiveOneForm]]
+    members: list[tuple[tuple[Rational, ...], ProjectiveOneForm]]
 
     def non_base_members(self, base: ProjectiveOneForm) -> list[ProjectiveOneForm]:
         return [f for _, f in self.members if not f.is_proportional_to(base)]
 
 
-def _scan_candidates(p: int) -> list[tuple[Fraction, ...]]:
-    values = [Fraction(x) for x in (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(1, 3), -3)]
-    candidates: list[tuple[Fraction, ...]] = []
+@cache
+def _scan_candidates(p: int) -> tuple[tuple[Rational, ...], ...]:
+    values = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(1, 3), -3)
+    candidates: list[tuple[Rational, ...]] = []
     for k in range(1, p):
-        unit = tuple(Fraction(int(i == k)) for i in range(p))
+        unit = tuple(int(i == k) for i in range(p))
         candidates.append(unit)
         for v in values:
-            candidates.append(tuple(Fraction(int(i == 0)) + (v if i == k else 0) for i in range(p)))
+            candidates.append(tuple(int(i == 0) + (v if i == k else 0) for i in range(p)))
     if p <= 3:
-        small = [Fraction(x) for x in (-2, -1, 0, 1, 2)]
-        for combo in product(small, repeat=p):
+        for combo in product((-2, -1, 0, 1, 2), repeat=p):
             if any(combo):
-                candidates.append(tuple(combo))
-    return candidates
+                candidates.append(combo)
+    return tuple(candidates)
 
 
 def integrable_members(
@@ -288,35 +303,36 @@ def integrable_members(
 
     The quadratic system is solved by Groebner bases in the parameter ring;
     the dimension verdict comes from Hilbert data of the saturated solution
-    ideal, and every reported member is re-verified by the integrability
-    check and matrix invertibility.
+    ideal.  A scan point is kept when, in this order, it solves the system
+    (so its member is integrable as an identity), lies off the degenerate
+    locus (its matrix is invertible) and gives member coefficients not
+    proportional to a kept member's; only then is the member validated and
+    re-verified by one integrability check.
     """
     p = family.parameter_dim
-    base_alpha = tuple(Fraction(int(i == 0)) for i in range(p))
+    base_alpha = tuple(int(i == 0) for i in range(p))
     base_member = (base_alpha, family.base)
     if p == 1:
         return FamilyIntegrability("finite", True, 1, [base_member])
     system = integrability_system(family)
     pring = family.parameter_ring
 
-    def verified(alpha) -> ProjectiveOneForm | None:
-        try:
-            form = family.member_form(alpha)
-        except (SingularMatrix, FormError):
-            return None
-        return form if integrability_check(form) else None
-
-    def collect_witnesses(count: int) -> list[tuple[tuple[Fraction, ...], ProjectiveOneForm]]:
+    def collect_witnesses(count: int) -> list[tuple[tuple[Rational, ...], ProjectiveOneForm]]:
         found = [base_member]
         for alpha in _scan_candidates(p):
             if len(found) >= count:
                 break
-            if all(q.evaluate(alpha) == 0 for q in system):
-                form = verified(alpha)
-                if form is not None and not any(
-                    form.is_proportional_to(f) for _, f in found
-                ):
-                    found.append((alpha, form))
+            if any(q.evaluate(alpha) for q in system) or not family.degenerate_locus.evaluate(alpha):
+                continue
+            coefficients = family.member_coefficients(alpha)
+            if any(proportional(coefficients, f.coefficients) for _, f in found):
+                continue
+            try:
+                form = validate(coefficients)
+            except FormError:
+                continue
+            if integrability_check(form):
+                found.append((alpha, form))
         return found
 
     if not system:
@@ -360,6 +376,29 @@ class Determination:
         return f"{self.kind} (via {self.route})"
 
 
+def _same_span(F: tuple[Polynomial, ...], G: tuple[Polynomial, ...]) -> bool:
+    """(F) = (G) for tuples of forms of one degree: both span one space of forms.
+
+    An ideal generated in one degree is spanned there by its generators, so
+    the ideals agree exactly when rank F = rank G = rank (F, G), with a
+    column per monomial of either tuple.
+    """
+    columns = {e: k for k, e in enumerate(dict.fromkeys(e for f in F + G for e, _ in f.terms))}
+
+    def rows(tup: tuple[Polynomial, ...]) -> list[list[Rational]]:
+        out = []
+        for f in tup:
+            row: list[Rational] = [0] * len(columns)
+            for e, c in f.terms:
+                row[columns[e]] = c
+            out.append(row)
+        return out
+
+    f_rows, g_rows = rows(F), rows(G)
+    both = rank(f_rows + g_rows)
+    return rank(f_rows) == both and rank(g_rows) == both
+
+
 def is_determined_by_singular_scheme(
     form: ProjectiveOneForm, budget: int | None = None
 ) -> Determination:
@@ -368,8 +407,9 @@ def is_determined_by_singular_scheme(
     Applies the cheapest sufficient criterion first: splitting type with
     a <= b <= -1 forces uniqueness; a type-(1, 1-d) pull-back with d != 1 is
     unique; otherwise the integrable members of the syzygy family decide.
-    Witnesses returned for non-uniqueness are validated second foliations
-    with the same saturated singular ideal, not proportional to the base.
+    Witnesses returned for non-uniqueness are validated, integrable second
+    foliations, not proportional to the base, whose coefficients span the
+    same forms as the base's: the singular ideals, and so the schemes, agree.
     """
     analysis = _Analysis.of(form, budget)
     report = _report_from(analysis)
@@ -381,10 +421,8 @@ def is_determined_by_singular_scheme(
     if b == 1 and report.degree != 1:
         return Determination("unique", "linear pull-back of degree != 1")
     outcome = integrable_members(_family_from(analysis), budget)
-    witnesses = outcome.non_base_members(form)
-    for w in witnesses:
-        w_sat, _ = saturated_resolution(Ideal(w.ring, w.coefficients), budget)
-        same = ideal_equal(w_sat, analysis.saturation, budget)
+    for w in outcome.non_base_members(form):
+        same = w.degree == form.degree and _same_span(w.coefficients, form.coefficients)
         if same and integrability_check(w):
             return Determination("non-unique", "integrable family member", w)
     if outcome.kind == "finite" and outcome.complete:

@@ -7,9 +7,12 @@
                             # after any common monomial factor is stripped
     form (z1*z2*z3) dz0 + (z0*z2*z3) dz1 + (z0*z1*z3) dz2 + (-3*z0*z1*z2) dz3
 
-Polynomial expressions use integers, rationals p/q, the ring variables,
-``+ - * ^`` and parentheses; a missing coefficient before ``dz<i>`` means 1.
-A unary minus negates the whole power: ``-z0^2*z1`` is ``-(z0^2)*z1``.
+Polynomial expressions use integers, rationals p/q (q != 0), the ring
+variables, ``+ - * ^`` and parentheses; a missing coefficient before
+``dz<i>`` means 1.  A unary minus negates the whole power: ``-z0^2*z1`` is
+``-(z0^2)*z1``, and ``z0-z1`` is a difference.  A word is letters and
+digits; in the header, words joined by ``-`` with no space make one key or
+name (``expected-degree``, ``L1111-alt``).
 The parser is whitespace-insensitive. Tokens keep only their offset; the
 line/column position an error reports is counted when it is raised.
 Printing produces the canonical layout above; print-then-parse is the
@@ -41,7 +44,7 @@ class FormFile:
 
 # A token after any whitespace and comments; ``bad`` is a character that starts none.
 _TOKEN = re.compile(
-    r"(?:\s+|#.*)*(?:(?P<number>\d+(?:/\d+)?)|(?P<word>[A-Za-z][A-Za-z0-9-]*)"
+    r"(?:\s+|#.*)*(?:(?P<number>\d+(?:/\d+)?)|(?P<word>[A-Za-z][A-Za-z0-9]*)"
     r"|(?P<sym>[-+*^()])|(?P<end>\Z)|(?P<bad>.))"
 )
 _VARIABLE = re.compile(r"z\d+").fullmatch
@@ -89,6 +92,21 @@ class _Parser:
         """A ParseError at ``token``, by default the next one."""
         return _error(self.text, (token or self.peek())[2], message)
 
+    def hyphenated(self) -> tuple[str, int]:
+        """The next word or number with the ``-`` parts glued to it, and its token count."""
+        tokens, i = self.tokens, self.pos
+        text = tokens[i][1]
+        while (
+            tokens[i][0] in ("word", "number")
+            and tokens[i + 1][1] == "-"
+            and tokens[i + 1][2] == tokens[i][2] + len(tokens[i][1])
+            and tokens[i + 2][0] in ("word", "number")
+            and tokens[i + 2][2] == tokens[i + 1][2] + 1
+        ):
+            text += "-" + tokens[i + 2][1]
+            i += 2
+        return text, i + 1 - self.pos
+
     def expect_word(self, word: str) -> None:
         t = self.next()
         if t[0] != "word" or t[1] != word:
@@ -110,14 +128,18 @@ class _Parser:
 
         name = None
         expected = None
-        while self.peek()[0] == "word" and self.peek()[1] in ("name", "expected-degree"):
-            key = self.next()[1]
-            t = self.next()
+        while True:
+            key, count = self.hyphenated()
+            if self.peek()[0] != "word" or key not in ("name", "expected-degree"):
+                break
+            self.pos += count
             if key == "name":
-                if t[0] not in ("word", "number"):
-                    raise self.fail("expected a name", t)
-                name = t[1]
+                if self.peek()[0] not in ("word", "number"):
+                    raise self.fail("expected a name")
+                name, count = self.hyphenated()
+                self.pos += count
             else:
+                t = self.next()
                 if t[0] != "number" or "/" in t[1]:
                     raise self.fail("expected an integer degree", t)
                 expected = int(t[1])
@@ -195,7 +217,10 @@ class _Parser:
     def parse_atom(self, ring: PolyRing) -> Polynomial:
         kind, text, _ = t = self.next()
         if kind == "number":
-            return ring.constant(Fraction(text) if "/" in text else int(text))
+            num, _, den = text.partition("/")
+            if den and not int(den):
+                raise self.fail(f"zero denominator in {text!r}", t)
+            return ring.constant(Fraction(int(num), int(den)) if den else int(num))
         if text == "(":
             inner = self.parse_expr(ring)
             closing = self.next()

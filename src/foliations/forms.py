@@ -80,13 +80,39 @@ class ProjectiveOneForm:
 
     def is_proportional_to(self, other: ProjectiveOneForm) -> bool:
         """True when every 2x2 minor f_i*g_j - f_j*g_i (i < j) vanishes."""
-        if self.ring != other.ring:
-            return False
-        pairs = list(zip(self.coefficients, other.coefficients))
-        for (fi, gi), (fj, gj) in combinations(pairs, 2):
-            if fi * gj != fj * gi:
-                return False
+        return self.ring == other.ring and proportional(self.coefficients, other.coefficients)
+
+
+def proportional(F: Sequence[Polynomial], G: Sequence[Polynomial]) -> bool:
+    """True when every 2x2 minor F_i*G_j - F_j*G_i (i < j) vanishes.
+
+    Read off the terms, with no product, unless F/G could be a rational
+    function that is not constant.  With (F_i, G_i) the first pair that is
+    not zero, a vanishing minor F_i*G_j = F_j*G_i needs F_j and G_j to vanish
+    together and, the orders being multiplicative, their leading terms to
+    satisfy lt(F_i)*lt(G_j) = lt(F_j)*lt(G_i).  When every pair does and
+    lt(F_i), lt(G_i) share their monomial, F is G times lc(F_i)/lc(G_i), or
+    else the minors through i are multiplied out.
+    """
+    pairs = [(f, g) for f, g in zip(F, G) if f.terms or g.terms]
+    if not all(f.terms and g.terms for f, g in pairs):
+        # a zero entry against a nonzero one: only a zero tuple is proportional
+        return not any(f.terms for f in F) or not any(g.terms for g in G)
+    if not pairs:
         return True
+    (fi, gi), rest = pairs[0], pairs[1:]
+    (ei, a), (di, b) = fi.terms[0], gi.terms[0]
+    for f, g in rest:
+        (e, x), (d, y) = f.terms[0], g.terms[0]
+        if b * x != a * y or any(p + q != r + s for p, q, r, s in zip(e, di, d, ei)):
+            return False
+    if ei == di and all(
+        len(f.terms) == len(g.terms)
+        and all(e == d and b * x == a * y for (e, x), (d, y) in zip(f.terms, g.terms))
+        for f, g in pairs
+    ):
+        return True
+    return all(fi * g == f * gi for f, g in rest)
 
 
 @dataclass(frozen=True)

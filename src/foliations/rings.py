@@ -389,11 +389,12 @@ class Polynomial:
             d[tuple(new)] = c * e[i]
         return self.ring.from_dict(d)
 
-    def evaluate(self, point: Sequence[Rational]) -> Fraction:
+    def evaluate(self, point: Sequence[Rational]) -> Rational:
+        """The exact value at ``point``: an ``int`` when the point and the coefficients are."""
         if len(point) != self.ring.num_vars:
             raise ValueError("point has wrong length")
-        pt = [Fraction(x) for x in point]
-        total = Fraction(0)
+        pt = [exact(x) for x in point]
+        total = 0
         for e, c in self.terms:
             v = c
             for x, k in zip(pt, e):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from foliations.formfile import parse_form_file
 from foliations.forms import (
     ProjectiveOneForm,
+    apply_projectivity,
     exceptional_form,
     logarithmic_form,
     pullback_from_plane,
@@ -120,6 +122,36 @@ def build_corpus() -> list[tuple[str, ProjectiveOneForm]]:
         ("L1112", logarithmic_form([z[0], z[1], z[2], z[3] ** 2 + z[0] * z[1]], [1, 1, 2, -2])),
         ("pullback-d3", pullback_from_plane(plane3)),
     ]
+
+
+def build_larger_split_forms() -> list[tuple[str, ProjectiveOneForm]]:
+    """Split forms of degree 2 and 3 beyond the corpus, as the benchmark builds them."""
+    R = PolyRing(4)
+    z = R.variables()
+    P = PolyRing(3)
+    w = P.variables()
+    quadric = z[0] ** 2 + z[1] ** 2 + z[2] ** 2 + z[3] ** 2
+    conic = w[0] ** 2 + w[1] ** 2 + w[2] ** 2
+    return [
+        ("L22", logarithmic_form([quadric, z[0] * z[1] + z[2] * z[3]], [1, -1])),
+        ("exceptional-d3", exceptional_form(3)),
+        ("pullback-d3b", pullback_from_plane(logarithmic_form([w[0], w[1], w[2], conic], [1, 1, 2, -2]))),
+    ]
+
+
+def build_determination_forms() -> list[tuple[str, ProjectiveOneForm]]:
+    """The forms the determination benchmark runs: the corpus without L112
+    (not split) and pullback-d3 (slow to resolve), then the larger split forms."""
+    skip = ("L112", "pullback-d3")
+    return [(n, f) for n, f in build_corpus() if n not in skip] + build_larger_split_forms()
+
+
+def seeded(name: str, form: ProjectiveOneForm, seed: int) -> ProjectiveOneForm:
+    """form under z_i -> s_i z_i, each s_i drawn from (1, -1, 2, -2) by the seed
+    and the name, as the benchmark's seeds move it; seed 0 leaves it as it is."""
+    rng = random.Random(f"{seed}:{name}")
+    scales = [rng.choice((1, -1, 2, -2)) if seed else 1 for _ in range(4)]
+    return apply_projectivity(form, [[s if j == i else 0 for j in range(4)] for i, s in enumerate(scales)])
 
 
 @pytest.fixture(scope="session")

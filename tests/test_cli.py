@@ -45,6 +45,23 @@ def test_parse_error_exits_1(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_zero_denominator_exits_1_without_a_traceback(tmp_path, capsys):
+    path = tmp_path / "zero.form"
+    path.write_text("ring z0 z1 z2 z3\nform (1/0*z1) dz0 - (z0) dz1\n")
+    assert main(["check", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "2:7: zero denominator in '1/0'" in err and "Traceback" not in err
+
+
+def test_make_reads_differences_without_spaces(tmp_path, capsys):
+    spaced, tight = tmp_path / "spaced.form", tmp_path / "tight.form"
+    for path, factors in ((spaced, "z0 - z1,z0 + z1,z2"), (tight, "z0-z1,z0+z1,z2")):
+        argv = ["make", "logarithmic", "--factors", factors, "--weights", "1,1,-2", "-o", str(path)]
+        assert main(argv) == 0
+    assert tight.read_text() == spaced.read_text()
+    assert main(["check", str(tight)]) == 0
+
+
 def test_classify_json_schema(l1111_file, capsys):
     assert main(["classify", l1111_file, "--json"]) == 0
     out = json.loads(capsys.readouterr().out)

@@ -1,12 +1,16 @@
 """Syzygy families, the integrability system, and determination verdicts."""
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from foliations.classify import _Analysis, _report_from, saturated_resolution
 from foliations.determine import (
     DistributionFamily,
     SingularMatrix,
+    _same_span,
     _scan_candidates,
     constant_syzygy_space,
     distribution_family,
@@ -22,12 +26,15 @@ from foliations.forms import (
     singular_ideal,
     wedge_1_2,
 )
-from foliations.groebner import ideal_equal
+from foliations.groebner import Ideal, ideal_equal
 from foliations.linalg import rank
 from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing
 from foliations.saturation import saturate
 
+from .conftest import build_corpus, build_determination_forms, build_larger_split_forms, seeded
+
+DETERMINATIONS = Path(__file__).parent / "data" / "determinations.json"
 R = PolyRing(4)
 Z = R.variables()
 IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
@@ -260,3 +267,91 @@ def test_determination_requires_split(l112):
     with pytest.raises(ValueError):
         is_determined_by_singular_scheme(l112)
 
+
+def test_determination_checks_each_member_once_and_resolves_no_witness(monkeypatch):
+    import foliations.classify as classify_mod
+    import foliations.determine as determine_mod
+
+    checks, resolutions, members = [], [], []
+    real_check, real_members = determine_mod.integrability_check, determine_mod.integrable_members
+
+    def counted_check(form):
+        checks.append(form)
+        return real_check(form)
+
+    def counted_resolution(I, *args, **kwargs):
+        resolutions.append(I)
+        return free_resolution(I, *args, **kwargs)
+
+    def counted_members(family, budget=None):
+        outcome = real_members(family, budget)
+        members.extend(outcome.members)
+        return outcome
+
+    monkeypatch.setattr(determine_mod, "integrability_check", counted_check)
+    monkeypatch.setattr(determine_mod, "integrable_members", counted_members)
+    monkeypatch.setattr(classify_mod, "free_resolution", counted_resolution)
+    for name, form in build_determination_forms():
+        for log in (checks, resolutions, members):
+            log.clear()
+        verdict = is_determined_by_singular_scheme(form)
+        # the base's check in the system counts for the base member
+        assert len(checks) <= len(members) + (verdict.witness is not None), name
+        # the form's own resolution: a witness is certified by its span, not resolved
+        assert len(resolutions) == 1, name
+
+
+# -- the witness certificate ------------------------------------------------------------
+
+
+def test_same_span_accepts_scaled_and_reordered_generators(l1111):
+    F = l1111.coefficients
+    moved = (F[2].scale(Fraction(-3, 2)), F[0] + F[3], F[1].scale(7), F[3], F[0])
+    assert _same_span(F, moved) and _same_span(moved, F)
+    assert _same_span(F, tuple(reversed(F)))
+
+
+def test_same_span_of_the_named_second_foliation(l1111, l1111_alt):
+    # F_i = lambda_i * prod_{j != i} z_j: both ideals are those of the four cubic monomials
+    assert _same_span(l1111.coefficients, l1111_alt.coefficients)
+
+
+def test_same_span_rejects_a_different_ideal(l1111, l112):
+    F = l1111.coefficients
+    assert not _same_span(F, l112.coefficients)
+    assert not _same_span(F, F[:3]) and not _same_span(F[:3], F)
+    assert not _same_span(F, (F[0], F[1], F[2], F[3] + Z[3] ** 3))
+    l22 = dict(build_larger_split_forms())["L22"]
+    assert l22.degree == l1111.degree and not _same_span(F, l22.coefficients)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_witnesses_pass_the_resolution_check_they_replace(seed):
+    # the witness check that the span certificate replaced, kept as an oracle
+    checked = []
+    for name, form in build_corpus() + build_larger_split_forms():
+        form = seeded(name, form, seed)
+        analysis = _Analysis.of(form)
+        if not _report_from(analysis).is_split:
+            continue
+        verdict = is_determined_by_singular_scheme(form)
+        if verdict.kind != "non-unique":
+            continue
+        w = verdict.witness
+        w_sat, _ = saturated_resolution(Ideal(w.ring, w.coefficients))
+        assert ideal_equal(w_sat, analysis.saturation), (name, seed)
+        checked.append(name)
+    assert checked == ["pullback-d1", "cone-L111", "L1111", "L1111-alt", "L1111-generic", "L22"]
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_pinned_determinations_of_the_larger_forms(seed):
+    pinned = json.loads(DETERMINATIONS.read_text())[seed]
+    for name, form in build_larger_split_forms():
+        verdict = is_determined_by_singular_scheme(seeded(name, form, int(seed)))
+        got = {
+            "kind": verdict.kind,
+            "route": verdict.route,
+            "witness": None if verdict.witness is None else [str(g) for g in verdict.witness.coefficients],
+        }
+        assert got == pinned[name], name

@@ -101,7 +101,8 @@ def test_positioned_errors():
         parse_form_file("ring z0 z1 z2 z3\nform (z1) dz9")
 
 
-# the messages of the tokenizer that counted lines and columns as it went
+# the messages of the tokenizer that counted lines and columns as it went, and
+# the zero denominator, which once escaped as a ZeroDivisionError
 PINNED_ERRORS = [
     ("\n\n  ring z0 z1\nform (z1 dz0", "4:10: expected ')'"),
     ("# header\nring z0 z1\nform (z1) dz0 - (z0\n", "4:1: expected ')'"),
@@ -125,6 +126,7 @@ PINNED_ERRORS = [
     ("ring z0 z1\nexpected-degree 1/2\nform (z1) dz0 - (z0) dz1", "2:17: expected an integer degree"),
     ("ring z0 z1\nform (z1) dz0 - (z0)   \n# end\n", "4:1: expected dz<i>, found ''"),
     ("ring z0 z1\nform (z1)) dz0", "2:10: expected dz<i>, found ')'"),
+    ("ring z0 z1 z2 z3\nform (1/0*z1) dz0 - (z0) dz1", "2:7: zero denominator in '1/0'"),
 ]
 
 
@@ -135,6 +137,25 @@ def test_pinned_error_messages(text, message):
     assert str(err.value) == message
     line, column, rest = message.split(":", 2)
     assert (err.value.line, err.value.column, err.value.message) == (int(line), int(column), rest[1:])
+
+
+def test_hyphen_between_variables_is_a_difference():
+    R = PolyRing(4)
+    z = R.variables()
+    ff = parse_form_file("ring z0 z1 z2 z3\nform (z1-z0)*z1 dz0 + (z0-z1)*z0 dz1")
+    assert ff.form.coefficients[:2] == ((z[1] - z[0]) * z[1], (z[0] - z[1]) * z[0])
+    assert parse_polynomial(R, "z0-z1-2-z3^2") == z[0] - z[1] - R.constant(2) - z[3] ** 2
+    assert parse_polynomial(R, "(z0-z1)*z2") == (z[0] - z[1]) * z[2]
+
+
+def test_hyphenated_header_words():
+    text = "ring z0 z1 z2 z3\nname L1111-alt-2\nexpected-degree 0\nform (z1) dz0 + (-z0) dz1\n"
+    ff = parse_form_file(text)
+    assert (ff.name, ff.expected_degree) == ("L1111-alt-2", 0)
+    assert print_form_file(ff.form, ff.name, ff.expected_degree) == text
+    with pytest.raises(ParseError) as err:
+        parse_form_file("ring z0 z1\nexpected - degree 0\nform (z1) dz0 - (z0) dz1")
+    assert str(err.value) == "2:1: expected 'form', found 'expected'"
 
 
 def test_parse_polynomial():

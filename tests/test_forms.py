@@ -1,6 +1,7 @@
 """Projective 1-forms: validation, exterior calculus, constructors."""
 
 from fractions import Fraction
+from itertools import combinations
 from random import Random
 
 import pytest
@@ -22,12 +23,15 @@ from foliations.forms import (
     integrability_check,
     logarithmic_form,
     projectivize,
+    proportional,
     pullback_from_plane,
     singular_ideal,
     validate,
 )
 from foliations.groebner import Ideal, ideal_equal
 from foliations.rings import PolyRing, apply_linear_change
+
+from .conftest import build_corpus, random_homogeneous, random_rational
 
 R = PolyRing(4)
 Z = R.variables()
@@ -280,3 +284,45 @@ def test_exceptional_degree_and_integrability(exceptional2):
 def test_apply_projectivity_identity(l1111):
     eye = [[int(i == j) for j in range(4)] for i in range(4)]
     assert apply_projectivity(l1111, eye) == l1111
+
+
+# -- proportionality -------------------------------------------------------------------
+
+
+def _minors_vanish(F, G) -> bool:
+    return all(F[i] * G[j] == F[j] * G[i] for i, j in combinations(range(len(F)), 2))
+
+
+def test_proportional_agrees_with_the_minors():
+    rng = Random(11)
+    outcomes = set()
+    for trial in range(400):
+        G = [random_homogeneous(rng, R, 2) if rng.random() < 0.75 else R.zero() for _ in range(4)]
+        ratio = random_rational(rng) * rng.choice([1, -1])  # negative and Fraction ratios too
+        F = [g.scale(ratio) for g in G]
+        kind = trial % 5
+        k = rng.randrange(4)
+        if kind == 1:  # one entry off by a term
+            F[k] = F[k] + R.monomial((2, 0, 0, 0) if k % 2 else (0, 1, 0, 1), rng.choice([1, -2]))
+        elif kind == 2:  # mismatched zero patterns
+            F[k] = R.zero() if not F[k].is_zero() else random_homogeneous(rng, R, 2)
+        elif kind == 3:  # a ratio of linear forms: the minors vanish, no constant relates them
+            A = [random_homogeneous(rng, R, 1) if rng.random() < 0.75 else R.zero() for _ in range(4)]
+            h1, h2 = random_homogeneous(rng, R, 1), random_homogeneous(rng, R, 1)
+            F, G = [h1 * a for a in A], [h2 * a for a in A]
+        elif kind == 4:
+            F = [random_homogeneous(rng, R, 2) if rng.random() < 0.75 else R.zero() for _ in range(4)]
+        expected = _minors_vanish(F, G)
+        assert proportional(F, G) == expected == proportional(G, F), (F, G)
+        outcomes.add((kind, expected))
+    assert {(0, True), (1, False), (2, False), (3, True), (4, False)} <= outcomes
+    zero = [R.zero()] * 4
+    assert proportional(zero, G) and proportional(G, zero) and proportional(zero, zero)
+
+
+def test_is_proportional_to_on_the_corpus():
+    forms = [form for _, form in build_corpus()]
+    for f in forms:
+        assert f.is_proportional_to(f.scale(Fraction(-2, 3)))
+        for g in forms:
+            assert f.is_proportional_to(g) == _minors_vanish(f.coefficients, g.coefficients)

@@ -241,6 +241,28 @@ def test_apply_composition_matches_evaluation_oracle():
         assert apply_linear_change(p, A).evaluate(point) == p.evaluate(image)
 
 
+def test_evaluate_stays_on_integers():
+    rng = Random(5)
+    for _ in range(100):
+        terms = {}
+        for _ in range(rng.randint(0, 5)):
+            terms[tuple(rng.randint(0, 3) for _ in range(4))] = rng.randint(-9, 9)
+        p = R.from_dict(terms)
+        integers = [rng.randint(-4, 4) for _ in range(4)]
+        fractions = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(4)]
+        for point in (integers, fractions):
+            reference = Fraction(0)
+            for e, c in p.terms:
+                term = Fraction(c)
+                for x, k in zip(point, e):
+                    term *= Fraction(x) ** k
+                reference += term
+            value = p.evaluate(point)
+            assert value == reference
+            if all(type(x) is int for x in point):
+                assert type(value) is int
+
+
 # -- rendering -------------------------------------------------------------------
 
 
