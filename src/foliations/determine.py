@@ -41,7 +41,7 @@ from .forms import (
 from .groebner import Ideal, ideal_equal
 from .hilbert import hilbert_data
 from .linalg import echelon, rank
-from .modules import StepBudgetExceeded
+from .modules import StepBudgetExceeded, vec_integral
 from .rings import PolyRing, Polynomial, Rational, exact
 from .saturation import saturate
 
@@ -216,12 +216,14 @@ def integrability_system(family: DistributionFamily) -> list[Polynomial]:
     Expands (sum a_k w_k) ^ d(sum a_j w_j) and collects, per 3-form component
     and z-monomial, the quadratic coefficient polynomial in the parameters.
     When the base is integrable the pure base-parameter block must vanish,
-    which is asserted.
+    which is asserted.  The products are taken of the integral multiples
+    m_k w_k and divided by m_k m_j after, so that no ``Fraction`` is
+    multiplied.
     """
     ring = family.base.ring
     pring = family.parameter_ring
     p = family.parameter_dim
-    tuples = family.member_tuples
+    tuples, multipliers = zip(*(vec_integral(t) for t in family.member_tuples))
     derivs = [
         exterior_derivative(ProjectiveOneForm(ring, t, family.base.degree))
         for t in tuples
@@ -242,9 +244,12 @@ def integrability_system(family: DistributionFamily) -> list[Polynomial]:
                 entries = merged
             else:
                 entries = three.entries
+            m = multipliers[k] * multipliers[j]
             for triple, poly in entries.items():
                 for e, c in poly.terms:
-                    collected.setdefault((triple, e), {})[(k, j)] = c
+                    collected.setdefault((triple, e), {})[(k, j)] = (
+                        c if m == 1 else exact(Fraction(c, m))
+                    )
     base_integrable = integrability_check(family.base)
     system: list[Polynomial] = []
     seen = set()

@@ -22,6 +22,7 @@ from typing import Sequence
 
 from .groebner import Ideal, normal_form
 from .hilbert import hilbert_data
+from .modules import vec_integral
 from .rings import (
     PolyRing,
     Polynomial,
@@ -233,8 +234,13 @@ def wedge_1_2(
 
 
 def integrability_check(form: ProjectiveOneForm | AffineOneForm) -> bool:
-    """True when omega ^ d omega = 0 identically."""
-    return wedge_1_2(form.coefficients, exterior_derivative(form)).is_zero()
+    """True when omega ^ d omega = 0 identically.
+
+    Checked on the integral multiple m*omega, whose product is m^2 times
+    omega's, so that no ``Fraction`` is multiplied.
+    """
+    F, _ = vec_integral(form.coefficients)
+    return wedge_1_2(F, exterior_derivative(AffineOneForm(form.ring, F))).is_zero()
 
 
 # -- singular scheme ----------------------------------------------------------

@@ -154,6 +154,63 @@ def test_exceptional_family(exceptional2):
     assert len(outcome.members) == 1
 
 
+def _system_over_q(family) -> list:
+    """The integrability system expanded on the members' own rational tuples."""
+    ring, pring = family.base.ring, family.parameter_ring
+    tuples = family.member_tuples
+    derivs = [exterior_derivative(ProjectiveOneForm(ring, t, family.base.degree)) for t in tuples]
+    collected: dict = {}
+    for k in range(len(tuples)):
+        for j in range(k, len(tuples)):
+            three = wedge_1_2(tuples[k], derivs[j]).entries
+            if j > k:
+                other = wedge_1_2(tuples[j], derivs[k]).entries
+                zero = ring.zero()
+                three = {t: three.get(t, zero) + other.get(t, zero) for t in set(three) | set(other)}
+            for triple, poly in three.items():
+                for e, c in poly.terms:
+                    exps = [0] * pring.num_vars
+                    exps[k] += 1
+                    exps[j] += 1
+                    collected.setdefault((triple, e), {})[tuple(exps)] = c
+    return [pring.from_dict(d).primitive() for d in collected.values() if any(d.values())]
+
+
+def test_integral_system_is_the_rational_one():
+    # the system is expanded on integral multiples of the member tuples
+    rational = []
+    for seed in (0, 1, 3):
+        for name, form in build_determination_forms():
+            form = seeded(name, form, seed)
+            if not _report_from(_Analysis.of(form)).is_split:
+                continue
+            family = distribution_family(form)
+            if family.parameter_dim < 2:
+                continue
+            coefficients = [c for t in family.member_tuples for f in t for _, c in f.terms]
+            if any(type(c) is Fraction for c in coefficients):
+                rational.append((name, seed))
+            expected = list(dict.fromkeys(_system_over_q(family)))
+            assert integrability_system(family) == expected, (name, seed)
+    assert ("L22", 3) in rational
+    # members with true fractions, whose products are divided after
+    family = distribution_family(dict(build_corpus())["exceptional-d2"])
+    scales = (Fraction(1, 2), Fraction(-2, 3))
+    family.member_tuples = [
+        tuple(f.scale(s) for f in t) for s, t in zip(scales, family.member_tuples)
+    ]
+    system = integrability_system(family)
+    assert system and system == list(dict.fromkeys(_system_over_q(family)))
+
+
+def test_integrability_check_of_a_rational_multiple(l1111, l112):
+    for form in (l1111, l112):
+        assert integrability_check(form.scale(Fraction(-2, 3))) == integrability_check(form)
+    half = Fraction(1, 2)
+    contact = ProjectiveOneForm(R, (Z[1] * half, Z[0] * -half, Z[3] * half, Z[2] * -half), 0)
+    assert not integrability_check(contact)
+
+
 def test_l1111_family_all_integrable(l1111):
     family = distribution_family(l1111)
     assert family.parameter_dim == 3
