@@ -2,7 +2,12 @@
 
 The package is organized in layers:
 
-* ``rings`` -- sparse exact-rational polynomials and graded monomial orders.
+* ``rings`` -- sparse exact-rational polynomials and graded monomial orders;
+  ``add_product`` expands a sum of products into one unsorted coefficient
+  dict, the one product loop, which the exact identities outside the
+  Buchberger loop (omega ^ d omega, the Euler relation, the integrability
+  system, the pencil's determinant, syzygy certificates) test or read
+  without sorting.
 * ``linalg`` -- one exact fraction-free elimination over Q: echelon, rank
   and kernel bases of dense rational matrices.
 * ``modules`` -- the one Buchberger engine: module Groebner bases, division,
@@ -11,12 +16,14 @@ The package is organized in layers:
   commutative algebra built on it (ideals and reduced bases, free
   resolutions, Hilbert series, colon/saturation, the top Ext of a
   resolution).
-* ``forms`` -- projective 1-forms, exterior calculus, singular schemes, and
-  the standard constructors (logarithmic, pull-back, exceptional).
+* ``forms`` -- projective 1-forms, exterior calculus into unsorted
+  coefficient dicts, singular schemes, and the standard constructors
+  (logarithmic, pull-back, exceptional).
 * ``classify`` -- ``classify``, the one report of the decisions: saturated /
   curve / ACM / split, splitting type, Rao dimensions, Betti table.
 * ``determine`` -- linear syzygy families and determination of a split
-  foliation by its singular scheme.
+  foliation by its singular scheme; the scan tests its candidates at
+  integral points.
 * ``formfile`` / ``cli`` -- the input language and command-line surface.
 """
 

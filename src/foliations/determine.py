@@ -12,6 +12,12 @@ What is verified where:
 * the system's coefficients are those of omega ^ d omega, so a parameter
   point solves the system exactly when its member is integrable as an
   identity; a scan point is tested on the system first;
+* the system and the degenerate locus (the pencil's determinant) are
+  expanded into unsorted coefficient dicts (``rings.add_product``), and a
+  member is summed into one; each polynomial is sorted once.  The system
+  and the locus are homogeneous in the parameters, so a scan candidate is
+  tested at its least integral multiple, on integers (the quadrics and the
+  locus made primitive), while its member is built from the candidate;
 * every member ``integrable_members`` reports is validated and runs
   ``integrability_check`` once, just before it is kept, so candidates that
   are degenerate or proportional to a kept member cost neither;
@@ -26,28 +32,25 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import product
+from itertools import combinations, product
+from math import lcm
 
 from .classify import _Analysis, _report_from, _split_from, graded_syzygy_basis
 from .forms import (
     FormError,
     ProjectiveOneForm,
-    exterior_derivative,
+    add_wedge,
+    differential,
     integrability_check,
     proportional,
     validate,
-    wedge_1_2,
 )
 from .groebner import Ideal, ideal_equal
 from .hilbert import hilbert_data
 from .linalg import echelon, rank
 from .modules import StepBudgetExceeded, vec_integral
-from .rings import PolyRing, Polynomial, Rational, exact
+from .rings import PolyRing, Polynomial, Rational, add_product, exact
 from .saturation import saturate
-
-
-class SingularMatrix(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -113,16 +116,18 @@ def constant_syzygy_space(form: ProjectiveOneForm) -> list[tuple[Fraction, ...]]
     return out
 
 
-def _apply_matrix(F: tuple[Polynomial, ...], m) -> list[Polynomial]:
-    ring = F[0].ring
-    out = []
-    for i in range(len(F)):
-        acc = ring.zero()
-        for j, f in enumerate(F):
-            if m[i][j]:
-                acc = acc + f.scale(m[i][j])
-        out.append(acc)
-    return out
+def _combination(weights, polys: tuple[Polynomial, ...]) -> Polynomial:
+    """sum_j weights[j] * polys[j], integral coefficients stored as ``int``.
+
+    The terms keep the exponent tuples of ``polys``, so a kept member or
+    witness shares them with the family instead of holding copies.
+    """
+    acc: dict = {}
+    for c, f in zip(weights, polys):
+        if c:
+            for e, x in f.terms:
+                acc[e] = acc.get(e, 0) + c * x
+    return polys[0].ring.from_dict(acc)
 
 
 @dataclass
@@ -149,30 +154,27 @@ class DistributionFamily:
         return [exact(Fraction(a)) for a in alpha]
 
     def member_coefficients(self, alpha) -> tuple[Polynomial, ...]:
-        ring = self.base.ring
-        acc = [ring.zero()] * ring.num_vars
-        for c, tup in zip(self._weights(alpha), self.member_tuples):
-            if c:
-                acc = [a + f.scale(c) for a, f in zip(acc, tup)]
-        return tuple(acc)
-
-    def member_form(self, alpha) -> ProjectiveOneForm:
-        # the degenerate locus is the determinant of the pencil
-        if self.degenerate_locus.evaluate(self._weights(alpha)) == 0:
-            raise SingularMatrix(f"parameter {alpha} lies in the degenerate locus")
-        return validate(self.member_coefficients(alpha))
+        weights = self._weights(alpha)
+        return tuple(_combination(weights, column) for column in zip(*self.member_tuples))
 
 
 def _poly_det(entries: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
+    """The determinant by cofactor expansion along each row from the bottom up.
+
+    The minors of the lower rows are kept per column set as unsorted
+    coefficient dicts, so each is expanded once and nothing is sorted
+    before the determinant itself.
+    """
     n = len(entries)
-    if n == 1:
-        return entries[0][0]
-    acc = ring.zero()
-    for j in range(n):
-        minor = [[row[k] for k in range(n) if k != j] for row in entries[1:]]
-        term = entries[0][j] * _poly_det(minor, ring)
-        acc = acc + (term if j % 2 == 0 else -term)
-    return acc
+    minors = {(): {(0,) * ring.num_vars: 1}}
+    for r in range(n - 1, -1, -1):
+        lower, minors = minors, {}
+        for cols in combinations(range(n), n - r):
+            acc = minors[cols] = {}
+            for t, j in enumerate(cols):
+                rest = lower[cols[:t] + cols[t + 1 :]].items()
+                add_product(acc, entries[r][j].terms, rest, -1 if t % 2 else 1)
+    return ring.from_dict(minors[tuple(range(n))])
 
 
 def distribution_family(form: ProjectiveOneForm, budget: int | None = None) -> DistributionFamily:
@@ -189,21 +191,13 @@ def _family_from(analysis: _Analysis) -> DistributionFamily:
     p = len(syzygies)
     param_ring = PolyRing(p) if p > 1 else PolyRing(1)
     n = form.ring.num_vars
+    units = param_ring.variables()
     pencil = [
-        [
-            param_ring.from_dict(
-                {
-                    tuple(1 if t == k else 0 for t in range(param_ring.num_vars)): m.entries[i][j]
-                    for k, m in enumerate(matrices)
-                    if m.entries[i][j]
-                }
-            )
-            for j in range(n)
-        ]
+        [_combination([m.entries[i][j] for m in matrices], units) for j in range(n)]
         for i in range(n)
     ]
     locus = _poly_det(pencil, param_ring)
-    members = [tuple(_apply_matrix(form.coefficients, m.entries)) for m in matrices]
+    members = [tuple(_combination(row, form.coefficients) for row in m.entries) for m in matrices]
     return DistributionFamily(form, syzygies, matrices, param_ring, members, locus)
 
 
@@ -213,63 +207,51 @@ def _family_from(analysis: _Analysis) -> DistributionFamily:
 def integrability_system(family: DistributionFamily) -> list[Polynomial]:
     """Quadrics in the parameters whose zero locus is the integrable members.
 
-    Expands (sum a_k w_k) ^ d(sum a_j w_j) and collects, per 3-form component
-    and z-monomial, the quadratic coefficient polynomial in the parameters.
-    When the base is integrable the pure base-parameter block must vanish,
-    which is asserted.  The products are taken of the integral multiples
-    m_k w_k and divided by m_k m_j after, so that no ``Fraction`` is
-    multiplied.
+    Expands (sum a_k w_k) ^ d(sum a_j w_j): the coefficient of a_k a_j
+    (k <= j) is w_k ^ dw_j + w_j ^ dw_k, accumulated per 3-form component
+    into one coefficient dict and read off per z-monomial into the table
+    (component, monomial) -> {a_k a_j: c}, each entry of which is a quadric;
+    they are returned primitive, each once, sorted by their terms.
+    The products are taken of the integral multiples m_k w_k and divided by
+    m_k m_j after, so that no ``Fraction`` is multiplied.  When the base is
+    integrable the pure base-parameter block must vanish, which is
+    asserted against ``integrability_check(family.base)``: an independent
+    check of that block, where reading it off the block would assert a
+    tautology.
     """
-    ring = family.base.ring
     pring = family.parameter_ring
     p = family.parameter_dim
     tuples, multipliers = zip(*(vec_integral(t) for t in family.member_tuples))
-    derivs = [
-        exterior_derivative(ProjectiveOneForm(ring, t, family.base.degree))
-        for t in tuples
-    ]
-    collected: dict[tuple, dict[tuple[int, int], Fraction]] = {}
+    derivs = [differential(t) for t in tuples]
+    triples = list(combinations(range(family.base.ring.num_vars), 3))
+    collected: dict[tuple, dict[tuple[int, ...], Rational]] = {}
     for k in range(p):
         for j in range(k, p):
-            three = wedge_1_2(tuples[k], derivs[j])
-            if j > k:
-                other = wedge_1_2(tuples[j], derivs[k])
-                merged = {}
-                for key in set(three.entries) | set(other.entries):
-                    s = three.entries.get(key, ring.zero()) + other.entries.get(
-                        key, ring.zero()
-                    )
-                    if not s.is_zero():
-                        merged[key] = s
-                entries = merged
-            else:
-                entries = three.entries
             m = multipliers[k] * multipliers[j]
-            for triple, poly in entries.items():
-                for e, c in poly.terms:
-                    collected.setdefault((triple, e), {})[(k, j)] = (
-                        c if m == 1 else exact(Fraction(c, m))
-                    )
+            a_kj = tuple((t == k) + (t == j) for t in range(pring.num_vars))
+            for triple in triples:
+                acc = add_wedge({}, tuples[k], derivs[j], triple)
+                if j > k:
+                    add_wedge(acc, tuples[j], derivs[k], triple)
+                for e, c in acc.items():
+                    if c:
+                        quad = collected.setdefault((triple, e), {})
+                        quad[a_kj] = c if m == 1 else Fraction(c, m)
     base_integrable = integrability_check(family.base)
+    base_block = (2,) + (0,) * (pring.num_vars - 1)
     system: list[Polynomial] = []
     seen = set()
-    for _, quad in collected.items():
-        if base_integrable and quad.get((0, 0)):
+    for quad in collected.values():
+        if base_integrable and quad.get(base_block):
             raise AssertionError("integrable base contributed a pure base-parameter term")
-        d = {}
-        for (k, j), c in quad.items():
-            e = [0] * pring.num_vars
-            e[k] += 1
-            e[j] += 1
-            d[tuple(e)] = c
-        q = pring.from_dict(d)
-        if q.is_zero():
-            continue
-        q = q.primitive()
+        q = pring.from_dict(quad).primitive()
         if q.terms not in seen:
             seen.add(q.terms)
             system.append(q)
-    return system
+    # in one order, however the table was filled: the system's Groebner basis
+    # reduces its generators in the order given, and a pair budget counts that run
+    key = pring.exp_key
+    return sorted(system, key=lambda q: [(key(e), c) for e, c in q.terms])
 
 
 @dataclass
@@ -283,6 +265,17 @@ class FamilyIntegrability:
 
     def non_base_members(self, base: ProjectiveOneForm) -> list[ProjectiveOneForm]:
         return [f for _, f in self.members if not f.is_proportional_to(base)]
+
+
+@cache
+def _scan_points(p: int) -> tuple[tuple[tuple[Rational, ...], tuple[int, ...]], ...]:
+    """Each scan candidate with its least integral multiple, where the scan's
+    zero tests, homogeneous in the parameters, are evaluated on integers."""
+    points = []
+    for alpha in _scan_candidates(p):
+        den = lcm(*(a.denominator for a in alpha))
+        points.append((alpha, tuple(int(a * den) for a in alpha)))
+    return tuple(points)
 
 
 @cache
@@ -321,13 +314,14 @@ def integrable_members(
         return FamilyIntegrability("finite", True, 1, [base_member])
     system = integrability_system(family)
     pring = family.parameter_ring
+    locus = family.degenerate_locus.primitive()
 
     def collect_witnesses(count: int) -> list[tuple[tuple[Rational, ...], ProjectiveOneForm]]:
         found = [base_member]
-        for alpha in _scan_candidates(p):
+        for alpha, point in _scan_points(p):
             if len(found) >= count:
                 break
-            if any(q.evaluate(alpha) for q in system) or not family.degenerate_locus.evaluate(alpha):
+            if any(q.evaluate(point) for q in system) or not locus.evaluate(point):
                 continue
             coefficients = family.member_coefficients(alpha)
             if any(proportional(coefficients, f.coefficients) for _, f in found):

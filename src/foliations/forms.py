@@ -11,6 +11,12 @@ stripping any common monomial factor.  Sign conventions are fixed here once:
 With these choices i_R(d omega) = (d+2) omega on every valid form, which the
 test suite checks corpus-wide; integrability omega ^ d omega = 0 is
 convention independent.
+
+No exterior product is built as a polynomial: ``differential`` gives each
+(d omega)_{ij} as a term tuple, and ``add_wedge`` expands a component of
+omega ^ eta into one unsorted coefficient dict (``rings.add_product``),
+which is only tested for zero or read coefficient by coefficient.  The
+Euler relation is checked the same way.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from .rings import (
     PolyRing,
     Polynomial,
     Rational,
+    add_product,
     apply_linear_change,
     exact,
     homogenize,
@@ -124,35 +131,6 @@ class AffineOneForm:
     coefficients: tuple[Polynomial, ...]
 
 
-@dataclass(frozen=True)
-class HomogeneousTwoForm:
-    """Antisymmetric coefficients on index pairs; stored for i < j."""
-
-    ring: PolyRing
-    entries: dict[tuple[int, int], Polynomial]
-
-    def get(self, i: int, j: int) -> Polynomial:
-        if i == j:
-            return self.ring.zero()
-        if i < j:
-            return self.entries.get((i, j), self.ring.zero())
-        return -self.entries.get((j, i), self.ring.zero())
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.entries.values())
-
-
-@dataclass(frozen=True)
-class HomogeneousThreeForm:
-    """Antisymmetric coefficients on index triples; stored for i < j < k."""
-
-    ring: PolyRing
-    entries: dict[tuple[int, int, int], Polynomial]
-
-    def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.entries.values())
-
-
 # -- validation ---------------------------------------------------------------
 
 
@@ -193,11 +171,11 @@ def validate(coefficients: Sequence[Polynomial]) -> ProjectiveOneForm:
     degrees = {f.degree() for f in coefficients if not f.is_zero()}
     if len(degrees) != 1:
         raise DegreeMismatch(f"coefficient degrees differ: {sorted(degrees)}")
-    euler = ring.zero()
+    euler: dict = {}
     for j, f in enumerate(coefficients):
-        euler = euler + ring.variable(j) * f
-    if not euler.is_zero():
-        raise EulerViolation(f"sum z_j F_j = {euler} != 0")
+        add_product(euler, ring.variable(j).terms, f.terms)
+    if any(euler.values()):
+        raise EulerViolation(f"sum z_j F_j = {ring.from_dict(euler)} != 0")
     stripped = strip_common_monomial(coefficients)
     degree = next(f for f in stripped if not f.is_zero()).degree() - 1
     return ProjectiveOneForm(ring, tuple(stripped), degree)
@@ -206,41 +184,37 @@ def validate(coefficients: Sequence[Polynomial]) -> ProjectiveOneForm:
 # -- exterior calculus --------------------------------------------------------
 
 
-def exterior_derivative(form: ProjectiveOneForm | AffineOneForm) -> HomogeneousTwoForm:
-    F = form.coefficients
-    ring = form.ring
-    entries = {}
-    for i, j in combinations(range(len(F)), 2):
-        p = F[j].partial_derivative(i) - F[i].partial_derivative(j)
-        if not p.is_zero():
-            entries[(i, j)] = p
-    return HomogeneousTwoForm(ring, entries)
+def differential(F: Sequence[Polynomial]) -> dict[tuple[int, int], tuple]:
+    """(d omega)_{ij} = dF_j/dz_i - dF_i/dz_j for i < j, as term tuples."""
+    return {
+        (i, j): (F[j].partial_derivative(i) - F[i].partial_derivative(j)).terms
+        for i, j in combinations(range(len(F)), 2)
+    }
 
 
-def wedge_1_2(
-    coefficients: Sequence[Polynomial], eta: HomogeneousTwoForm
-) -> HomogeneousThreeForm:
-    ring = eta.ring
-    entries = {}
-    for i, j, k in combinations(range(len(coefficients)), 3):
-        p = (
-            coefficients[i] * eta.get(j, k)
-            - coefficients[j] * eta.get(i, k)
-            + coefficients[k] * eta.get(i, j)
-        )
-        if not p.is_zero():
-            entries[(i, j, k)] = p
-    return HomogeneousThreeForm(ring, entries)
+def add_wedge(
+    acc: dict, F: Sequence[Polynomial], eta: dict[tuple[int, int], tuple], triple
+) -> dict:
+    """acc += (omega ^ eta)_{ijk} = F_i eta_jk - F_j eta_ik + F_k eta_ij."""
+    i, j, k = triple
+    add_product(acc, F[i].terms, eta[(j, k)])
+    add_product(acc, F[j].terms, eta[(i, k)], -1)
+    return add_product(acc, F[k].terms, eta[(i, j)])
 
 
 def integrability_check(form: ProjectiveOneForm | AffineOneForm) -> bool:
     """True when omega ^ d omega = 0 identically.
 
     Checked on the integral multiple m*omega, whose product is m^2 times
-    omega's, so that no ``Fraction`` is multiplied.
+    omega's, so that no ``Fraction`` is multiplied; the first component
+    that does not vanish ends the check.
     """
     F, _ = vec_integral(form.coefficients)
-    return wedge_1_2(F, exterior_derivative(AffineOneForm(form.ring, F))).is_zero()
+    dF = differential(F)
+    return not any(
+        any(add_wedge({}, F, dF, triple).values())
+        for triple in combinations(range(len(F)), 3)
+    )
 
 
 # -- singular scheme ----------------------------------------------------------

@@ -60,6 +60,7 @@ from .rings import (
     PolyRing,
     Polynomial,
     Rational,
+    add_product,
     exact,
     merge_terms,
     mono_div,
@@ -91,17 +92,11 @@ Step = tuple[Rational, Exponent, Rational, int]
 # -- raw vector helpers ------------------------------------------------------
 
 
-def vec_zero(ring: PolyRing, rank: int) -> Vec:
-    return tuple(ring.zero() for _ in range(rank))
-
 def vec_unit(ring: PolyRing, rank: int, i: int) -> Vec:
     return tuple(ring.one() if k == i else ring.zero() for k in range(rank))
 
 def vec_is_zero(v: Vec) -> bool:
     return all(c.is_zero() for c in v)
-
-def vec_add(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
 
 def vec_sub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
@@ -113,9 +108,6 @@ def vec_scale(a: Vec, c: Rational) -> Vec:
 
 def vec_mul_term(a: Vec, e: Exponent, c: Rational) -> Vec:
     return tuple(x.mul_term(e, c) for x in a)
-
-def vec_mul_poly(a: Vec, p: Polynomial) -> Vec:
-    return tuple(x * p for x in a)
 
 def _term_key(ring: PolyRing, marks: Marks | None, comp: int, e: Exponent) -> tuple:
     if marks is None:
@@ -430,15 +422,16 @@ def _buchberger(
     return basis, syzygies, kept, leads
 
 
-def _certify(syzygies: list[Vec], gens: Sequence[Vec], ring: PolyRing) -> None:
-    """Expand each syzygy against the generators; raise unless it is zero."""
-    rank = len(gens[0])
+def _certify(syzygies: list[Vec], gens: Sequence[Vec]) -> None:
+    """Expand each syzygy against the generators, one component at a time,
+    into an unsorted coefficient dict; raise unless it is zero."""
     for u in syzygies:
-        total = vec_zero(ring, rank)
-        for coeff, gen in zip(u, gens):
-            total = vec_add(total, vec_mul_poly(gen, coeff))
-        if not vec_is_zero(total):
-            raise AssertionError("syzygy certificate failed to expand to zero")
+        for comp in range(len(gens[0])):
+            total: dict = {}
+            for coeff, gen in zip(u, gens):
+                add_product(total, coeff.terms, gen[comp].terms)
+            if any(total.values()):
+                raise AssertionError("syzygy certificate failed to expand to zero")
 
 
 def syzygy_generators(
@@ -448,7 +441,7 @@ def syzygy_generators(
     if not gens:
         return []
     _, syzygies, _, _ = _buchberger(gens, ring, budget, track=True)
-    _certify(syzygies, gens, ring)
+    _certify(syzygies, gens)
     return syzygies
 
 
@@ -467,7 +460,7 @@ def minimal_syzygies(
     _, syzygies, kept, leads = _buchberger(gens, ring, budget, track=True, marks=marks)
     kept.sort()
     syzygies = [tuple(u[i] for i in kept) for u in syzygies]
-    _certify(syzygies, [gens[i] for i in kept], ring)
+    _certify(syzygies, [gens[i] for i in kept])
     return kept, syzygies, leads
 
 

@@ -15,9 +15,12 @@ every verdict downstream (membership, saturation, splitting) is exact.  An
 alike.
 
 Sums merge the two sorted term tuples in one pass; a product with a
-single-term factor, or a power of one, needs no sort.  The order key of an
-exponent is memoized by its ring (``PolyRing.exp_key``), so the memo lives
-as long as the ring.
+single-term factor, or a power of one, needs no sort.  Every other product
+expands into one unsorted coefficient dict (``add_product``) and is sorted
+once; an identity that only tests a sum of products for zero, or reads its
+coefficients, accumulates the whole sum into one such dict and never sorts.
+The order key of an exponent is memoized by its ring (``PolyRing.exp_key``),
+so the memo lives as long as the ring.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
 from operator import add, le, sub
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 Rational = int | Fraction
@@ -234,6 +237,25 @@ def merge_terms(a: tuple, b: tuple, key: Callable[[Exponent], tuple], negate: bo
     return tuple(out)
 
 
+def add_product(
+    acc: dict[Exponent, Rational], f: Iterable, g: Iterable, c: Rational = 1
+) -> dict[Exponent, Rational]:
+    """acc[e1 + e2] += c*c1*c2 over the terms (e1, c1) of f and (e2, c2) of g.
+
+    f and g are term sequences in any order, repeats allowed (a ``terms``
+    tuple, a list, a dict's ``items()``).  ``acc`` stays unsorted and keeps
+    the entries that cancel to zero; it is returned.
+    """
+    get = acc.get
+    for e1, c1 in f:
+        if c != 1:
+            c1 *= c
+        for e2, c2 in g:
+            e = tuple(map(add, e1, e2))
+            acc[e] = get(e, 0) + c1 * c2
+    return acc
+
+
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
@@ -313,16 +335,8 @@ class Polynomial:
             return self.mul_term(*other.terms[0])
         if len(self.terms) == 1:
             return other.mul_term(*self.terms[0])
-        d: dict[Exponent, Rational] = {}
-        for e1, c1 in self.terms:
-            for e2, c2 in other.terms:
-                e = tuple(map(add, e1, e2))
-                s = d.get(e, 0) + c1 * c2
-                if s:
-                    d[e] = s
-                else:
-                    del d[e]
-        return Polynomial(self.ring, self.ring._sorted(d))
+        d = add_product({}, self.terms, other.terms)
+        return Polynomial(self.ring, self.ring._sorted({e: c for e, c in d.items() if c}))
 
     def __rmul__(self, other: Rational) -> Polynomial:
         return self.scale(other)

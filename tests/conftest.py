@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from foliations.formfile import parse_form_file
 from foliations.forms import (
+    AffineOneForm,
     ProjectiveOneForm,
     apply_projectivity,
     exceptional_form,
@@ -16,7 +19,7 @@ from foliations.forms import (
     pullback_from_plane,
     validate,
 )
-from foliations.rings import PolyRing
+from foliations.rings import PolyRing, Polynomial
 
 
 # a non-integrable degree-2 form whose singular ideal is not saturated: its
@@ -204,3 +207,102 @@ def mat_mul(a, b) -> list[list[Fraction]]:
         [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in bt]
         for row in a
     ]
+
+
+# -- the sorted exterior calculus that forms.differential / forms.add_wedge
+# replaced, kept as their oracle: every product and sum here is a sorted
+# Polynomial
+
+
+@dataclass(frozen=True)
+class HomogeneousTwoForm:
+    """Antisymmetric coefficients on index pairs; stored for i < j."""
+
+    ring: PolyRing
+    entries: dict[tuple[int, int], Polynomial]
+
+    def get(self, i: int, j: int) -> Polynomial:
+        if i == j:
+            return self.ring.zero()
+        if i < j:
+            return self.entries.get((i, j), self.ring.zero())
+        return -self.entries.get((j, i), self.ring.zero())
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.entries.values())
+
+
+@dataclass(frozen=True)
+class HomogeneousThreeForm:
+    """Antisymmetric coefficients on index triples; stored for i < j < k."""
+
+    ring: PolyRing
+    entries: dict[tuple[int, int, int], Polynomial]
+
+    def is_zero(self) -> bool:
+        return all(p.is_zero() for p in self.entries.values())
+
+
+def exterior_derivative(form) -> HomogeneousTwoForm:
+    """d omega of anything with ``ring`` and ``coefficients``."""
+    F = form.coefficients
+    entries = {}
+    for i, j in combinations(range(len(F)), 2):
+        p = F[j].partial_derivative(i) - F[i].partial_derivative(j)
+        if not p.is_zero():
+            entries[(i, j)] = p
+    return HomogeneousTwoForm(form.ring, entries)
+
+
+def wedge_1_2(coefficients, eta: HomogeneousTwoForm) -> HomogeneousThreeForm:
+    entries = {}
+    for i, j, k in combinations(range(len(coefficients)), 3):
+        p = (
+            coefficients[i] * eta.get(j, k)
+            - coefficients[j] * eta.get(i, k)
+            + coefficients[k] * eta.get(i, j)
+        )
+        if not p.is_zero():
+            entries[(i, j, k)] = p
+    return HomogeneousThreeForm(eta.ring, entries)
+
+
+def integrable_oracle(coefficients) -> bool:
+    """omega ^ d omega = 0, on the rational tuple itself."""
+    omega = AffineOneForm(coefficients[0].ring, tuple(coefficients))
+    return wedge_1_2(omega.coefficients, exterior_derivative(omega)).is_zero()
+
+
+def euler_oracle(coefficients) -> Polynomial:
+    """sum z_j F_j."""
+    ring = coefficients[0].ring
+    total = ring.zero()
+    for j, f in enumerate(coefficients):
+        total = total + ring.variable(j) * f
+    return total
+
+
+def integrability_system_oracle(family) -> list:
+    """The integrability system expanded on the members' own rational tuples,
+    through sorted products, each quadric once, made primitive."""
+    pring = family.parameter_ring
+    tuples = family.member_tuples
+    derivs = [exterior_derivative(AffineOneForm(family.base.ring, t)) for t in tuples]
+    collected: dict = {}
+    for k in range(len(tuples)):
+        for j in range(k, len(tuples)):
+            three = wedge_1_2(tuples[k], derivs[j]).entries
+            if j > k:
+                other = wedge_1_2(tuples[j], derivs[k]).entries
+                zero = family.base.ring.zero()
+                three = {
+                    t: three.get(t, zero) + other.get(t, zero) for t in set(three) | set(other)
+                }
+            for triple, poly in three.items():
+                for e, c in poly.terms:
+                    exps = [0] * pring.num_vars
+                    exps[k] += 1
+                    exps[j] += 1
+                    collected.setdefault((triple, e), {})[tuple(exps)] = c
+    quadrics = [pring.from_dict(d).primitive() for d in collected.values() if any(d.values())]
+    return list(dict.fromkeys(quadrics))

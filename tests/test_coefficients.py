@@ -40,6 +40,11 @@ def _assert_exact(polys, what: str) -> None:
         assert type(c) in (int, Fraction), f"{what}: coefficient {c!r} of type {type(c).__name__}"
 
 
+def _assert_stored_as_int_when_integral(polys, what: str) -> None:
+    for c in _coefficients(polys):
+        assert type(c) is int or c.denominator != 1, f"{what}: integral coefficient {c!r}"
+
+
 @pytest.mark.parametrize("name,form", build_corpus(), ids=[n for n, _ in build_corpus()])
 def test_outputs_hold_exact_coefficients(name, form):
     I = singular_ideal(form)
@@ -55,11 +60,15 @@ def test_outputs_hold_exact_coefficients(name, form):
         return
     family = _family_from(analysis)
     _assert_exact([p for t in family.member_tuples for p in t], "family member tuples")
+    _assert_stored_as_int_when_integral(
+        [p for t in family.member_tuples for p in t], "family member tuples"
+    )
     outcome = integrable_members(family)
     _assert_exact([p for _, f in outcome.members for p in f.coefficients], "family members")
     verdict = is_determined_by_singular_scheme(form)
     if verdict.witness is not None:
         _assert_exact(verdict.witness.coefficients, "witness")
+        _assert_stored_as_int_when_integral(verdict.witness.coefficients, "witness")
 
 
 def _integral_input():

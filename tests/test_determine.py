@@ -2,16 +2,20 @@
 
 import json
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
+from random import Random
 
 import pytest
 
+import foliations.determine as determine
 from foliations.classify import _Analysis, _report_from, saturated_resolution
 from foliations.determine import (
     DistributionFamily,
-    SingularMatrix,
+    _poly_det,
     _same_span,
     _scan_candidates,
+    _scan_points,
     constant_syzygy_space,
     distribution_family,
     integrability_system,
@@ -21,10 +25,9 @@ from foliations.determine import (
 )
 from foliations.forms import (
     ProjectiveOneForm,
-    exterior_derivative,
     integrability_check,
     singular_ideal,
-    wedge_1_2,
+    validate,
 )
 from foliations.groebner import Ideal, ideal_equal
 from foliations.linalg import rank
@@ -32,12 +35,34 @@ from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing
 from foliations.saturation import saturate
 
-from .conftest import build_corpus, build_determination_forms, build_larger_split_forms, seeded
+from .conftest import (
+    build_corpus,
+    build_determination_forms,
+    build_larger_split_forms,
+    exterior_derivative,
+    integrability_system_oracle,
+    random_homogeneous,
+    random_rational,
+    seeded,
+    wedge_1_2,
+)
 
 DETERMINATIONS = Path(__file__).parent / "data" / "determinations.json"
 R = PolyRing(4)
 Z = R.variables()
 IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+
+
+class SingularMatrix(ValueError):
+    pass
+
+
+def _member_form(family, alpha) -> ProjectiveOneForm:
+    """The validated member at alpha, refused in the degenerate locus (the pencil's determinant)."""
+    coefficients = family.member_coefficients(alpha)
+    if family.degenerate_locus.evaluate(alpha) == 0:
+        raise SingularMatrix(f"parameter {alpha} lies in the degenerate locus")
+    return validate(coefficients)
 
 
 def _matrix_at(family, alpha) -> list[list]:
@@ -80,25 +105,25 @@ def test_constant_syzygies(l1111, exceptional2, pullback_d2):
 def test_identity_matrix_returns_same_form(l1111):
     family = distribution_family(l1111)
     assert _matrix_at(family, (1, 0, 0)) == [list(row) for row in IDENTITY]
-    assert family.member_form((1, 0, 0)) == l1111
+    assert _member_form(family, (1, 0, 0)) == l1111
 
 
 def test_scalar_matrix_scales(l1111):
     family = distribution_family(l1111)
-    out = family.member_form((5, 0, 0))
+    out = _member_form(family, (5, 0, 0))
     assert out.is_proportional_to(l1111)
 
 
 def test_singular_matrix_rejected(l1111):
     family = distribution_family(l1111)
     with pytest.raises(SingularMatrix):
-        family.member_form((0, 0, 0))
+        _member_form(family, (0, 0, 0))
 
 
 def test_member_needs_one_coordinate_per_parameter(l1111):
     family = distribution_family(l1111)
     for alpha in [(1, 1), (1, 1, 0, 5, 7)]:
-        for method in (family.member_coefficients, family.member_form):
+        for method in (family.member_coefficients, partial(_member_form, family)):
             with pytest.raises(ValueError, match="coordinates"):
                 method(alpha)
 
@@ -111,11 +136,22 @@ def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
             singular = rank(_matrix_at(family, alpha)) < 4
             assert (family.degenerate_locus.evaluate(alpha) == 0) == singular
             try:
-                family.member_form(alpha)
+                _member_form(family, alpha)
                 rejected = False
             except SingularMatrix:
                 rejected = True
             assert rejected == singular, (name, alpha)
+
+
+def test_scan_points_are_integral_multiples_of_the_candidates():
+    # the scan's zero tests are homogeneous, so they run at these points
+    for p in range(2, 6):
+        points = _scan_points(p)
+        assert [alpha for alpha, _ in points] == list(_scan_candidates(p))
+        for alpha, point in points:
+            assert all(type(x) is int for x in point)
+            ratio = next(Fraction(x, 1) / a for x, a in zip(point, alpha) if a)
+            assert ratio >= 1 and all(x == ratio * a for x, a in zip(point, alpha)), alpha
 
 
 def test_nonzero_singular_member_rejected(l1111):
@@ -125,14 +161,52 @@ def test_nonzero_singular_member_rejected(l1111):
     assert any(any(row) for row in matrix) and rank(matrix) < 4
     assert family.degenerate_locus.evaluate(alpha) == 0
     with pytest.raises(SingularMatrix):
-        family.member_form(alpha)
+        _member_form(family, alpha)
+
+
+def _sympy_det(entries, syms):
+    """det of the pencil with entries sum_k entries[i][j][k] * a_k, by sympy."""
+    sympy = pytest.importorskip("sympy")
+    linear = [[sum(sympy.Rational(c) * a for c, a in zip(entry, syms)) for entry in row] for row in entries]
+    return sympy.Poly(sympy.Matrix(linear).det(method="berkowitz"), *syms, domain=sympy.QQ)
+
+
+def _as_sympy(poly, syms):
+    sympy = pytest.importorskip("sympy")
+    return sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in poly.terms}, *syms, domain=sympy.QQ)
+
+
+def test_poly_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    # the degenerate locus of every determination family
+    checked = 0
+    for name, form in build_determination_forms():
+        if not _report_from(_Analysis.of(form)).is_split:
+            continue
+        family = distribution_family(form)
+        syms = sympy.symbols(f"a0:{family.parameter_dim}")
+        entries = [[[m.entries[i][j] for m in family.matrices] for j in range(4)] for i in range(4)]
+        assert _as_sympy(family.degenerate_locus, syms) == _sympy_det(entries, syms), name
+        checked += 1
+    assert checked >= 10
+    # random 4x4 pencils of linear forms in 2-6 parameters, zero entries among them
+    rng = Random(3)
+    for trial in range(10):
+        p = 2 + trial % 5
+        pring, syms = PolyRing(p), sympy.symbols(f"a0:{p}")
+        entries = [
+            [[random_rational(rng) if rng.random() < 0.6 else 0 for _ in range(p)] for _ in range(4)]
+            for _ in range(4)
+        ]
+        pencil = [[sum((v * c for v, c in zip(pring.variables(), e)), pring.zero()) for e in row] for row in entries]
+        assert _as_sympy(_poly_det(pencil, pring), syms) == _sympy_det(entries, syms), trial
 
 
 def test_family_members_share_singular_ideal(l1111):
     family = distribution_family(l1111)
     base_sat = saturate(singular_ideal(l1111))
     for alpha in [(1, 1, 0), (1, 0, 1), (2, 1, 1)]:
-        member = family.member_form(alpha)
+        member = _member_form(family, alpha)
         assert ideal_equal(saturate(singular_ideal(member)), base_sat)
 
 
@@ -154,30 +228,21 @@ def test_exceptional_family(exceptional2):
     assert len(outcome.members) == 1
 
 
-def _system_over_q(family) -> list:
-    """The integrability system expanded on the members' own rational tuples."""
-    ring, pring = family.base.ring, family.parameter_ring
-    tuples = family.member_tuples
-    derivs = [exterior_derivative(ProjectiveOneForm(ring, t, family.base.degree)) for t in tuples]
-    collected: dict = {}
-    for k in range(len(tuples)):
-        for j in range(k, len(tuples)):
-            three = wedge_1_2(tuples[k], derivs[j]).entries
-            if j > k:
-                other = wedge_1_2(tuples[j], derivs[k]).entries
-                zero = ring.zero()
-                three = {t: three.get(t, zero) + other.get(t, zero) for t in set(three) | set(other)}
-            for triple, poly in three.items():
-                for e, c in poly.terms:
-                    exps = [0] * pring.num_vars
-                    exps[k] += 1
-                    exps[j] += 1
-                    collected.setdefault((triple, e), {})[tuple(exps)] = c
-    return [pring.from_dict(d).primitive() for d in collected.values() if any(d.values())]
+def _in_ring_order(system: list, pring: PolyRing) -> list:
+    """The quadrics sorted by their terms, each a list of (order key, coefficient)."""
+    return sorted(system, key=lambda q: [(pring.exp_key(e), c) for e, c in q.terms])
+
+
+def _matches_oracle(family) -> bool:
+    # the oracle meets the quadrics in the order of its sorted expansion;
+    # the kernel returns them in the ring order of their terms
+    expected = _in_ring_order(integrability_system_oracle(family), family.parameter_ring)
+    return integrability_system(family) == expected
 
 
 def test_integral_system_is_the_rational_one():
-    # the system is expanded on integral multiples of the member tuples
+    # the system is expanded on integral multiples of the member tuples, into
+    # unsorted dicts; the oracle expands the rational tuples through sorted products
     rational = []
     for seed in (0, 1, 3):
         for name, form in build_determination_forms():
@@ -190,17 +255,74 @@ def test_integral_system_is_the_rational_one():
             coefficients = [c for t in family.member_tuples for f in t for _, c in f.terms]
             if any(type(c) is Fraction for c in coefficients):
                 rational.append((name, seed))
-            expected = list(dict.fromkeys(_system_over_q(family)))
-            assert integrability_system(family) == expected, (name, seed)
-    assert ("L22", 3) in rational
+            assert _matches_oracle(family), (name, seed)
+    # proper fractions only: integral coefficients are stored as int
+    assert ("L1111", 0) in rational and ("L22", 1) in rational
     # members with true fractions, whose products are divided after
     family = distribution_family(dict(build_corpus())["exceptional-d2"])
     scales = (Fraction(1, 2), Fraction(-2, 3))
     family.member_tuples = [
         tuple(f.scale(s) for f in t) for s, t in zip(scales, family.member_tuples)
     ]
-    system = integrability_system(family)
-    assert system and system == list(dict.fromkeys(_system_over_q(family)))
+    assert integrability_system(family) and _matches_oracle(family)
+
+
+def _random_families(base, seed: int, count: int) -> list[DistributionFamily]:
+    """Families of 2-4 random member tuples over ``base``: Fraction
+    coefficients, zero entries, no Euler relation, no degenerate locus."""
+    rng = Random(seed)
+    families = []
+    for trial in range(count):
+        p = 2 + trial % 3
+        members = [
+            tuple(
+                random_homogeneous(rng, R, 3) if rng.random() < 0.75 else R.zero()
+                for _ in range(4)
+            )
+            for _ in range(p - 1)
+        ]
+        families.append(
+            DistributionFamily(
+                base=base,
+                syzygy_basis=[None] * p,
+                matrices=[],
+                parameter_ring=PolyRing(p),
+                member_tuples=[base.coefficients] + members,
+                degenerate_locus=PolyRing(p).zero(),
+            )
+        )
+    return families
+
+
+def test_integrability_system_of_random_members(l112):
+    # random member tuples over a non-integrable base
+    for trial, family in enumerate(_random_families(l112.scale(Fraction(3, 2)), 7, 12)):
+        assert integrability_system(family) and _matches_oracle(family), trial
+
+
+def test_budget_limited_kind_does_not_depend_on_the_system_order(l112, monkeypatch):
+    # the system's Groebner basis reduces its generators in the order given and
+    # a pair budget counts that run: the kernel's order and the oracle's (that
+    # of the sorted expansion) give the same kind at every budget tried
+    families = _random_families(l112.scale(Fraction(3, 2)), 7, 12)
+    for seed in (0, 1, 3):
+        for name, form in build_determination_forms():
+            form = seeded(name, form, seed)
+            if _report_from(_Analysis.of(form)).is_split:
+                family = distribution_family(form)
+                if family.parameter_dim > 1 and integrability_system(family):
+                    families.append(family)
+    reordered = decided = 0
+    for family in families:
+        kernel = [integrable_members(family, budget).kind for budget in range(22)]
+        with monkeypatch.context() as patch:
+            patch.setattr(determine, "integrability_system", integrability_system_oracle)
+            before = [integrable_members(family, budget).kind for budget in range(22)]
+        assert kernel == before
+        # the budgets run from too small to enough
+        decided += kernel[0] == "inconclusive" != kernel[-1]
+        reordered += integrability_system(family) != integrability_system_oracle(family)
+    assert decided >= 18 and reordered >= 6
 
 
 def test_integrability_check_of_a_rational_multiple(l1111, l112):

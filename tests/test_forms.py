@@ -12,14 +12,13 @@ from foliations.determine import is_determined_by_singular_scheme
 from foliations.formfile import print_form_file
 from foliations.forms import (
     AffineOneForm,
-    HomogeneousTwoForm,
     CodimTooSmall,
     EulerViolation,
     WeightConstraintViolation,
     ZeroForm,
     apply_projectivity,
+    differential,
     exceptional_form,
-    exterior_derivative,
     integrability_check,
     logarithmic_form,
     projectivize,
@@ -31,7 +30,17 @@ from foliations.forms import (
 from foliations.groebner import Ideal, ideal_equal
 from foliations.rings import PolyRing, apply_linear_change
 
-from .conftest import build_corpus, random_homogeneous, random_rational
+from .conftest import (
+    HomogeneousTwoForm,
+    build_corpus,
+    build_larger_split_forms,
+    euler_oracle,
+    exterior_derivative,
+    integrable_oracle,
+    random_homogeneous,
+    random_rational,
+    seeded,
+)
 
 R = PolyRing(4)
 Z = R.variables()
@@ -68,9 +77,22 @@ def test_common_monomial_stripped():
 # -- exterior calculus ------------------------------------------------------------
 
 
+def kernel_d(form) -> HomogeneousTwoForm:
+    """The kernel's d omega (``differential``), each term tuple summed into a polynomial."""
+    entries = {}
+    for ij, terms in differential(form.coefficients).items():
+        summed: dict = {}
+        for e, c in terms:
+            summed[e] = summed.get(e, 0) + c
+        p = form.ring.from_dict(summed)
+        if not p.is_zero():
+            entries[ij] = p
+    return HomogeneousTwoForm(form.ring, entries)
+
+
 def test_exterior_derivative_sign():
     pencil = validate([Z[1], -Z[0], R.zero(), R.zero()])
-    d = exterior_derivative(pencil)
+    d = kernel_d(pencil)
     assert str(d.get(0, 1)) == "-2"
     assert str(d.get(1, 0)) == "2"
 
@@ -83,6 +105,7 @@ def test_d_squared_zero_on_affine_gradients():
     for _ in range(20):
         f = random_polynomial(rng, ring, max_degree=4)
         omega = AffineOneForm(ring, tuple(f.partial_derivative(i) for i in range(3)))
+        assert not any(differential(omega.coefficients).values())
         assert exterior_derivative(omega).is_zero()
 
 
@@ -100,9 +123,9 @@ def radial_contraction(eta: HomogeneousTwoForm) -> tuple:
     return tuple(out)
 
 
-def test_cartan_identity(pencil, l1111, exceptional2):
-    for form in (pencil, l1111, exceptional2):
-        contracted = radial_contraction(exterior_derivative(form))
+def test_cartan_identity():
+    for _, form in build_corpus() + build_larger_split_forms():
+        contracted = radial_contraction(kernel_d(form))
         scale = form.degree + 2
         assert all(
             (a - b.scale(scale)).is_zero()
@@ -135,6 +158,51 @@ def test_integrability_invariant_under_projectivity(l1111, l112):
     A = [[1, 2, 0, 0], [0, 1, 0, 1], [1, 0, 1, 0], [0, 0, 1, 1]]
     for form in (l1111, l112):
         assert integrability_check(form) == integrability_check(apply_projectivity(form, A))
+
+
+def _random_tuple(rng, degree: int, euler: bool) -> list:
+    """Four degree-``degree`` coefficients, Fraction ones and zero entries among
+    them: i_R of a random 2-form when ``euler`` (the Euler relation holds),
+    else independent entries (it mostly fails)."""
+    if euler:
+        eta = {
+            ij: random_homogeneous(rng, R, degree - 1)
+            for ij in combinations(range(4), 2)
+            if rng.random() < 0.7
+        }
+        return list(radial_contraction(HomogeneousTwoForm(R, eta)))
+    return [random_homogeneous(rng, R, degree) if rng.random() < 0.75 else R.zero() for _ in range(4)]
+
+
+def test_kernel_matches_the_sorted_oracle():
+    # differential, the wedge and the Euler check of forms against the sorted
+    # products they replaced, on every corpus and determination form and on
+    # random tuples
+    tuples = [
+        seeded(name, form, seed).coefficients
+        for seed in (0, 1, 3)
+        for name, form in build_corpus() + build_larger_split_forms()
+    ]
+    rng = Random(5)
+    tuples += [_random_tuple(rng, rng.randint(1, 3), trial % 2 == 0) for trial in range(200)]
+    outcomes = set()
+    for F in tuples:
+        if not any(f.terms for f in F):
+            continue
+        omega = AffineOneForm(R, tuple(F))
+        assert kernel_d(omega).entries == exterior_derivative(omega).entries
+        integrable = integrability_check(omega)
+        assert integrable == integrable_oracle(F), F
+        euler = euler_oracle(F)
+        try:
+            validate(F)
+            violated = False
+        except EulerViolation as exc:
+            assert str(exc) == f"sum z_j F_j = {euler} != 0"
+            violated = True
+        assert violated == (not euler.is_zero()), F
+        outcomes.add((integrable, violated))
+    assert {(True, False), (False, False), (False, True)} <= outcomes
 
 
 # -- singular scheme ---------------------------------------------------------------

@@ -2,6 +2,9 @@
 
 from random import Random
 
+import pytest
+
+import foliations.modules as modules
 from foliations.linalg import rank
 from foliations.modules import (
     module_groebner,
@@ -85,6 +88,19 @@ def test_syzygies_certified_against_random_generators():
             for coeff, g in zip(u, gens):
                 total = total + coeff * g
             assert total.is_zero()
+
+
+def test_certificate_expands_each_component():
+    # rank-2 generators: a syzygy must vanish in every component, not only in the first
+    gens = [(Z[0], Z[1]), (Z[1], Z[2]), (Z[0] + Z[1], Z[1] + Z[2])]
+    syz = syzygy_generators(gens, R)
+    assert syz
+    modules._certify(syz, gens)
+    modules._certify([(Z[1], Z[1], -Z[1])], gens)
+    with pytest.raises(AssertionError, match="certificate"):
+        modules._certify([(Z[1], Z[1], -Z[1])], [gens[0], (Z[1], Z[3]), gens[2]])
+    with pytest.raises(AssertionError, match="certificate"):
+        modules._certify([(Z[1], -Z[1], Z[0])], [(Z[0],), (Z[0],), (Z[1],)])
 
 
 def _span_dimension(syzygies, entry_degree):
