@@ -21,9 +21,9 @@ The package is organized in layers:
   (logarithmic, pull-back, exceptional).
 * ``classify`` -- ``classify``, the one report of the decisions: saturated /
   curve / ACM / split, splitting type, Rao dimensions, Betti table.
-* ``determine`` -- linear syzygy families and determination of a split
-  foliation by its singular scheme; the scan tests its candidates at
-  integral points.
+* ``determine`` -- linear syzygies held as 4x4 matrices, their pencil's
+  families and determination of a split foliation by its singular scheme;
+  the scan tests its candidates at integral points.
 * ``formfile`` / ``cli`` -- the input language and command-line surface.
 """
 

@@ -45,7 +45,7 @@ from .hilbert import HilbertData, ModuleHilbert, hilbert_data
 from .linalg import kernel_basis, rank
 from .modules import InternalInconsistency
 from .resolutions import FreeResolution, free_resolution
-from .rings import Exponent, PolyRing, Polynomial
+from .rings import Exponent, PolyRing, Polynomial, Rational
 from .saturation import saturate
 
 
@@ -110,13 +110,17 @@ def monomials_of_degree(ring: PolyRing, degree: int) -> list[Exponent]:
 
 def _syzygy_matrix(
     coefficients: tuple[Polynomial, ...], entry_degree: int
-) -> tuple[list[list], list[tuple[int, Exponent]]]:
-    """Coefficient matrix of (g_i) -> sum g_i F_i on entries of fixed degree."""
+) -> tuple[list[list], int]:
+    """Coefficient matrix of (g_i) -> sum g_i F_i on entries of fixed degree,
+    with its number of columns.
+
+    Column i*N + k holds the k-th of the N monomials of the entry degree in
+    g_i, the monomials with their exponent tuples descending: in degree 1,
+    z_k, whatever the ring's order.
+    """
     ring = coefficients[0].ring
-    cols: list[tuple[int, Exponent]] = []
-    source_monos = monomials_of_degree(ring, entry_degree)
-    for i in range(len(coefficients)):
-        cols.extend((i, m) for m in source_monos)
+    source_monos = sorted(monomials_of_degree(ring, entry_degree), reverse=True)
+    cols = [(i, m) for i in range(len(coefficients)) for m in source_monos]
     target_deg = entry_degree + max(f.degree() for f in coefficients)
     target = {m: r for r, m in enumerate(monomials_of_degree(ring, target_deg))}
     matrix = [[0] * len(cols) for _ in target]
@@ -124,36 +128,25 @@ def _syzygy_matrix(
         prod = coefficients[i].mul_term(m, 1)
         for e, coeff in prod.terms:
             matrix[target[e]][c] += coeff
-    return matrix, cols
+    return matrix, len(cols)
 
 
-def graded_syzygy_basis(
+def graded_syzygy_rows(
     coefficients: tuple[Polynomial, ...], entry_degree: int
-) -> list[tuple[Polynomial, ...]]:
-    """Basis of {(g_i) : sum g_i F_i = 0} with deg g_i = entry_degree."""
+) -> list[list[Rational]]:
+    """Basis of {(g_i) : sum g_i F_i = 0} with deg g_i = entry_degree, as
+    kernel rows in the column layout of ``_syzygy_matrix``."""
     if entry_degree < 0:
         return []
-    ring = coefficients[0].ring
-    matrix, cols = _syzygy_matrix(coefficients, entry_degree)
-    if not matrix:
-        return []
-    basis = kernel_basis(matrix, ncols=len(cols))
-    n = len(coefficients)
-    out = []
-    for v in basis:
-        entries = [dict() for _ in range(n)]
-        for (i, m), coeff in zip(cols, v):
-            if coeff:
-                entries[i][m] = coeff
-        out.append(tuple(ring.from_dict(d) for d in entries))
-    return out
+    matrix, ncols = _syzygy_matrix(coefficients, entry_degree)
+    return kernel_basis(matrix, ncols=ncols)
 
 
 def graded_syzygy_dimension(coefficients: tuple[Polynomial, ...], entry_degree: int) -> int:
     if entry_degree < 0:
         return 0
-    matrix, cols = _syzygy_matrix(coefficients, entry_degree)
-    return len(cols) - rank(matrix)
+    matrix, ncols = _syzygy_matrix(coefficients, entry_degree)
+    return ncols - rank(matrix)
 
 
 # -- shared analysis ------------------------------------------------------------

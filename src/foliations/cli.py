@@ -25,6 +25,7 @@ from pathlib import Path
 
 from .classify import ConsistencyFailure, InternalInconsistency, classify
 from .determine import (
+    _combination,
     distribution_family,
     integrable_members,
     is_determined_by_singular_scheme,
@@ -192,11 +193,14 @@ def cmd_syzygies(args) -> int:
         family={"dim": len(linear), "constant_dim": len(consts)},
         timings={"total_s": round(time.monotonic() - started, 3)},
     )
-    payload["linear_syzygies"] = [[str(e) for e in s.entries] for s in linear]
+    # l_j = sum_i M_ij z_i, from the columns of each matrix
+    z = form.ring.variables()
+    rendered = [[str(_combination(column, z)) for column in zip(*m)] for m in linear]
+    payload["linear_syzygies"] = rendered
     payload["constant_syzygies"] = [[str(x) for x in v] for v in consts]
     lines = [f"{args.file}: linear syzygy dimension {len(linear)}, constant dimension {len(consts)}"]
-    for s in linear:
-        lines.append("  (" + ", ".join(str(e) for e in s.entries) + ")")
+    for entries in rendered:
+        lines.append("  (" + ", ".join(entries) + ")")
     for v in consts:
         lines.append("  constants (" + ", ".join(str(x) for x in v) + ")")
     _emit(args, payload, lines)

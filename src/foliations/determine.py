@@ -1,11 +1,13 @@
 """Determination of a split foliation by its singular scheme.
 
-Linear syzygies of the coefficient tuple correspond to 4x4 matrices acting
-on the coefficients (the Euler relation is the identity matrix); invertible
-members of the matrix pencil produce every distribution with the same
-singular scheme.  Integrable members are cut out by a quadratic system in
-the pencil parameters, which is solved by Groebner methods over Q; verdicts
-are backed by verified witnesses, never by a dimension claim alone.
+A linear syzygy sum_j l_j F_j = 0 of the coefficient tuple, l_j =
+sum_i M_ij z_i, is held only as its 4x4 matrix M, read straight off a kernel
+row (the Euler relation is the identity matrix); only ``cli syzygies``
+renders the l_j as linear forms.  Invertible members of the matrix pencil
+produce every distribution with the same singular scheme.  Integrable
+members are cut out by a quadratic system in the pencil parameters, which is
+solved by Groebner methods over Q; verdicts are backed by verified
+witnesses, never by a dimension claim alone.
 
 What is verified where:
 
@@ -35,7 +37,7 @@ from functools import cache
 from itertools import combinations, product
 from math import lcm
 
-from .classify import _Analysis, _report_from, _split_from, graded_syzygy_basis
+from .classify import _Analysis, _report_from, _split_from, graded_syzygy_rows
 from .forms import (
     FormError,
     ProjectiveOneForm,
@@ -53,67 +55,23 @@ from .rings import PolyRing, Polynomial, Rational, add_product, exact
 from .saturation import saturate
 
 
-@dataclass(frozen=True)
-class LinearSyzygy:
-    """Linear forms (l_0..l_3) with sum l_i F_i = 0."""
-
-    entries: tuple[Polynomial, ...]
-
-    def to_matrix(self) -> "SyzygyMatrix":
-        ring = self.entries[0].ring
-        n = ring.num_vars
-        m: list[list[Rational]] = [[0] * n for _ in range(n)]
-        for j, ell in enumerate(self.entries):
-            for e, c in ell.terms:
-                i = next(k for k, x in enumerate(e) if x)
-                m[i][j] = c
-        return SyzygyMatrix(tuple(tuple(row) for row in m))
-
-
-@dataclass(frozen=True)
-class SyzygyMatrix:
-    """The matrix M with (z_0..z_3) . M recovering the syzygy entries."""
-
-    entries: tuple[tuple[Rational, ...], ...]
-
-    def to_syzygy(self, ring: PolyRing) -> LinearSyzygy:
-        n = ring.num_vars
-        cols = []
-        for j in range(n):
-            acc = ring.zero()
-            for i in range(n):
-                if self.entries[i][j]:
-                    acc = acc + ring.variable(i).scale(self.entries[i][j])
-            cols.append(acc)
-        return LinearSyzygy(tuple(cols))
-
-
-def _columns(matrix: SyzygyMatrix) -> list[Rational]:
-    """The entries of the matrix column by column: the layout of the echelon."""
-    return [x for col in zip(*matrix.entries) for x in col]
-
-
-def linear_syzygy_space(form: ProjectiveOneForm) -> list[LinearSyzygy]:
-    """Basis of the linear syzygies, Euler first, remainder in echelon form."""
-    ring = form.ring
-    n = ring.num_vars
-    euler = LinearSyzygy(tuple(ring.variable(j) for j in range(n)))
-    raw = [LinearSyzygy(s) for s in graded_syzygy_basis(form.coefficients, 1)]
+def linear_syzygy_space(form: ProjectiveOneForm) -> list[tuple[tuple[Rational, ...], ...]]:
+    """The matrices M of a basis of the linear syzygies sum_j (sum_i M_ij z_i) F_j = 0:
+    Euler (the identity) first, the rest in echelon form, each divided by its pivot."""
+    n = form.ring.num_vars
+    # a kernel row holds M_ij at j*n + i (``graded_syzygy_rows``)
+    euler = [int(i == j) for j in range(n) for i in range(n)]
     out = []
-    for row in echelon([_columns(s.to_matrix()) for s in [euler] + raw]):
+    for row in echelon([euler] + graded_syzygy_rows(form.coefficients, 1)):
         pivot = next(x for x in row if x)
-        cols = [[exact(Fraction(x, pivot)) for x in row[j * n : (j + 1) * n]] for j in range(n)]
-        out.append(SyzygyMatrix(tuple(zip(*cols))).to_syzygy(ring))
+        row = [x // pivot if x % pivot == 0 else Fraction(x, pivot) for x in row]
+        out.append(tuple(tuple(row[j * n + i] for j in range(n)) for i in range(n)))
     return out
 
 
-def constant_syzygy_space(form: ProjectiveOneForm) -> list[tuple[Fraction, ...]]:
+def constant_syzygy_space(form: ProjectiveOneForm) -> list[tuple[Rational, ...]]:
     """Basis of {constants (a_0..a_3) : sum a_i F_i = 0}; nonzero iff b = 1."""
-    raw = graded_syzygy_basis(form.coefficients, 0)
-    out = []
-    for s in raw:
-        out.append(tuple(p.coefficient((0,) * form.ring.num_vars) for p in s))
-    return out
+    return [tuple(exact(x) for x in v) for v in graded_syzygy_rows(form.coefficients, 0)]
 
 
 def _combination(weights, polys: tuple[Polynomial, ...]) -> Polynomial:
@@ -135,15 +93,14 @@ class DistributionFamily:
     """All distributions sharing the singular scheme of a split foliation."""
 
     base: ProjectiveOneForm
-    syzygy_basis: list[LinearSyzygy]
-    matrices: list[SyzygyMatrix]
+    matrices: list[tuple[tuple[Rational, ...], ...]]
     parameter_ring: PolyRing
     member_tuples: list[tuple[Polynomial, ...]]
     degenerate_locus: Polynomial
 
     @property
     def parameter_dim(self) -> int:
-        return len(self.syzygy_basis)
+        return len(self.member_tuples)
 
     def _weights(self, alpha) -> list[Rational]:
         """The exact coordinates of a parameter point, one per syzygy."""
@@ -151,7 +108,7 @@ class DistributionFamily:
             raise ValueError(
                 f"parameter {alpha} has {len(alpha)} coordinates, not {self.parameter_dim}"
             )
-        return [exact(Fraction(a)) for a in alpha]
+        return [exact(a) for a in alpha]
 
     def member_coefficients(self, alpha) -> tuple[Polynomial, ...]:
         weights = self._weights(alpha)
@@ -186,19 +143,16 @@ def _family_from(analysis: _Analysis) -> DistributionFamily:
     if not _split_from(analysis):
         raise ValueError("the family construction requires a split foliation")
     form = analysis.form
-    syzygies = linear_syzygy_space(form)
-    matrices = [s.to_matrix() for s in syzygies]
-    p = len(syzygies)
-    param_ring = PolyRing(p) if p > 1 else PolyRing(1)
+    matrices = linear_syzygy_space(form)
+    param_ring = PolyRing(len(matrices))
     n = form.ring.num_vars
     units = param_ring.variables()
     pencil = [
-        [_combination([m.entries[i][j] for m in matrices], units) for j in range(n)]
-        for i in range(n)
+        [_combination([m[i][j] for m in matrices], units) for j in range(n)] for i in range(n)
     ]
     locus = _poly_det(pencil, param_ring)
-    members = [tuple(_combination(row, form.coefficients) for row in m.entries) for m in matrices]
-    return DistributionFamily(form, syzygies, matrices, param_ring, members, locus)
+    members = [tuple(_combination(row, form.coefficients) for row in m) for m in matrices]
+    return DistributionFamily(form, matrices, param_ring, members, locus)
 
 
 # -- the quadratic integrability system ----------------------------------------

@@ -196,7 +196,7 @@ def mono_degree(e: Exponent) -> int:
 
 def merge_terms(a: tuple, b: tuple, key: Callable[[Exponent], tuple], negate: bool) -> tuple:
     """The term tuple of a + b (a - b when ``negate``), both nonempty and
-    sorted descending by ``key``, in one pass."""
+    sorted descending by ``key``, in one pass; an integral sum is an ``int``."""
     out: list = []
     append = out.append
     na, nb = len(a), len(b)
@@ -222,7 +222,7 @@ def merge_terms(a: tuple, b: tuple, key: Callable[[Exponent], tuple], negate: bo
         else:
             s = ca - cb if negate else ca + cb
             if s:
-                append((ea, s))
+                append((ea, s.numerator if type(s) is Fraction and s.denominator == 1 else s))
             i += 1
             j += 1
             if i == na or j == nb:
@@ -346,7 +346,11 @@ class Polynomial:
             return self
         if c == 0:
             return self.ring.zero()
-        return Polynomial(self.ring, tuple([(e, c * k) for e, k in self.terms]))
+        out = []
+        for e, k in self.terms:
+            s = c * k
+            out.append((e, s.numerator if type(s) is Fraction and s.denominator == 1 else s))
+        return Polynomial(self.ring, tuple(out))
 
     def __pow__(self, n: int) -> Polynomial:
         if n < 0:

@@ -16,7 +16,13 @@ import pytest
 
 import foliations.modules as modules
 from foliations.classify import _Analysis, _split_from
-from foliations.determine import _family_from, integrable_members, is_determined_by_singular_scheme
+from foliations.determine import (
+    _family_from,
+    constant_syzygy_space,
+    integrable_members,
+    is_determined_by_singular_scheme,
+    linear_syzygy_space,
+)
 from foliations.forms import singular_ideal
 from foliations.groebner import Ideal
 from foliations.modules import minimal_syzygies, module_normal_form, syzygy_generators
@@ -55,6 +61,12 @@ def test_outputs_hold_exact_coefficients(name, form):
     _assert_exact([p for m in res.matrices for v in m for p in v], "resolution maps")
     syz = syzygy_generators([(f,) for f in form.coefficients], form.ring)
     _assert_exact([p for u in syz for p in u], "syzygy generators")
+    for what, entries in (
+        ("linear syzygy matrices", [x for m in linear_syzygy_space(form) for row in m for x in row]),
+        ("constant syzygies", [x for v in constant_syzygy_space(form) for x in v]),
+    ):
+        for x in entries:
+            assert type(x) is int or type(x) is Fraction and x.denominator != 1, f"{what}: {x!r}"
     analysis = _Analysis.of(form)
     if not _split_from(analysis):
         return
@@ -122,3 +134,10 @@ def test_held_basis_is_not_reinspected(monkeypatch):
     calls.clear()
     assert modules.vec_is_zero(module_normal_form(R, (member,), [(g,) for g in gb]))
     assert len(calls) == held + len(gb)
+
+
+def test_integral_sums_and_multiples_are_stored_as_int():
+    half = Z[0].scale(Fraction(1, 2))
+    for p in (half.scale(2), half + half, half.scale(3) - half):
+        _assert_stored_as_int_when_integral([p], "integral coefficient")
+        assert p == Z[0]

@@ -9,9 +9,15 @@ from random import Random
 import pytest
 
 import foliations.determine as determine
-from foliations.classify import _Analysis, _report_from, saturated_resolution
+from foliations.classify import (
+    _Analysis,
+    _report_from,
+    graded_syzygy_dimension,
+    saturated_resolution,
+)
 from foliations.determine import (
     DistributionFamily,
+    _combination,
     _poly_det,
     _same_span,
     _scan_candidates,
@@ -32,7 +38,7 @@ from foliations.forms import (
 from foliations.groebner import Ideal, ideal_equal
 from foliations.linalg import rank
 from foliations.resolutions import free_resolution
-from foliations.rings import PolyRing
+from foliations.rings import PolyRing, grevlex_cheapest
 from foliations.saturation import saturate
 
 from .conftest import (
@@ -68,23 +74,66 @@ def _member_form(family, alpha) -> ProjectiveOneForm:
 def _matrix_at(family, alpha) -> list[list]:
     """The member matrix sum_k alpha_k M_k of the pencil."""
     return [
-        [sum(a * m.entries[i][j] for a, m in zip(alpha, family.matrices)) for j in range(4)]
+        [sum(a * m[i][j] for a, m in zip(alpha, family.matrices)) for j in range(4)]
         for i in range(4)
     ]
 
 
-# -- syzygy <-> matrix correspondence ------------------------------------------
+# -- the syzygy spaces: linear syzygies as 4x4 matrices -------------------------
+
+
+def _on_ring(form: ProjectiveOneForm, ring: PolyRing) -> ProjectiveOneForm:
+    coefficients = tuple(ring.from_dict(f.as_dict()) for f in form.coefficients)
+    return ProjectiveOneForm(ring, coefficients, form.degree)
 
 
 def test_euler_maps_to_identity(l1111):
     basis = linear_syzygy_space(l1111)
-    assert basis[0].to_matrix().entries == IDENTITY
+    assert basis[0] == IDENTITY
 
 
 def test_syzygy_matrix_round_trip(l1111):
-    for syz in linear_syzygy_space(l1111):
-        again = syz.to_matrix().to_syzygy(R)
-        assert again.entries == syz.entries
+    # the linear forms l_j = sum_i M_ij z_i, as ``cli syzygies`` renders them,
+    # give back the matrix M coefficient by coefficient
+    F = l1111.coefficients
+    for m in linear_syzygy_space(l1111):
+        ell = [_combination(column, Z) for column in zip(*m)]
+        assert sum((ell[j] * F[j] for j in range(4)), R.zero()).is_zero()
+        unit = [tuple(int(k == i) for k in range(4)) for i in range(4)]
+        again = tuple(tuple(ell[j].coefficient(unit[i]) for j in range(4)) for i in range(4))
+        assert again == m
+
+
+def test_linear_syzygy_matrices_span_the_linear_syzygies():
+    # each matrix M is a syzygy sum_j (sum_i M_ij z_i) F_j = 0, Euler first;
+    # their number is the dimension the rank of the syzygy map gives
+    for seed in (0, 1, 3):
+        for name, form in build_determination_forms():
+            form = seeded(name, form, seed)
+            F = form.coefficients
+            matrices = linear_syzygy_space(form)
+            assert matrices[0] == IDENTITY, (name, seed)
+            for m in matrices:
+                ell = [sum((Z[i].scale(m[i][j]) for i in range(4)), R.zero()) for j in range(4)]
+                assert sum((ell[j] * F[j] for j in range(4)), R.zero()).is_zero(), (name, seed)
+            p = len(matrices)
+            assert rank([[x for row in m for x in row] for m in matrices]) == p, (name, seed)
+            assert p == graded_syzygy_dimension(F, 1), (name, seed)
+            if seed == 0:
+                # the kernel's layout does not depend on the ring's order
+                moved = _on_ring(form, PolyRing(4, grevlex_cheapest(0)))
+                assert linear_syzygy_space(moved) == matrices, name
+
+
+def test_constant_syzygies_span_the_constant_syzygies():
+    for seed in (0, 1, 3):
+        for name, form in build_determination_forms():
+            form = seeded(name, form, seed)
+            F = form.coefficients
+            consts = constant_syzygy_space(form)
+            for v in consts:
+                assert sum((F[j].scale(v[j]) for j in range(4)), R.zero()).is_zero(), (name, seed)
+            assert rank(consts) == len(consts) == graded_syzygy_dimension(F, 0), (name, seed)
 
 
 def test_linear_dimensions(l1111, exceptional2):
@@ -185,7 +234,7 @@ def test_poly_det_matches_sympy():
             continue
         family = distribution_family(form)
         syms = sympy.symbols(f"a0:{family.parameter_dim}")
-        entries = [[[m.entries[i][j] for m in family.matrices] for j in range(4)] for i in range(4)]
+        entries = [[[m[i][j] for m in family.matrices] for j in range(4)] for i in range(4)]
         assert _as_sympy(family.degenerate_locus, syms) == _sympy_det(entries, syms), name
         checked += 1
     assert checked >= 10
@@ -284,7 +333,6 @@ def _random_families(base, seed: int, count: int) -> list[DistributionFamily]:
         families.append(
             DistributionFamily(
                 base=base,
-                syzygy_basis=[None] * p,
                 matrices=[],
                 parameter_ring=PolyRing(p),
                 member_tuples=[base.coefficients] + members,
@@ -347,7 +395,6 @@ def test_single_parameter_family_is_trivial(l1111):
     full = distribution_family(l1111)
     sub = DistributionFamily(
         base=full.base,
-        syzygy_basis=full.syzygy_basis[:1],
         matrices=full.matrices[:1],
         parameter_ring=PolyRing(1),
         member_tuples=full.member_tuples[:1],
