@@ -2,7 +2,7 @@
 
 The package is organized in layers:
 
-* ``rings`` -- sparse exact-rational polynomials and graded monomial orders;
+* ``rings`` -- sparse exact-rational polynomials, ordered by grevlex or lex;
   ``add_product`` expands a sum of products into one unsorted coefficient
   dict, the one product loop, which the exact identities outside the
   Buchberger loop (omega ^ d omega, the Euler relation, the integrability
@@ -14,8 +14,9 @@ The package is organized in layers:
   syzygies and minimal resolution steps, with ideals as rank-1 modules.
 * ``groebner``, ``resolutions``, ``hilbert``, ``saturation``, ``ext`` -- the
   commutative algebra built on it (ideals and reduced bases, free
-  resolutions, Hilbert series, colon/saturation, the top Ext of a
-  resolution).
+  resolutions, Hilbert series, saturation as I : l^oo for a linear form l
+  that the Hilbert polynomial certifies, with colon ideals as its oracle,
+  the top Ext of a resolution).
 * ``forms`` -- projective 1-forms, exterior calculus into unsorted
   coefficient dicts, singular schemes, and the standard constructors
   (logarithmic, pull-back, exceptional).
@@ -34,7 +35,6 @@ from .rings import (
     Polynomial,
     RingMismatch,
     apply_linear_change,
-    grevlex_cheapest,
     homogenize,
 )
 
@@ -45,7 +45,6 @@ __all__ = [
     "Polynomial",
     "RingMismatch",
     "apply_linear_change",
-    "grevlex_cheapest",
     "homogenize",
 ]
 

@@ -10,11 +10,13 @@ Ext of that resolution when it has length 3.
 The singular ideal I is resolved first.  By Auslander-Buchsbaum (Eisenbud,
 Thm 19.9), depth R/I >= 1, that is I = I^sat, exactly when the resolution
 of R/I has length at most 3: then it is the resolution of I^sat, and only
-a length 4 sends I through ``saturate``.  The first step of a resolution
-is a Groebner basis in the ring order, so it holds in(I), from which the
-codim check and the Hilbert data come with no basis of their own.  The
-split verdict is computed along two routes -- curve + saturated and
-curve + ACM -- whose agreement is a theorem, so a disagreement raises.
+a length 4 sends I through ``saturate``, which returns the first I : l^oo,
+for l along the rational normal curve, with the Hilbert polynomial of I.
+The first step of a resolution is a Groebner basis in the ring order, so
+it holds in(I), from which the codim check and the Hilbert data come with
+no basis of their own.  The split verdict is computed along two routes --
+curve + saturated and curve + ACM -- whose agreement is a theorem, so a
+disagreement raises.
 
 The splitting type is read off the minimal free resolution of R/I^sat
 (= R/I for a split form) that the ACM test already holds.  When the

@@ -5,11 +5,12 @@ failures and a missing input flag of ``make``); 2 the command needs an
 integrable form and the input is not; 3 a step budget ran out or the
 analysis is inconclusive; 4 an internal check or certificate failed, which
 is an engine bug and not a verdict.  ``classify --dir`` classifies the
-files in turn, reports each failed file on stderr and exits with the
-largest per-file code, which is 1, 3 or 4.  ``--json`` selects a stable
-machine-readable report; identical inputs produce byte-identical reports
-except for the timings field.  ``main`` can be called many times in one
-process: it builds its argument parser on the first call and reuses it.
+files in turn, reports each failed file on stderr, with the line and the
+code that ``classify <file>`` would give, and exits with the largest
+per-file code.  ``--json`` selects a stable machine-readable report;
+identical inputs produce byte-identical reports except for the timings
+field.  ``main`` can be called many times in one process: it builds its
+argument parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -49,6 +50,19 @@ from .rings import PolyRing
 from .saturation import saturate
 
 INTERNAL_FAILURES = (InternalInconsistency, ConsistencyFailure, AssertionError)
+
+
+def _failure(exc: Exception) -> tuple[int, str]:
+    """The exit code and stderr line of a failure the CLI reports; re-raises any other."""
+    if isinstance(exc, ValueError):  # ParseError, FormError, input not UTF-8
+        return 1, f"error: {exc}"
+    if isinstance(exc, OSError):
+        return 1, f"io error: {exc}"
+    if isinstance(exc, StepBudgetExceeded):
+        return 3, f"budget exhausted: {type(exc).__name__}: {exc}"
+    if isinstance(exc, INTERNAL_FAILURES):
+        return 4, f"internal check failed: {type(exc).__name__}: {exc}"
+    raise exc
 
 
 def _read_form(path: str) -> FormFile:
@@ -131,12 +145,9 @@ def _classify_file(path: str, budget: int | None) -> tuple[str, dict | None, str
     """(path, payload, error, exit code) for one file of ``classify --dir``."""
     try:
         return path, _classification_payload(path, budget), None, 0
-    except (ParseError, FormError) as exc:
-        return path, None, f"{type(exc).__name__}: {exc}", 1
-    except StepBudgetExceeded as exc:
-        return path, None, f"{type(exc).__name__}: {exc}", 3
-    except INTERNAL_FAILURES as exc:
-        return path, None, f"internal check failed: {type(exc).__name__}: {exc}", 4
+    except Exception as exc:
+        code, error = _failure(exc)
+        return path, None, error, code
 
 
 def _classify_text(payload: dict) -> str:
@@ -418,18 +429,10 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         return _COMMANDS[args.command](args)
-    except (ParseError, FormError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except StepBudgetExceeded as exc:
-        print(f"budget exhausted: {exc}", file=sys.stderr)
-        return 3
-    except INTERNAL_FAILURES as exc:
-        print(f"internal check failed: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 4
-    except OSError as exc:
-        print(f"io error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        code, message = _failure(exc)
+        print(message, file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -214,7 +214,6 @@ class FamilyIntegrability:
 
     kind: str  # "finite" | "positive" | "inconclusive"
     complete: bool
-    solution_cone_dim: int | None
     members: list[tuple[tuple[Rational, ...], ProjectiveOneForm]]
 
     def non_base_members(self, base: ProjectiveOneForm) -> list[ProjectiveOneForm]:
@@ -265,7 +264,7 @@ def integrable_members(
     base_alpha = tuple(int(i == 0) for i in range(p))
     base_member = (base_alpha, family.base)
     if p == 1:
-        return FamilyIntegrability("finite", True, 1, [base_member])
+        return FamilyIntegrability("finite", True, [base_member])
     system = integrability_system(family)
     pring = family.parameter_ring
     locus = family.degenerate_locus.primitive()
@@ -290,28 +289,28 @@ def integrable_members(
 
     if not system:
         members = collect_witnesses(3)
-        return FamilyIntegrability("positive", False, p, members)
+        return FamilyIntegrability("positive", False, members)
 
     try:
         sys_ideal = Ideal(pring, system)
         sol = saturate(sys_ideal, budget=budget)
         dim = hilbert_data(sol, budget).krull_dim
     except StepBudgetExceeded:
-        return FamilyIntegrability("inconclusive", False, None, collect_witnesses(3))
+        return FamilyIntegrability("inconclusive", False, collect_witnesses(3))
 
     if dim <= 0:
         raise AssertionError("the base point solves the system; empty solution set is impossible")
     if dim == 1:
         base_point = Ideal(pring, [pring.variable(k) for k in range(1, p)])
         if ideal_equal(sol, base_point, budget):
-            return FamilyIntegrability("finite", True, 1, [base_member])
+            return FamilyIntegrability("finite", True, [base_member])
         members = collect_witnesses(4)
         if len(members) > 1:
-            return FamilyIntegrability("finite", False, 1, members)
-        return FamilyIntegrability("inconclusive", False, 1, members)
+            return FamilyIntegrability("finite", False, members)
+        return FamilyIntegrability("inconclusive", False, members)
     members = collect_witnesses(3)
     kind = "positive" if len(members) >= 2 else "inconclusive"
-    return FamilyIntegrability(kind, False, dim, members)
+    return FamilyIntegrability(kind, False, members)
 
 
 # -- determination verdict -------------------------------------------------------

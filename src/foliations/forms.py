@@ -246,7 +246,7 @@ def projectivize(form: AffineOneForm, new_var: int = 0) -> ProjectiveOneForm:
     Euler relation; the common monomial factor is stripped afterwards.
     """
     n = form.ring.num_vars
-    target = PolyRing(n + 1, form.ring.order if form.ring.order in ("grevlex", "lex") else "grevlex")
+    target = PolyRing(n + 1, form.ring.order)
     var_map = [i if i < new_var else i + 1 for i in range(n)]
     D = max((a.degree() for a in form.coefficients), default=-1)
     if D < 0:

@@ -78,10 +78,6 @@ class Ideal:
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)
 
-    def with_order(self, order: object) -> Ideal:
-        new_ring = self.ring.with_order(order)
-        return Ideal(new_ring, [new_ring.from_dict(g.as_dict()) for g in self.generators])
-
     def __str__(self) -> str:
         return "(" + ", ".join(str(g) for g in self.generators) + ")"
 

@@ -47,15 +47,11 @@ def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
     return _trim(out)
 
 
-def _eval_at_one(a: IntPoly) -> int:
-    return sum(a)
-
-
 def _div_one_minus_t(a: IntPoly) -> IntPoly | None:
     """a / (1-t) when exact, else None (exact iff a(1) = 0)."""
     if not a:
         return ()
-    if _eval_at_one(a) != 0:
+    if sum(a) != 0:  # a(1)
         return None
     q = []
     acc = 0
@@ -78,46 +74,46 @@ def _minimalize(gens: frozenset[Exponent]) -> frozenset[Exponent]:
 
 def monomial_numerator(gens: Sequence[Exponent], num_vars: int) -> IntPoly:
     """Numerator of Hilb(R/M) over (1-t)^num_vars for a monomial ideal M."""
-    memo: dict[frozenset[Exponent], IntPoly] = {}
+    return _numerator(_minimalize(frozenset(gens)), num_vars, {})
 
-    def rec(ms: frozenset[Exponent]) -> IntPoly:
-        got = memo.get(ms)
-        if got is not None:
-            return got
-        if not ms:
-            result: IntPoly = (1,)
-        elif any(mono_degree(g) == 0 for g in ms):
-            result = ()
+
+def _numerator(ms: frozenset[Exponent], n: int, memo: dict) -> IntPoly:
+    """The pivot recursion on minimal generators ms, memoized in ``memo``."""
+    got = memo.get(ms)
+    if got is not None:
+        return got
+    if not ms:
+        result: IntPoly = (1,)
+    elif any(mono_degree(g) == 0 for g in ms):
+        result = ()
+    else:
+        supports = [tuple(i for i, x in enumerate(g) if x) for g in ms]
+        if all(len(s) == 1 for s in supports):
+            # pairwise coprime pure powers: product of (1 - t^deg)
+            result = (1,)
+            for g in ms:
+                d = mono_degree(g)
+                factor = [0] * (d + 1)
+                factor[0], factor[d] = 1, -1
+                result = _mul(result, tuple(factor))
         else:
-            supports = [tuple(i for i, x in enumerate(g) if x) for g in ms]
-            if all(len(s) == 1 for s in supports):
-                # pairwise coprime pure powers: product of (1 - t^deg)
-                result = (1,)
-                for g in ms:
-                    d = mono_degree(g)
-                    factor = [0] * (d + 1)
-                    factor[0], factor[d] = 1, -1
-                    result = _mul(result, tuple(factor))
-            else:
-                counts = [0] * num_vars
-                for g, s in zip(ms, supports):
-                    if len(s) > 1:
-                        for i in s:
-                            counts[i] += 1
-                pivot = max(range(num_vars), key=lambda i: counts[i])
-                x = tuple(1 if i == pivot else 0 for i in range(num_vars))
-                plus = _minimalize(ms | {x})
-                colon = _minimalize(
-                    frozenset(
-                        tuple(v - 1 if i == pivot and v > 0 else v for i, v in enumerate(g))
-                        for g in ms
-                    )
+            counts = [0] * n
+            for g, s in zip(ms, supports):
+                if len(s) > 1:
+                    for i in s:
+                        counts[i] += 1
+            pivot = max(range(n), key=counts.__getitem__)
+            x = tuple(1 if i == pivot else 0 for i in range(n))
+            plus = _minimalize(ms | {x})
+            colon = _minimalize(
+                frozenset(
+                    tuple(v - 1 if i == pivot and v > 0 else v for i, v in enumerate(g))
+                    for g in ms
                 )
-                result = _add(rec(plus), _shift(rec(colon), 1))
-        memo[ms] = result
-        return result
-
-    return rec(_minimalize(frozenset(gens)))
+            )
+            result = _add(_numerator(plus, n, memo), _shift(_numerator(colon, n, memo), 1))
+    memo[ms] = result
+    return result
 
 
 @dataclass(frozen=True)
@@ -150,7 +146,13 @@ def hilbert_from_numerator(numerator: IntPoly, num_vars: int) -> HilbertData:
             break
         q = nxt
         cancels += 1
-    return HilbertData(num_vars, numerator, num_vars - cancels, _eval_at_one(q))
+    return HilbertData(num_vars, numerator, num_vars - cancels, sum(q))
+
+
+def same_hilbert_polynomial(a: IntPoly, b: IntPoly, num_vars: int) -> bool:
+    """The numerators a and b over (1-t)^num_vars have the same Hilbert
+    polynomial: their Hilbert functions differ in finitely many degrees."""
+    return hilbert_from_numerator(_add(a, tuple(-c for c in b)), num_vars).krull_dim <= 0
 
 
 def hilbert_data(I: Ideal, budget: int | None = None) -> HilbertData:

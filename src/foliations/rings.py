@@ -1,18 +1,19 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A ring fixes a number of variables (named ``z0 .. z{n-1}``) and a graded
-monomial order.  Monomials are bare exponent tuples; polynomials store their
-terms as a tuple of ``(exponent, coefficient)`` pairs sorted descending in
-the ring order, so the leading term is ``terms[0]`` and equal polynomials
-have equal term tuples.  The zero polynomial has an empty term tuple.
+A ring fixes a number of variables (named ``z0 .. z{n-1}``) and one of two
+monomial orders: grevlex, with z{n-1} cheapest, or lex.  Grevlex with
+another variable cheapest is a relabelling away (``map_to_ring``).
+Monomials are bare exponent tuples; polynomials store their terms as a
+tuple of ``(exponent, coefficient)`` pairs sorted descending in the ring
+order, so the leading term is ``terms[0]`` and equal polynomials have equal
+term tuples.  The zero polynomial has an empty term tuple.
 
-Coefficients are exact rationals, ``int | Fraction``: the constructors store
-integral values as ``int``, and arithmetic keeps the type exact arithmetic
-gives, so integral input is computed on Python integers.  A quotient of two
-coefficients goes through ``Fraction``, since ``int / int`` is a float and
-every verdict downstream (membership, saturation, splitting) is exact.  An
-``int`` and the ``Fraction`` of the same value compare, hash and render
-alike.
+Coefficients are exact rationals, ``int | Fraction``: the constructors,
+sums, multiples and products store integral values as ``int``, so integral
+input is computed on Python integers.  A quotient of two coefficients goes
+through ``Fraction``, since ``int / int`` is a float and every verdict
+downstream (membership, saturation, splitting) is exact.  An ``int`` and
+the ``Fraction`` of the same value compare, hash and render alike.
 
 Sums merge the two sorted term tuples in one pass; a product with a
 single-term factor, or a power of one, needs no sort.  Every other product
@@ -37,16 +38,6 @@ Rational = int | Fraction
 
 GREVLEX = "grevlex"
 LEX = "lex"
-
-
-def grevlex_cheapest(var: int) -> tuple[str, int]:
-    """Order spec for grevlex with variable ``var`` made cheapest (last).
-
-    Plain grevlex already has the last variable cheapest; this variant is the
-    same order after moving ``var`` to the last position.  It is the order
-    used by single-variable saturation.
-    """
-    return ("grevlex_cheapest", var)
 
 
 class RingMismatch(ValueError):
@@ -83,23 +74,16 @@ class _KeyMemo(dict):
 
 @dataclass(frozen=True)
 class PolyRing:
-    """A polynomial ring Q[z0, ..., z{n-1}] with a fixed monomial order."""
+    """A polynomial ring Q[z0, ..., z{n-1}] ordered by grevlex (z{n-1} cheapest) or lex."""
 
     num_vars: int
-    order: object = GREVLEX
+    order: str = GREVLEX
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
             raise ValueError("ring needs at least one variable")
         if self.order not in (GREVLEX, LEX):
-            if not (
-                isinstance(self.order, tuple)
-                and len(self.order) == 2
-                and self.order[0] == "grevlex_cheapest"
-                and isinstance(self.order[1], int)
-                and 0 <= self.order[1] < self.num_vars
-            ):
-                raise ValueError(f"unknown monomial order {self.order!r}")
+            raise ValueError(f"unknown monomial order {self.order!r}")
 
     @cached_property
     def exp_key(self) -> Callable[[Exponent], tuple]:
@@ -107,17 +91,11 @@ class PolyRing:
 
         Keys are memoized per exponent for the life of the ring.
         """
-        if self.order == GREVLEX:
-            rev = list(range(self.num_vars - 1, -1, -1))
-        elif self.order == LEX:
+        if self.order == LEX:
             return tuple  # an exponent is its own key
-        else:
-            cheap = self.order[1]
-            perm = [i for i in range(self.num_vars) if i != cheap] + [cheap]
-            rev = perm[::-1]
 
         def key(e: Exponent) -> tuple:
-            return (sum(e), *(-e[i] for i in rev))
+            return (sum(e), *(-x for x in reversed(e)))
 
         return _KeyMemo(key).__getitem__
 
@@ -160,9 +138,6 @@ class PolyRing:
 
     def _sorted(self, d: Mapping[Exponent, Rational]) -> tuple:
         return tuple((e, d[e]) for e in sorted(d, key=self.exp_key, reverse=True))
-
-    def with_order(self, order: object) -> PolyRing:
-        return PolyRing(self.num_vars, order)
 
 
 # -- monomial helpers (exponent tuples) ---------------------------------------
@@ -335,8 +310,7 @@ class Polynomial:
             return self.mul_term(*other.terms[0])
         if len(self.terms) == 1:
             return other.mul_term(*self.terms[0])
-        d = add_product({}, self.terms, other.terms)
-        return Polynomial(self.ring, self.ring._sorted({e: c for e, c in d.items() if c}))
+        return self.ring.from_dict(add_product({}, self.terms, other.terms))
 
     def __rmul__(self, other: Rational) -> Polynomial:
         return self.scale(other)
@@ -373,10 +347,11 @@ class Polynomial:
             return self
         if coeff == 0:
             return self.ring.zero()
-        return Polynomial(
-            self.ring,
-            tuple([(tuple(map(add, e, exponents)), c * coeff) for e, c in self.terms]),
-        )
+        return Polynomial(self.ring, tuple([
+            (tuple(map(add, e, exponents)),
+             s.numerator if type(s := c * coeff) is Fraction and s.denominator == 1 else s)
+            for e, c in self.terms
+        ]))
 
     def primitive(self) -> Polynomial:
         """Scale to coprime integer coefficients with positive leading sign.

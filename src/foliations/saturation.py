@@ -1,27 +1,31 @@
 """Colon ideals, intersections, and saturation.
 
-Colon and intersection reduce to syzygy computations.  Saturation with
-respect to the irrelevant ideal m = (z_0, ..., z_n) is done two independent
-ways:
+``saturate`` computes I^sat = I : m^oo, for the irrelevant ideal
+m = (z_0, ..., z_{n-1}), by one algorithm.  For a linear form l, a change
+of coordinates that makes l the last variable turns one grevlex Groebner
+basis of I, each element divided by its content in l, into a basis of
+J = I : l^oo (Bayer-Stillman; Eisenbud, Prop. 15.12).  J contains I^sat
+and is saturated, so J = I^sat exactly when R/J and R/I have the same
+Hilbert polynomial.  The forms l are taken on the rational normal curve:
+z_{n-1}, then z_0 (the one variable that misses the point (1:0:...:0)),
+then sum_i t^(n-1-i) z_i for t = 1, 2, ...  Any n of them are linearly
+independent, so each associated prime of I other than m contains at most
+n-1 of them, and the loop ends.
 
-* ``variables``: intersect the single-variable saturations I : z_i^oo, each
-  obtained from one Groebner basis, in the grevlex order that makes z_i
-  cheapest, by dividing every basis element by its z_i content
-  (Bayer-Stillman), so one basis per variable.
-  An intersection that containment decides is skipped: when one side lies in
-  the other, checked by membership against the cached reduced bases, the
-  smaller side is the intersection.
-* ``colon``: iterate I <- I : m until the chain stabilizes.
-
-``saturate`` runs the first; ``saturate_by_colon`` runs the second, as the
-oracle the engine test suite checks it against on a random corpus.
+Colon and intersection reduce to syzygy computations.  ``saturate_by_colon``
+iterates I <- I : m until the chain stabilizes: the independent oracle that
+the engine test suite checks ``saturate`` against.
 """
 
 from __future__ import annotations
 
-from .groebner import Ideal, ideal_equal
+from itertools import count
+from typing import Callable, Iterator
+
+from .groebner import Ideal, ideal_equal, reduced_groebner_basis
+from .hilbert import monomial_numerator, same_hilbert_polynomial
 from .modules import syzygy_generators
-from .rings import PolyRing, Polynomial, grevlex_cheapest
+from .rings import PolyRing, Polynomial, map_to_ring
 
 
 def _canonical(ring: PolyRing, gens: list[Polynomial], budget: int | None) -> Ideal:
@@ -35,11 +39,6 @@ def _with_basis(I: Ideal, budget: int | None) -> Ideal:
     out = Ideal(I.ring, gb)
     out._gb = gb
     return out
-
-
-def _includes(I: Ideal, J: Ideal, budget: int | None) -> bool:
-    """J is contained in I, by membership against I's reduced basis."""
-    return all(I.contains(g, budget) for g in J.generators)
 
 
 def colon_by_poly(I: Ideal, f: Polynomial, budget: int | None = None) -> Ideal:
@@ -85,57 +84,56 @@ def colon(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
     return result
 
 
-def saturate_variable(I: Ideal, var: int, budget: int | None = None) -> Ideal:
-    """I : z_var^oo for homogeneous I, from one basis in the cheap order.
-
-    Dividing each element of a grevlex basis with z_var last by its z_var
-    content gives a basis of I : z_var^oo (Bayer-Stillman; Eisenbud, Prop.
-    15.12).  So one basis per variable decides it: when no element has z_var
-    content, I is returned with its (cached) default-order basis.
-    """
-    ring = I.ring
-    divided = []
-    changed = False
-    for g in I.with_order(grevlex_cheapest(var)).groebner_basis(budget):
-        shift = min(e[var] for e, _ in g.terms)
-        if shift > 0:
-            changed = True
-            g = Polynomial(
-                g.ring,
-                tuple(
-                    (tuple(x - shift if i == var else x for i, x in enumerate(e)), c)
-                    for e, c in g.terms
-                ),
-            )
-        divided.append(g)
-    if not changed:
-        return _with_basis(I, budget)
-    return _canonical(ring, [ring.from_dict(g.as_dict()) for g in divided], budget)
+def _changes(ring: PolyRing, work: PolyRing) -> Iterator[tuple[Callable, Callable]]:
+    """Integral unimodular maps from ``ring`` into ``work`` that make l the
+    last variable, each with its inverse, for l = z_{n-1}, z_0, then
+    sum_i t^(n-1-i) z_i for t = 1, 2, ...  A variable l = z_k is swapped
+    with z_{n-1}; any other l becomes y_{n-1}, and y_i = z_i for i < n-1."""
+    n = ring.num_vars
+    for k in (n - 1, 0):
+        perm = [n - 1 if i == k else k if i == n - 1 else i for i in range(n)]
+        yield (lambda g, v=perm: map_to_ring(g, work, v)), (lambda g, v=perm: map_to_ring(g, ring, v))
+    y, z = work.variables(), ring.variables()
+    for t in count(1):
+        c = [t ** (n - 1 - i) for i in range(n - 1)]
+        forward = y[:-1] + [y[-1] - sum((y[i].scale(c[i]) for i in range(n - 1)), work.zero())]
+        back = z[:-1] + [z[-1] + sum((z[i].scale(c[i]) for i in range(n - 1)), ring.zero())]
+        yield (lambda g, f=forward: g.substitute(f)), (lambda g, b=back: g.substitute(b))
 
 
-def irrelevant_ideal(ring: PolyRing) -> Ideal:
-    return Ideal(ring, ring.variables())
+def _divide_last(g: Polynomial) -> Polynomial:
+    """g over the largest power of its last variable that divides it."""
+    shift = min(e[-1] for e, _ in g.terms)
+    if not shift:
+        return g
+    return Polynomial(g.ring, tuple(((*e[:-1], e[-1] - shift), c) for e, c in g.terms))
 
 
 def saturate(I: Ideal, *, budget: int | None = None) -> Ideal:
-    """I : m^oo for the irrelevant ideal m, by the ``variables`` algorithm."""
+    """I : m^oo: the first I : l^oo, for l along the rational normal curve,
+    with the Hilbert polynomial of I."""
     if not I.is_homogeneous():
         raise ValueError("saturation requires a homogeneous ideal")
-    result: Ideal | None = None
-    for var in range(I.ring.num_vars):
-        piece = saturate_variable(I, var, budget)
-        if result is None or _includes(result, piece, budget):
-            result = piece
-        elif not _includes(piece, result, budget):
-            result = intersect(result, piece, budget)
-    return result
+    ring, n = I.ring, I.ring.num_vars
+    work = PolyRing(n)
+    for step, (move, back) in enumerate(_changes(ring, work)):
+        if step == 0 and ring == work:  # l = z_{n-1}: I's own basis
+            basis = I.groebner_basis(budget)
+        else:
+            basis = reduced_groebner_basis([move(g) for g in I.generators], work, budget)
+        divided = [_divide_last(g) for g in basis]
+        if divided == basis:  # l is a nonzerodivisor on R/I, so I is saturated
+            return _with_basis(I, budget)
+        numerator = monomial_numerator([g.leading_monomial() for g in divided], n)
+        if same_hilbert_polynomial(I.hilbert_numerator(budget), numerator, n):
+            return _canonical(ring, [back(g) for g in divided], budget)
 
 
 def saturate_by_colon(I: Ideal, *, budget: int | None = None) -> Ideal:
     """I : m^oo by the ``colon`` algorithm, the independent oracle of ``saturate``."""
     if not I.is_homogeneous():
         raise ValueError("saturation requires a homogeneous ideal")
-    target = irrelevant_ideal(I.ring)
+    target = Ideal(I.ring, I.ring.variables())
     current = _canonical(I.ring, list(I.generators), budget)
     while True:
         step = colon(current, target, budget)

@@ -192,6 +192,32 @@ def test_classify_directory(tmp_path, capsys):
     assert len(out) == 2 and all(o["verdicts"]["split"] for o in out)
 
 
+def test_classify_directory_reports_every_file_past_unreadable_ones(tmp_path, capsys):
+    # a file that is not UTF-8 and a directory named like a form each fail
+    # with exit 1 on stderr, as ``classify <file>`` does; the good file is
+    # still classified
+    assert main([
+        "make", "logarithmic", "--factors", "z0,z1,z2,z3",
+        "--weights", "1,1,1,-3", "-o", str(tmp_path / "a.form"),
+    ]) == 0
+    (tmp_path / "b.form").write_bytes(b"ring z0 z1 z2 z3\nform \xff dz0\n")
+    (tmp_path / "c.form").mkdir()
+    capsys.readouterr()
+    for bad in ("b.form", "c.form"):
+        assert main(["classify", str(tmp_path / bad)]) == 1
+    capsys.readouterr()
+    assert main(["classify", "--dir", str(tmp_path), "--json"]) == 1
+    captured = capsys.readouterr()
+    out = json.loads(captured.out)
+    assert [o["input"] for o in out] == [str(tmp_path / "a.form")]
+    assert out[0]["verdicts"]["split"] is True
+    err = captured.err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith(f"{tmp_path / 'b.form'}: error: ") and "utf-8" in err[0]
+    assert err[1].startswith(f"{tmp_path / 'c.form'}: io error: ")
+    assert "Traceback" not in captured.err
+
+
 def test_classify_directory_budget_exhausted_exits_3(l1111_file, capsys):
     # the same exit code as ``classify <file>`` for the same failure
     assert main(["classify", l1111_file, "--budget", "1"]) == 3

@@ -141,3 +141,12 @@ def test_integral_sums_and_multiples_are_stored_as_int():
     for p in (half.scale(2), half + half, half.scale(3) - half):
         _assert_stored_as_int_when_integral([p], "integral coefficient")
         assert p == Z[0]
+    # products: by a term, and the general case through one coefficient dict
+    twice = (Z[1] + Z[2]).scale(2)
+    for p, expected in (
+        (half.mul_term((0, 1, 0, 0), 2), Z[0] * Z[1]),
+        (half * twice, Z[0] * (Z[1] + Z[2])),
+        ((half + Z[3].scale(Fraction(1, 2))) * twice, (Z[0] + Z[3]) * (Z[1] + Z[2])),
+    ):
+        _assert_stored_as_int_when_integral([p], "integral product")
+        assert p == expected

@@ -70,3 +70,18 @@ def test_graded_dimensions_match_monomial_counting():
         h = hilbert_from_numerator(monomial_numerator(leads, 4), 4)
         for degree in range(6):
             assert h.dimension_at(degree) == count_standard_monomials(leads, 4, degree)
+
+
+def test_monomial_numerator_leaves_no_reference_cycle():
+    # the pivot recursion runs at module level on a memo passed in, so a call
+    # leaves nothing for the cyclic collector
+    import gc
+
+    gens = [(2, 0, 0, 0), (1, 1, 0, 0), (0, 1, 1, 0), (0, 0, 1, 1)]
+    gc.collect()
+    gc.disable()
+    try:
+        assert monomial_numerator(gens, 4)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -13,8 +13,8 @@ from foliations.rings import (
     PolyRing,
     RingMismatch,
     apply_linear_change,
-    grevlex_cheapest,
     homogenize,
+    map_to_ring,
     mono_mul,
 )
 
@@ -93,8 +93,14 @@ def _dict_product(p, q):
     return p.ring.from_dict(d).terms
 
 
-@pytest.mark.parametrize("order", [GREVLEX, LEX, grevlex_cheapest(1)], ids=str)
-def test_single_term_products_and_powers_match_the_general_product(order):
+@pytest.mark.parametrize(
+    "order, var_map",
+    [(GREVLEX, None), (LEX, None), (GREVLEX, [0, 3, 1, 2])],
+    ids=["grevlex", "lex", "grevlex-z1-cheapest"],
+)
+def test_single_term_products_and_powers_match_the_general_product(order, var_map):
+    # the third case relabels every factor so that z1 is listed last, and
+    # so cheapest: grevlex with z1 cheapest
     ring = PolyRing(4, order)
     rng = Random(13)
 
@@ -103,9 +109,10 @@ def test_single_term_products_and_powers_match_the_general_product(order):
         return c.numerator if rng.random() < 0.5 and c.denominator == 1 else c
 
     def random_poly(size):
-        return ring.from_dict(
+        p = ring.from_dict(
             {tuple(rng.randint(0, 3) for _ in range(4)): coefficient() for _ in range(size)}
         )
+        return p if var_map is None else map_to_ring(p, ring, var_map)
 
     singles = [ring.zero(), ring.one(), ring.constant(Fraction(-3, 2)), ring.constant(5)]
     singles += [random_poly(1) for _ in range(20)]
@@ -157,10 +164,11 @@ def test_grevlex_examples():
 
 
 def test_cheapest_variable_order():
-    ring = PolyRing(4, grevlex_cheapest(0))
-    # with z0 cheapest, z1 beats z0 even against higher z0 powers of equal degree
-    p = ring.from_dict({(2, 0, 0, 0): 1, (0, 1, 1, 0): 1})
-    assert p.leading_monomial() == (0, 1, 1, 0)
+    # grevlex with z0 cheapest is grevlex after the relabelling that lists z0
+    # last: there z1*z2 beats z0^2, which leads in plain grevlex
+    p = R.from_dict({(2, 0, 0, 0): 1, (0, 1, 1, 0): 1})
+    assert p.leading_monomial() == (2, 0, 0, 0)
+    assert map_to_ring(p, R, [3, 0, 1, 2]).leading_monomial() == (1, 1, 0, 0)
 
 
 # -- calculus -----------------------------------------------------------------

@@ -1,16 +1,11 @@
 """Colon and saturation: the two algorithms and the fixpoint laws."""
 
+from itertools import product
 from random import Random
 
 from foliations.groebner import Ideal, ideal_equal, normal_form
-from foliations.rings import PolyRing, grevlex_cheapest
-from foliations.saturation import (
-    colon,
-    intersect,
-    saturate,
-    saturate_by_colon,
-    saturate_variable,
-)
+from foliations.rings import LEX, PolyRing
+from foliations.saturation import colon, intersect, saturate, saturate_by_colon
 
 R = PolyRing(4)
 Z = R.variables()
@@ -29,6 +24,9 @@ def test_saturation_examples():
     I = Ideal(R, [Z[0], Z[1]])
     assert ideal_equal(I, saturate(I))
     assert [str(g) for g in saturate(Ideal(R, list(Z))).generators] == ["1"]
+    # a complete intersection whose points all lie on z0 = 0 and on z3 = 0
+    I = Ideal(R, [Z[0] ** 2, Z[1] * Z[2], Z[3] ** 2])
+    assert ideal_equal(saturate(I), I) and ideal_equal(saturate_by_colon(I), I)
 
 
 def test_saturation_contains_and_is_idempotent():
@@ -48,27 +46,6 @@ def test_intersection_via_membership():
     assert not normal_form(Z[0], gb).is_zero()
 
 
-def test_saturation_skips_intersections_that_containment_decides(monkeypatch):
-    # I : z0^oo = (1) strictly contains I : z1^oo = (z0^2, z2, z3^2); that
-    # and I : z2^oo = (z0^2, z1, z3^2) need their intersection, I; and
-    # I : z3^oo = (1) contains I
-    import foliations.saturation as saturation
-
-    calls = []
-    real = saturation.intersect
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(saturation, "intersect", counting)
-    I = Ideal(R, [Z[0] ** 2, Z[1] * Z[2], Z[3] ** 2])
-    a = saturate(I)
-    assert len(calls) == 1
-    assert ideal_equal(a, saturate_by_colon(I))
-    assert ideal_equal(a, I)
-
-
 def _count_bases(monkeypatch) -> list:
     """Record the ring of every basis computation, at the one engine seam."""
     import foliations.modules as modules
@@ -84,27 +61,54 @@ def _count_bases(monkeypatch) -> list:
     return calls
 
 
-def test_saturated_variable_keeps_the_basis_it_holds(monkeypatch):
-    # I is saturated in z0, so the cheap-order basis is the only new one
+def test_nonzerodivisor_last_variable_keeps_the_basis_it_holds(monkeypatch):
+    # a complete intersection none of whose associated primes holds z3: the
+    # first line, z3, divides no basis element, so I is saturated and keeps
+    # its reduced basis, with no basis of its own
     I = Ideal(R, [Z[1] * Z[2] - Z[3] ** 2, Z[0] * Z[1] + Z[2] ** 2])
     gb = I.groebner_basis()
     calls = _count_bases(monkeypatch)
-    S = saturate_variable(I, 0)
-    assert len(calls) == 1
-    assert calls[0].order != R.order
+    S = saturate(I)
+    assert calls == []
     assert S.generators == tuple(gb) and S.groebner_basis() == gb
-    assert len(calls) == 1
 
 
-def test_variable_saturation_takes_one_basis_per_order(monkeypatch):
-    # the cheap-order basis (z0*z1, z0*z2 + z0*z3), divided by z0, is already
-    # a basis of I : z0^oo (Bayer-Stillman): only its default-order basis follows
-    I = Ideal(R, [Z[0] * Z[1], Z[0] * Z[2] + Z[0] * Z[3]])
+def test_embedded_point_is_removed_by_the_last_variable(monkeypatch):
+    # the plane z0 = 0 with an m-primary component (the embedded point of
+    # tests/test_ext.py): I : z3^oo = (z0) has the Hilbert polynomial of I,
+    # so the first line decides: I's basis, then the reduced divided basis
+    I = Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]])
     calls = _count_bases(monkeypatch)
-    S = saturate_variable(I, 0)
-    assert [ring.order for ring in calls] == [grevlex_cheapest(0), R.order]
-    assert S.generators == (Z[2] + Z[3], Z[1])
-    assert S.groebner_basis() == list(S.generators) and len(calls) == 2
+    S = saturate(I)
+    assert len(calls) == 2
+    assert [str(g) for g in S.generators] == ["z0"]
+    assert ideal_equal(S, saturate_by_colon(I))
+
+
+def test_saturation_walks_the_rational_normal_curve(monkeypatch):
+    # (z0,z1) cap (z2,z3) cap m^3: z3 lies on the second line and z0 on the
+    # first, so I : z3^oo and I : z0^oo each lose a line; z0+z1+z2+z3 (t = 1)
+    # lies on neither and gives I^sat, the union of the two lines
+    lines = intersect(Ideal(R, [Z[0], Z[1]]), Ideal(R, [Z[2], Z[3]]))
+    cube = Ideal(R, [R.monomial(e) for e in product(range(4), repeat=4) if sum(e) == 3])
+    I = intersect(lines, cube)
+    assert not ideal_equal(I, lines)
+    I.groebner_basis()
+    calls = _count_bases(monkeypatch)
+    S = saturate(I)
+    # z0's basis, t = 1's basis, then the reduced basis of I^sat
+    assert len(calls) == 3
+    assert S.generators == lines.generators
+    assert ideal_equal(S, saturate_by_colon(I))
+
+
+def test_saturated_line_union_point_reaches_t_equal_one():
+    # a line union a disjoint point (tests/test_ext.py) is saturated, but z3
+    # lies on the point and z0 on both: only z0+z1+z2+z3 divides nothing
+    I = intersect(Ideal(R, [Z[0], Z[1]]), Ideal(R, [Z[0], Z[2], Z[3]]))
+    S = saturate(I)
+    assert S.generators == I.generators
+    assert ideal_equal(S, saturate_by_colon(I))
 
 
 def random_monomial_or_binomial_ideal(rng, size=3):
@@ -132,3 +136,9 @@ def test_two_saturation_algorithms_agree_on_random_ideals():
         a = saturate(I)
         b = saturate_by_colon(I)
         assert ideal_equal(a, b)
+        # on a lex ring the bases are taken in grevlex and mapped back
+        lex = PolyRing(4, LEX)
+        I_lex = Ideal(lex, [lex.from_dict(g.as_dict()) for g in I.generators])
+        a_lex = saturate(I_lex)
+        assert ideal_equal(a_lex, saturate_by_colon(I_lex))
+        assert ideal_equal(a, Ideal(R, [R.from_dict(g.as_dict()) for g in a_lex.generators]))
