@@ -23,8 +23,9 @@ The package is organized in layers:
 * ``classify`` -- ``classify``, the one report of the decisions: saturated /
   curve / ACM / split, splitting type, Rao dimensions, Betti table.
 * ``determine`` -- linear syzygies held as 4x4 matrices, their pencil's
-  families and determination of a split foliation by its singular scheme;
-  the scan tests its candidates at integral points.
+  families and determination of a split foliation by its singular scheme:
+  a witness from a walk along the unit lines of the parameters, or
+  uniqueness certified by one radical-membership basis.
 * ``formfile`` / ``cli`` -- the input language and command-line surface.
 """
 

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success; 1 parse/validation errors (including precondition
 failures and a missing input flag of ``make``); 2 the command needs an
-integrable form and the input is not; 3 a step budget ran out or the
-analysis is inconclusive; 4 an internal check or certificate failed, which
-is an engine bug and not a verdict.  ``classify --dir`` classifies the
+integrable form and the input is not; 3 a step budget ran out, or
+``determine`` found neither a witness on the family's unit lines nor a
+certificate that the form is unique; 4 an internal check or certificate
+failed, which is an engine bug and not a verdict.  ``classify --dir`` classifies the
 files in turn, reports each failed file on stderr, with the line and the
 code that ``classify <file>`` would give, and exits with the largest
 per-file code.  ``--json`` selects a stable machine-readable report;
@@ -236,7 +237,6 @@ def cmd_family(args) -> int:
         family={
             "dim": family.parameter_dim,
             "integrable": outcome.kind,
-            "complete": outcome.complete,
             "members_found": len(outcome.members),
             "degenerate_locus": _alpha(str(family.degenerate_locus)),
         },
@@ -245,9 +245,7 @@ def cmd_family(args) -> int:
     lines = [
         f"{args.file}: family dimension {family.parameter_dim}",
         f"  degenerate locus: {_alpha(str(family.degenerate_locus))}",
-        f"  integrable members: {outcome.kind}"
-        + (" (complete)" if outcome.complete else "")
-        + f", {len(outcome.members)} exhibited",
+        f"  integrable members: {outcome.kind}, {len(outcome.members)} exhibited",
     ]
     for alpha, member in outcome.members:
         lines.append(f"  alpha={tuple(str(a) for a in alpha)}: {member}")

@@ -4,38 +4,34 @@ A linear syzygy sum_j l_j F_j = 0 of the coefficient tuple, l_j =
 sum_i M_ij z_i, is held only as its 4x4 matrix M, read straight off a kernel
 row (the Euler relation is the identity matrix); only ``cli syzygies``
 renders the l_j as linear forms.  Invertible members of the matrix pencil
-produce every distribution with the same singular scheme.  Integrable
-members are cut out by a quadratic system in the pencil parameters, which is
-solved by Groebner methods over Q; verdicts are backed by verified
-witnesses, never by a dimension claim alone.
+produce every distribution with the same singular scheme.  The integrable
+members are cut out by a quadratic system S in the pencil parameters: the
+coefficients of omega ^ d omega, expanded like the degenerate locus det (the
+pencil's determinant) into unsorted dicts by ``rings.add_product``.  The
+base sits at e_0; L = {alpha : member(alpha) in Q*base}.
 
 What is verified where:
 
-* the system's coefficients are those of omega ^ d omega, so a parameter
-  point solves the system exactly when its member is integrable as an
-  identity; a scan point is tested on the system first;
-* the system and the degenerate locus (the pencil's determinant) are
-  expanded into unsorted coefficient dicts (``rings.add_product``), and a
-  member is summed into one; each polynomial is sorted once.  The system
-  and the locus are homogeneous in the parameters, so a scan candidate is
-  tested at its least integral multiple, on integers (the quadrics and the
-  locus made primitive), while its member is built from the candidate;
-* every member ``integrable_members`` reports is validated and runs
-  ``integrability_check`` once, just before it is kept, so candidates that
-  are degenerate or proportional to a kept member cost neither;
-* a witness of non-uniqueness is certified by its own integrability check
-  and by I_w = I: both tuples are forms of one degree, so the ideals agree
-  exactly when the tuples span one space (``_same_span``, three ranks).
-  Equal ideals have equal saturations, so no witness is resolved.
+* a witness: ``_walk`` tries e_k and e_0 + v*e_k (k = 1..p-1, eight steps
+  v) and keeps a member only when it solves S, is off det = 0 and is new;
+  the member is validated and checked once, and a witness must span the
+  base's forms (``_same_span``: the ideals, so the schemes, agree).  Either
+  failing is an engine bug.  When S = 0 the walk is complete: if L is not
+  everything, some e_k is not in L, and then no e_0 + v*e_k is, while
+  det(I + v*M_k) has degree <= 4 in v and is 1 at v = 0, so at least four
+  of the eight steps give an invertible member;
+* ``unique``: ``_only_degenerate_or_base`` shows det * l in rad(S) for
+  every linear form l vanishing on L, so every integrable member is
+  degenerate or a multiple of the base;
+* ``inconclusive`` is left when the budget runs out, or when an integrable
+  member exists that no unit line reaches.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
-from itertools import combinations, product
-from math import lcm
+from itertools import combinations
 
 from .classify import _Analysis, _report_from, _split_from, graded_syzygy_rows
 from .forms import (
@@ -47,10 +43,10 @@ from .forms import (
     proportional,
     validate,
 )
-from .groebner import Ideal, ideal_equal
+from .groebner import Ideal, reduced_groebner_basis
 from .hilbert import hilbert_data
-from .linalg import echelon, rank
-from .modules import StepBudgetExceeded, vec_integral
+from .linalg import echelon, kernel_basis, rank
+from .modules import InternalInconsistency, StepBudgetExceeded, vec_integral
 from .rings import PolyRing, Polynomial, Rational, add_product, exact
 from .saturation import saturate
 
@@ -88,6 +84,16 @@ def _combination(weights, polys: tuple[Polynomial, ...]) -> Polynomial:
     return polys[0].ring.from_dict(acc)
 
 
+def _dense(rows: list) -> list[list[Rational]]:
+    """Rows of (key, value) pairs as dense rows, with a column per key of any row."""
+    columns = {k: c for c, k in enumerate(dict.fromkeys(k for row in rows for k, _ in row))}
+    out: list[list[Rational]] = [[0] * len(columns) for _ in rows]
+    for dense, row in zip(out, rows):
+        for k, x in row:
+            dense[columns[k]] = x
+    return out
+
+
 @dataclass
 class DistributionFamily:
     """All distributions sharing the singular scheme of a split foliation."""
@@ -102,17 +108,13 @@ class DistributionFamily:
     def parameter_dim(self) -> int:
         return len(self.member_tuples)
 
-    def _weights(self, alpha) -> list[Rational]:
-        """The exact coordinates of a parameter point, one per syzygy."""
+    def member_coefficients(self, alpha) -> tuple[Polynomial, ...]:
+        """sum_k alpha_k * member_k, one coordinate per syzygy."""
         if len(alpha) != self.parameter_dim:
             raise ValueError(
                 f"parameter {alpha} has {len(alpha)} coordinates, not {self.parameter_dim}"
             )
-        return [exact(a) for a in alpha]
-
-    def member_coefficients(self, alpha) -> tuple[Polynomial, ...]:
-        weights = self._weights(alpha)
-        return tuple(_combination(weights, column) for column in zip(*self.member_tuples))
+        return tuple(_combination(alpha, column) for column in zip(*self.member_tuples))
 
 
 def _poly_det(entries: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
@@ -213,104 +215,90 @@ class FamilyIntegrability:
     """Outcome of solving the integrability system over the family."""
 
     kind: str  # "finite" | "positive" | "inconclusive"
-    complete: bool
     members: list[tuple[tuple[Rational, ...], ProjectiveOneForm]]
 
-    def non_base_members(self, base: ProjectiveOneForm) -> list[ProjectiveOneForm]:
-        return [f for _, f in self.members if not f.is_proportional_to(base)]
+
+# e_k, then e_0 + v*e_k for v = 1, -1, 2, -2, 3, 1/2, 1/3, -3: (a, b) is a*e_0 + b*e_k
+_LINE = ((0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (1, 3), (2, 1), (3, 1), (1, -3))
 
 
-@cache
-def _scan_points(p: int) -> tuple[tuple[tuple[Rational, ...], tuple[int, ...]], ...]:
-    """Each scan candidate with its least integral multiple, where the scan's
-    zero tests, homogeneous in the parameters, are evaluated on integers."""
-    points = []
-    for alpha in _scan_candidates(p):
-        den = lcm(*(a.denominator for a in alpha))
-        points.append((alpha, tuple(int(a * den) for a in alpha)))
-    return tuple(points)
+def _walk(
+    family: DistributionFamily, system: list[Polynomial], count: int
+) -> list[tuple[tuple[Rational, ...], ProjectiveOneForm]]:
+    """The base, then up to ``count - 1`` integrable members on the unit lines.
 
-
-@cache
-def _scan_candidates(p: int) -> tuple[tuple[Rational, ...], ...]:
-    values = (1, -1, 2, -2, 3, Fraction(1, 2), Fraction(1, 3), -3)
-    candidates: list[tuple[Rational, ...]] = []
-    for k in range(1, p):
-        unit = tuple(int(i == k) for i in range(p))
-        candidates.append(unit)
-        for v in values:
-            candidates.append(tuple(int(i == 0) + (v if i == k else 0) for i in range(p)))
-    if p <= 3:
-        for combo in product((-2, -1, 0, 1, 2), repeat=p):
-            if any(combo):
-                candidates.append(combo)
-    return tuple(candidates)
-
-
-def integrable_members(
-    family: DistributionFamily, budget: int | None = None
-) -> FamilyIntegrability:
-    """Classify the integrable members of the family.
-
-    The quadratic system is solved by Groebner bases in the parameter ring;
-    the dimension verdict comes from Hilbert data of the saturated solution
-    ideal.  A scan point is kept when, in this order, it solves the system
-    (so its member is integrable as an identity), lies off the degenerate
-    locus (its matrix is invertible) and gives member coefficients not
-    proportional to a kept member's; only then is the member validated and
-    re-verified by one integrability check.
+    A point is kept when, in this order, it solves the system, lies off the
+    degenerate locus (both tested at a*e_0 + b*e_k, on integers) and gives
+    coefficients not proportional to a kept member's; only then is its
+    member validated and checked.
     """
     p = family.parameter_dim
-    base_alpha = tuple(int(i == 0) for i in range(p))
-    base_member = (base_alpha, family.base)
-    if p == 1:
-        return FamilyIntegrability("finite", True, [base_member])
-    system = integrability_system(family)
-    pring = family.parameter_ring
+    found = [(tuple(int(i == 0) for i in range(p)), family.base)]
     locus = family.degenerate_locus.primitive()
-
-    def collect_witnesses(count: int) -> list[tuple[tuple[Rational, ...], ProjectiveOneForm]]:
-        found = [base_member]
-        for alpha, point in _scan_points(p):
+    for k in range(1, p):
+        for a, b in _LINE:
             if len(found) >= count:
-                break
+                return found
+            point = tuple(a * (i == 0) + b * (i == k) for i in range(p))
             if any(q.evaluate(point) for q in system) or not locus.evaluate(point):
                 continue
+            alpha = point if a <= 1 else tuple(exact(Fraction(x, a)) for x in point)
             coefficients = family.member_coefficients(alpha)
             if any(proportional(coefficients, f.coefficients) for _, f in found):
                 continue
             try:
                 form = validate(coefficients)
-            except FormError:
-                continue
-            if integrability_check(form):
-                found.append((alpha, form))
-        return found
+            except FormError as exc:
+                raise InternalInconsistency(f"the member at {alpha} is not a form: {exc}") from exc
+            if not integrability_check(form):
+                raise InternalInconsistency(f"the member at {alpha} solves S but is not integrable")
+            found.append((alpha, form))
+    return found
 
+
+def _only_degenerate_or_base(
+    family: DistributionFamily, system: list[Polynomial], budget: int | None = None
+) -> bool:
+    """Is det * l in rad(S) for every linear form l vanishing on L?
+
+    L is read off the kernel of the columns [member tuples | base], the l
+    off the kernel of L.  Each membership is 1 in S + (1 - y * det * l), one
+    more variable y (Rabinowitsch; Cox-Little-O'Shea, Ideals, Varieties, and
+    Algorithms, 4.2).
+    """
+    p = family.parameter_dim
+    tuples = family.member_tuples + [family.base.coefficients]
+    vectors = _dense([[((i, e), c) for i, f in enumerate(t) for e, c in f.terms] for t in tuples])
+    span = [v[:p] for v in kernel_basis(list(zip(*vectors)), p + 1)]
+    ring = PolyRing(p + 1)  # y is the last variable
+    det, *lifted = (
+        ring.from_dict({e + (0,): c for e, c in f.terms}) for f in [family.degenerate_locus] + system
+    )
+    y_det = ring.variable(p) * det
+    for ell in kernel_basis(span, p):
+        h = y_det * _combination(ell, ring.variables()[:p])
+        if reduced_groebner_basis(lifted + [ring.one() - h], ring, budget) != [ring.one()]:
+            return False
+    return True
+
+
+def integrable_members(
+    family: DistributionFamily, budget: int | None = None
+) -> FamilyIntegrability:
+    """The kind of V(S), by the Hilbert data of the saturated solution ideal
+    ("inconclusive" if the budget runs out first), and up to three members of ``_walk``."""
+    system = integrability_system(family)
+    members = _walk(family, system, 3)
     if not system:
-        members = collect_witnesses(3)
-        return FamilyIntegrability("positive", False, members)
-
+        return FamilyIntegrability("positive" if family.parameter_dim > 1 else "finite", members)
     try:
-        sys_ideal = Ideal(pring, system)
-        sol = saturate(sys_ideal, budget=budget)
+        sol = saturate(Ideal(family.parameter_ring, system), budget=budget)
         dim = hilbert_data(sol, budget).krull_dim
     except StepBudgetExceeded:
-        return FamilyIntegrability("inconclusive", False, collect_witnesses(3))
-
+        return FamilyIntegrability("inconclusive", members)
     if dim <= 0:
         raise AssertionError("the base point solves the system; empty solution set is impossible")
-    if dim == 1:
-        base_point = Ideal(pring, [pring.variable(k) for k in range(1, p)])
-        if ideal_equal(sol, base_point, budget):
-            return FamilyIntegrability("finite", True, [base_member])
-        members = collect_witnesses(4)
-        if len(members) > 1:
-            return FamilyIntegrability("finite", False, members)
-        return FamilyIntegrability("inconclusive", False, members)
-    members = collect_witnesses(3)
-    kind = "positive" if len(members) >= 2 else "inconclusive"
-    return FamilyIntegrability(kind, False, members)
+    return FamilyIntegrability("finite" if dim == 1 else "positive", members)
 
 
 # -- determination verdict -------------------------------------------------------
@@ -335,20 +323,9 @@ def _same_span(F: tuple[Polynomial, ...], G: tuple[Polynomial, ...]) -> bool:
     the ideals agree exactly when rank F = rank G = rank (F, G), with a
     column per monomial of either tuple.
     """
-    columns = {e: k for k, e in enumerate(dict.fromkeys(e for f in F + G for e, _ in f.terms))}
-
-    def rows(tup: tuple[Polynomial, ...]) -> list[list[Rational]]:
-        out = []
-        for f in tup:
-            row: list[Rational] = [0] * len(columns)
-            for e, c in f.terms:
-                row[columns[e]] = c
-            out.append(row)
-        return out
-
-    f_rows, g_rows = rows(F), rows(G)
-    both = rank(f_rows + g_rows)
-    return rank(f_rows) == both and rank(g_rows) == both
+    rows = _dense([f.terms for f in F + G])
+    both = rank(rows)
+    return rank(rows[: len(F)]) == both and rank(rows[len(F) :]) == both
 
 
 def is_determined_by_singular_scheme(
@@ -356,12 +333,9 @@ def is_determined_by_singular_scheme(
 ) -> Determination:
     """Is the foliation the only one with its singular scheme?
 
-    Applies the cheapest sufficient criterion first: splitting type with
-    a <= b <= -1 forces uniqueness; a type-(1, 1-d) pull-back with d != 1 is
-    unique; otherwise the integrable members of the syzygy family decide.
-    Witnesses returned for non-uniqueness are validated, integrable second
-    foliations, not proportional to the base, whose coefficients span the
-    same forms as the base's: the singular ideals, and so the schemes, agree.
+    The cheap criteria first: splitting type a <= b <= -1, or a type-(1, 1-d)
+    pull-back with d != 1, is unique.  Else the family decides, by the first
+    witness of ``_walk`` or by the certificate (module docstring).
     """
     analysis = _Analysis.of(form, budget)
     report = _report_from(analysis)
@@ -372,12 +346,16 @@ def is_determined_by_singular_scheme(
         return Determination("unique", "splitting type a <= b <= -1")
     if b == 1 and report.degree != 1:
         return Determination("unique", "linear pull-back of degree != 1")
-    outcome = integrable_members(_family_from(analysis), budget)
-    for w in outcome.non_base_members(form):
-        same = w.degree == form.degree and _same_span(w.coefficients, form.coefficients)
-        if same and integrability_check(w):
-            return Determination("non-unique", "integrable family member", w)
-    if outcome.kind == "finite" and outcome.complete:
-        return Determination("unique", "integrability system has only the base solution")
-    return Determination("inconclusive", f"family analysis ({outcome.kind})")
-
+    family = _family_from(analysis)
+    system = integrability_system(family)
+    for _, w in _walk(family, system, 2)[1:]:
+        if w.degree != form.degree or not _same_span(w.coefficients, form.coefficients):
+            raise InternalInconsistency(f"the member {w} has another singular ideal")
+        return Determination("non-unique", "integrable family member", w)
+    try:
+        unique = _only_degenerate_or_base(family, system, budget)
+    except StepBudgetExceeded:
+        return Determination("inconclusive", "family analysis (budget exhausted)")
+    if unique:
+        return Determination("unique", "every integrable member is degenerate or a multiple of the base")
+    return Determination("inconclusive", "family analysis (no witness on the unit lines)")

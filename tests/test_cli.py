@@ -180,6 +180,18 @@ def test_resolution_past_the_syzygy_bound_exits_4(l1111_file, monkeypatch, capsy
     assert err.count("\n") == 1 and "Hilbert syzygy bound" in err
 
 
+def test_witness_with_another_singular_ideal_exits_4(l1111_file, monkeypatch, capsys):
+    # a member off the degenerate locus spans the base's forms: a witness that
+    # does not is an engine bug, not a verdict
+    import foliations.determine as determine
+
+    monkeypatch.setattr(determine, "_same_span", lambda F, G: False)
+    assert main(["determine", l1111_file]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed: InternalInconsistency: the member ")
+    assert "another singular ideal" in err
+
+
 def test_classify_directory(tmp_path, capsys):
     for name, weights in [("a", "1,1,1,-3"), ("b", "1,-1,1,-1")]:
         assert main([

@@ -1,8 +1,9 @@
 """Syzygy families, the integrability system, and determination verdicts."""
 
 import json
+import sys
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from random import Random
 
@@ -16,12 +17,13 @@ from foliations.classify import (
     saturated_resolution,
 )
 from foliations.determine import (
+    _LINE,
     DistributionFamily,
     _combination,
+    _only_degenerate_or_base,
     _poly_det,
     _same_span,
-    _scan_candidates,
-    _scan_points,
+    _walk,
     constant_syzygy_space,
     distribution_family,
     integrability_system,
@@ -32,11 +34,13 @@ from foliations.determine import (
 from foliations.forms import (
     ProjectiveOneForm,
     integrability_check,
+    proportional,
     singular_ideal,
     validate,
 )
 from foliations.groebner import Ideal, ideal_equal
 from foliations.linalg import rank
+from foliations.modules import InternalInconsistency
 from foliations.resolutions import free_resolution
 from foliations.rings import LEX, PolyRing
 from foliations.saturation import saturate
@@ -54,6 +58,8 @@ from .conftest import (
 )
 
 DETERMINATIONS = Path(__file__).parent / "data" / "determinations.json"
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+CERTIFIED = "every integrable member is degenerate or a multiple of the base"
 R = PolyRing(4)
 Z = R.variables()
 IDENTITY = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
@@ -69,6 +75,15 @@ def _member_form(family, alpha) -> ProjectiveOneForm:
     if family.degenerate_locus.evaluate(alpha) == 0:
         raise SingularMatrix(f"parameter {alpha} lies in the degenerate locus")
     return validate(coefficients)
+
+
+def _walk_points(p: int) -> list[tuple]:
+    """The points ``_walk`` tries, in its order: e_k, then e_0 + v*e_k."""
+    return [
+        tuple(Fraction(a * (i == 0) + b * (i == k), a or 1) for i in range(p))
+        for k in range(1, p)
+        for a, b in _LINE
+    ]
 
 
 def _matrix_at(family, alpha) -> list[list]:
@@ -181,7 +196,7 @@ def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
     forms = dict(corpus)
     for name in ("L1111", "exceptional-d2", "L1112", "pullback-d1"):
         family = distribution_family(forms[name])
-        for alpha in _scan_candidates(family.parameter_dim):
+        for alpha in _walk_points(family.parameter_dim):
             singular = rank(_matrix_at(family, alpha)) < 4
             assert (family.degenerate_locus.evaluate(alpha) == 0) == singular
             try:
@@ -192,15 +207,19 @@ def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
             assert rejected == singular, (name, alpha)
 
 
-def test_scan_points_are_integral_multiples_of_the_candidates():
-    # the scan's zero tests are homogeneous, so they run at these points
+def test_walk_tries_the_unit_lines_in_order():
+    # e_k, then e_0 + v*e_k for the eight steps, each given by an integral
+    # multiple a*e_0 + b*e_k on which the homogeneous zero tests run
+    steps = [1, -1, 2, -2, 3, Fraction(1, 2), Fraction(1, 3), -3]
+    assert all(type(x) is int for pair in _LINE for x in pair)
+    assert _LINE[0] == (0, 1) and [Fraction(b, a) for a, b in _LINE[1:]] == steps
     for p in range(2, 6):
-        points = _scan_points(p)
-        assert [alpha for alpha, _ in points] == list(_scan_candidates(p))
-        for alpha, point in points:
-            assert all(type(x) is int for x in point)
-            ratio = next(Fraction(x, 1) / a for x, a in zip(point, alpha) if a)
-            assert ratio >= 1 and all(x == ratio * a for x, a in zip(point, alpha)), alpha
+        points = _walk_points(p)
+        assert len(points) == 9 * (p - 1)
+        for k in range(1, p):
+            unit = tuple(int(i == k) for i in range(p))
+            line = [tuple(int(i == 0) + v * (i == k) for i in range(p)) for v in steps]
+            assert points[9 * (k - 1) : 9 * k] == [unit] + line
 
 
 def test_nonzero_singular_member_rejected(l1111):
@@ -273,8 +292,8 @@ def test_exceptional_family(exceptional2):
     system = integrability_system(family)
     assert system
     outcome = integrable_members(family)
-    assert outcome.kind == "finite" and outcome.complete
-    assert len(outcome.members) == 1
+    assert outcome.kind == "finite" and len(outcome.members) == 1
+    assert _only_degenerate_or_base(family, system)
 
 
 def _in_ring_order(system: list, pring: PolyRing) -> list:
@@ -386,8 +405,8 @@ def test_l1111_family_all_integrable(l1111):
     assert family.parameter_dim == 3
     assert integrability_system(family) == []
     outcome = integrable_members(family)
-    assert outcome.kind == "positive"
-    assert len(outcome.non_base_members(l1111)) >= 2
+    assert outcome.kind == "positive" and len(outcome.members) == 3
+    assert not any(f.is_proportional_to(l1111) for _, f in outcome.members[1:])
 
 
 def test_single_parameter_family_is_trivial(l1111):
@@ -402,17 +421,15 @@ def test_single_parameter_family_is_trivial(l1111):
     )
     assert integrability_system(sub) == []
     outcome = integrable_members(sub)
-    assert outcome.kind == "finite" and outcome.complete and len(outcome.members) == 1
+    assert outcome.kind == "finite" and len(outcome.members) == 1
+    assert _only_degenerate_or_base(sub, [])
 
 
 def test_pullback_d1_family_positive_dimensional(pullback_d1):
     family = distribution_family(pullback_d1)
     outcome = integrable_members(family)
-    assert outcome.kind == "positive"
-    witnesses = outcome.non_base_members(pullback_d1)
-    assert len(witnesses) >= 2 or (
-        len(witnesses) >= 1 and len(outcome.members) >= 3
-    )
+    assert outcome.kind == "positive" and len(outcome.members) == 3
+    assert not any(f.is_proportional_to(pullback_d1) for _, f in outcome.members[1:])
 
 
 # -- determination ------------------------------------------------------------------
@@ -499,7 +516,7 @@ def test_determination_checks_each_member_once_and_resolves_no_witness(monkeypat
     import foliations.determine as determine_mod
 
     checks, resolutions, members = [], [], []
-    real_check, real_members = determine_mod.integrability_check, determine_mod.integrable_members
+    real_check, real_walk = determine_mod.integrability_check, determine_mod._walk
 
     def counted_check(form):
         checks.append(form)
@@ -509,13 +526,13 @@ def test_determination_checks_each_member_once_and_resolves_no_witness(monkeypat
         resolutions.append(I)
         return free_resolution(I, *args, **kwargs)
 
-    def counted_members(family, budget=None):
-        outcome = real_members(family, budget)
-        members.extend(outcome.members)
-        return outcome
+    def counted_walk(family, system, count):
+        found = real_walk(family, system, count)
+        members.extend(found)
+        return found
 
     monkeypatch.setattr(determine_mod, "integrability_check", counted_check)
-    monkeypatch.setattr(determine_mod, "integrable_members", counted_members)
+    monkeypatch.setattr(determine_mod, "_walk", counted_walk)
     monkeypatch.setattr(classify_mod, "free_resolution", counted_resolution)
     for name, form in build_determination_forms():
         for log in (checks, resolutions, members):
@@ -525,6 +542,112 @@ def test_determination_checks_each_member_once_and_resolves_no_witness(monkeypat
         assert len(checks) <= len(members) + (verdict.witness is not None), name
         # the form's own resolution: a witness is certified by its span, not resolved
         assert len(resolutions) == 1, name
+
+
+# -- the exact decision: the walk and the certificate -------------------------------
+
+
+@cache
+def _split_families(seed: int) -> list:
+    """(name, verdict, family, system) of every split corpus, larger and
+    benchmark form under the seed's change of coordinates; not to be mutated."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        import workloads
+    finally:
+        sys.path.remove(str(BENCH))
+    forms = {**dict(build_corpus() + build_larger_split_forms()), **workloads.named_forms()}
+    out = []
+    for name, form in forms.items():
+        form = seeded(name, form, seed)
+        if _report_from(_Analysis.of(form)).is_split:
+            family = distribution_family(form)
+            verdict = is_determined_by_singular_scheme(form)
+            out.append((name, verdict, family, integrability_system(family)))
+    return out
+
+
+def _l_is_everything(family) -> bool:
+    """Every member tuple is a multiple of the base (zero included)."""
+    return all(proportional(t, family.base.coefficients) for t in family.member_tuples)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3, 7])
+def test_l1112_is_unique(corpus, seed):
+    # its system has the base (1:0) and (1:-2) as solutions, and the member at
+    # (1:-2) is degenerate: no witness exists, and the certificate says so
+    verdict = is_determined_by_singular_scheme(seeded("L1112", dict(corpus)["L1112"], seed))
+    assert (verdict.kind, verdict.route, verdict.witness) == ("unique", CERTIFIED, None)
+
+
+def test_the_certificate_needs_the_degenerate_locus(corpus):
+    family = distribution_family(dict(corpus)["L1112"])
+    system = integrability_system(family)
+    assert system and _only_degenerate_or_base(family, system)
+    assert [alpha for alpha, _ in _walk(family, system, 3)] == [(1, 0)]
+    # with the locus taken as nowhere, the degenerate solution counts
+    family.degenerate_locus = family.parameter_ring.one()
+    assert not _only_degenerate_or_base(family, system)
+    assert [alpha for alpha, _ in _walk(family, system, 3)] == [(1, 0), (1, -2)]
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_walk_finds_a_witness_exactly_when_l_is_not_everything(seed):
+    # with a zero system the walk is complete
+    seen = {True: [], False: []}
+    for name, verdict, family, system in _split_families(seed):
+        if system:
+            continue
+        found = _walk(family, system, 2)
+        everything = _l_is_everything(family)
+        assert (len(found) > 1) != everything, (name, seed)
+        assert (verdict.kind == "non-unique") == (len(found) > 1), (name, seed)
+        seen[everything].append(name)
+    assert "pullback-d3b" in seen[True] and "L1111" in seen[False], seen
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_certificate_agrees_with_the_shortcut_routes(seed):
+    shortcuts = ("splitting type a <= b <= -1", "linear pull-back of degree != 1")
+    decided = []
+    for name, verdict, family, system in _split_families(seed):
+        holds = _only_degenerate_or_base(family, system)
+        if verdict.route in shortcuts:
+            assert verdict.kind == "unique" and holds, (name, seed)
+            decided.append(name)
+        else:
+            assert holds == (verdict.kind == "unique"), (name, seed)
+    # no form of these sets has b <= -1: only the pull-back route is compared
+    assert sorted(decided) == [
+        "pencil", "pencil-z0z3", "pullback-d0", "pullback-d2", "pullback-d3", "pullback-d3b"
+    ]
+
+
+def test_pullback_d3b_is_certified_without_a_basis(monkeypatch):
+    # five parameters, and every member is a multiple of the base (three are
+    # zero): L is everything, so no linear form cuts it out
+    family = next(f for n, _, f, _ in _split_families(0) if n == "pullback-d3b")
+    assert family.parameter_dim == 5 and _l_is_everything(family)
+    assert sum(all(f.is_zero() for f in t) for t in family.member_tuples) == 3
+    def no_basis(*args):
+        pytest.fail("a basis was computed")
+
+    monkeypatch.setattr(determine, "reduced_groebner_basis", no_basis)
+    assert _only_degenerate_or_base(family, integrability_system(family))
+
+
+def test_a_failed_member_check_is_an_engine_bug(l1111, monkeypatch):
+    # a kept member solves the system and spans the base's forms; the witness's
+    # span check is exercised through the CLI (``test_cli``)
+    family = distribution_family(l1111)
+    with monkeypatch.context() as patch:
+        patch.setattr(determine, "integrability_check", lambda form: False)
+        with pytest.raises(InternalInconsistency, match="not integrable"):
+            _walk(family, [], 2)
+    with monkeypatch.context() as patch:
+        patch.setattr(determine, "validate", lambda coefficients: validate([]))
+        with pytest.raises(InternalInconsistency, match="not a form"):
+            _walk(family, [], 2)
 
 
 # -- the witness certificate ------------------------------------------------------------
