@@ -13,10 +13,11 @@ The package is organized in layers:
 * ``modules`` -- the one Buchberger engine: module Groebner bases, division,
   syzygies and minimal resolution steps, with ideals as rank-1 modules.
 * ``groebner``, ``resolutions``, ``hilbert``, ``saturation``, ``ext`` -- the
-  commutative algebra built on it (ideals and reduced bases, free
-  resolutions, Hilbert series, saturation as I : l^oo for a linear form l
-  that the Hilbert polynomial certifies, with colon ideals as its oracle,
-  the top Ext of a resolution).
+  commutative algebra built on it (ideals holding one Groebner basis each,
+  step 0 of their resolution or the reduced basis; free resolutions;
+  Hilbert series; saturation as I : l^oo for a linear form l that the
+  Hilbert polynomial certifies, read off the held basis for l = z3, with
+  colon ideals as its oracle; the top Ext of a resolution).
 * ``forms`` -- projective 1-forms, exterior calculus into unsorted
   coefficient dicts, singular schemes, and the standard constructors
   (logarithmic, pull-back, exceptional).

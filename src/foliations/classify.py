@@ -12,9 +12,11 @@ Thm 19.9), depth R/I >= 1, that is I = I^sat, exactly when the resolution
 of R/I has length at most 3: then it is the resolution of I^sat, and only
 a length 4 sends I through ``saturate``, which returns the first I : l^oo,
 for l along the rational normal curve, with the Hilbert polynomial of I.
-The first step of a resolution is a Groebner basis in the ring order, so
-it holds in(I), from which the codim check and the Hilbert data come with
-no basis of their own.  The split verdict is computed along two routes --
+The first step of a resolution is a Groebner basis in the ring order, and
+I holds it: the codim check, the Hilbert data and the first line of
+``saturate`` (l = z3) read it with no basis of their own, and I^sat comes
+back with integral generators, which its resolution takes as they are.
+The split verdict is computed along two routes --
 curve + saturated and curve + ACM -- whose agreement is a theorem, so a
 disagreement raises.
 
@@ -161,8 +163,8 @@ def saturated_resolution(I: Ideal, budget: int | None = None) -> tuple[Ideal, Fr
     exactly when the irrelevant ideal is not associated to I, that is when
     I is saturated.  So a resolution of length <= 3 returns I itself (the
     same object) with it; a longer one is dropped for that of ``saturate(I)``.
-    Raises CodimTooSmall when codim Z(I) < 2, checked on the in(I) that
-    step 0 of the resolution holds, before any saturation is paid for.
+    Raises CodimTooSmall when codim Z(I) < 2, checked on the basis that
+    step 0 of the resolution hands I, before any saturation is paid for.
     """
     res = free_resolution(I, budget=budget)
     check_codim(I, budget)
@@ -187,8 +189,8 @@ class _Analysis:
         if form.ring.num_vars != 4:
             raise ValueError("classification requires a form on P^3 (4 variables)")
         I = Ideal(form.ring, form.coefficients)
-        # resolve I first: step 0 holds in(I) for the codim check and
-        # hilbert_data, and a length <= 3 means I is saturated
+        # resolve I first: step 0 hands I the basis that the codim check and
+        # saturate read, and a length <= 3 means I is saturated
         sat, res = saturated_resolution(I, budget)
         # depth R/I^sat >= 1, so the resolution has length at most 3
         # (Auslander-Buchsbaum) and Ext^3 is zero or the top Ext

@@ -301,6 +301,7 @@ def cmd_sat(args) -> int:
     I = singular_ideal(ff.form, args.budget)
     sat = saturate(I, budget=args.budget)
     saturated = ideal_equal(I, sat, args.budget)
+    gb = sat.groebner_basis(args.budget)
     h = hilbert_data(sat, args.budget)
     payload = _report(
         args.file,
@@ -308,12 +309,12 @@ def cmd_sat(args) -> int:
         verdicts={"saturated": saturated},
         timings={"total_s": round(time.monotonic() - started, 3)},
     )
-    payload["saturation"] = [str(g) for g in sat.generators]
+    payload["saturation"] = [str(g) for g in gb]
     payload["krull_dim"] = h.krull_dim
     lines = [
         f"{args.file}: ideal is {'saturated' if saturated else 'NOT saturated'}, "
         f"dim R/I^sat = {h.krull_dim}"
-    ] + [f"  {g}" for g in sat.generators]
+    ] + [f"  {g}" for g in gb]
     _emit(args, payload, lines)
     return 0
 

@@ -48,7 +48,6 @@ from .hilbert import hilbert_data
 from .linalg import echelon, kernel_basis, rank
 from .modules import InternalInconsistency, StepBudgetExceeded, vec_integral
 from .rings import PolyRing, Polynomial, Rational, add_product, exact
-from .saturation import saturate
 
 
 def linear_syzygy_space(form: ProjectiveOneForm) -> list[tuple[tuple[Rational, ...], ...]]:
@@ -230,12 +229,15 @@ def _walk(
     A point is kept when, in this order, it solves the system, lies off the
     degenerate locus (both tested at a*e_0 + b*e_k, on integers) and gives
     coefficients not proportional to a kept member's; only then is its
-    member validated and checked.
+    member validated and checked.  A line whose e_k lies in L is skipped:
+    each of its members is a multiple of the base, or zero.
     """
     p = family.parameter_dim
     found = [(tuple(int(i == 0) for i in range(p)), family.base)]
     locus = family.degenerate_locus.primitive()
     for k in range(1, p):
+        if proportional(family.member_tuples[k], family.base.coefficients):
+            continue  # e_k is in L, and so is every point of its line
         for a, b in _LINE:
             if len(found) >= count:
                 return found
@@ -285,15 +287,15 @@ def _only_degenerate_or_base(
 def integrable_members(
     family: DistributionFamily, budget: int | None = None
 ) -> FamilyIntegrability:
-    """The kind of V(S), by the Hilbert data of the saturated solution ideal
-    ("inconclusive" if the budget runs out first), and up to three members of ``_walk``."""
+    """The kind of V(S), by dim R/S = dim R/S^sat >= 1 (V(S) holds the base
+    point; "inconclusive" if the budget runs out first), and up to three
+    members of ``_walk``."""
     system = integrability_system(family)
     members = _walk(family, system, 3)
     if not system:
         return FamilyIntegrability("positive" if family.parameter_dim > 1 else "finite", members)
     try:
-        sol = saturate(Ideal(family.parameter_ring, system), budget=budget)
-        dim = hilbert_data(sol, budget).krull_dim
+        dim = hilbert_data(Ideal(family.parameter_ring, system), budget).krull_dim
     except StepBudgetExceeded:
         return FamilyIntegrability("inconclusive", members)
     if dim <= 0:

@@ -7,9 +7,9 @@ layer has no loop of its own.  It wraps polynomials as 1-tuples and keeps
 the ``Ideal`` view that the rest of the package works with.  The reduced
 basis returned to callers is monic and sorted by leading monomial, so it is
 the unique reduced Groebner basis for the ring's order.  An ``Ideal`` holds
-that basis wrapped for division together with its leading terms, so a
-membership test divides at once, and in(I): the leading monomials that the
-first step of ``free_resolution`` handed it, else the reduced basis's.
+one Groebner basis in the ring order, as 1-tuples with their leading terms:
+the integral one that the first step of ``free_resolution`` handed it, else
+the reduced basis.  in(I), the Hilbert numerator and ``saturate`` read it.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .hilbert import monomial_numerator
-from .modules import Lead, Vec, module_groebner, module_normal_form, module_reduce
-from .rings import Exponent, PolyRing, Polynomial
+from .modules import Lead, Vec, module_groebner, module_normal_form
+from .rings import PolyRing, Polynomial
 
 
 @dataclass
 class Ideal:
-    """A polynomial ideal given by generators, with a cached reduced basis."""
+    """A polynomial ideal given by generators, with one Groebner basis held."""
 
     ring: PolyRing
     generators: tuple[Polynomial, ...]
     _gb: list[Polynomial] | None = field(default=None, repr=False, compare=False)
-    _held: tuple[list[Vec], list[Lead]] | None = field(default=None, repr=False, compare=False)
-    _initial: Sequence[Exponent] | None = field(default=None, repr=False, compare=False)
+    _basis: tuple[list[Vec], list[Lead]] | None = field(default=None, repr=False, compare=False)
     _numerator: tuple[int, ...] | None = field(default=None, repr=False, compare=False)
 
     def __init__(self, ring: PolyRing, generators: Iterable[Polynomial]):
@@ -40,40 +39,30 @@ class Ideal:
                 raise ValueError("generator from a different ring")
         self.ring = ring
         self.generators = gens
-        self._gb = self._held = self._initial = self._numerator = None
+        self._gb = self._basis = self._numerator = None
 
     def groebner_basis(self, budget: int | None = None) -> list[Polynomial]:
         if self._gb is None:
             self._gb = reduced_groebner_basis(list(self.generators), self.ring, budget)
         return self._gb
 
-    def hold_initial(self, monomials: Sequence[Exponent]) -> None:
-        """Keep the leading monomials of a Groebner basis of I in the ring order as in(I)."""
-        self._initial = monomials
+    def hold_basis(self, basis: list[Vec], leads: list[Lead]) -> None:
+        """Keep a Groebner basis of I in the ring order, as 1-tuples with their leading terms."""
+        self._basis = (basis, leads)
 
-    def initial_monomials(self, budget: int | None = None) -> Sequence[Exponent]:
-        """Generators of in(I): those held by ``hold_initial``, else the reduced basis's."""
-        if self._initial is None:
-            self._initial = [g.leading_monomial() for g in self.groebner_basis(budget)]
-        return self._initial
+    def basis(self, budget: int | None = None) -> tuple[list[Vec], list[Lead]]:
+        """The Groebner basis held by ``hold_basis``, else the reduced basis, with leading terms."""
+        if self._basis is None:
+            gb = self.groebner_basis(budget)
+            self._basis = ([(g,) for g in gb], [(0, *g.terms[0]) for g in gb])
+        return self._basis
 
     def hilbert_numerator(self, budget: int | None = None) -> tuple[int, ...]:
         """Numerator of Hilb(R/I) over (1-t)^n, that of R/in(I) (Eisenbud, Thm 15.26)."""
         if self._numerator is None:
-            self._numerator = monomial_numerator(self.initial_monomials(budget), self.ring.num_vars)
+            leads = self.basis(budget)[1]
+            self._numerator = monomial_numerator([e for _, e, _ in leads], self.ring.num_vars)
         return self._numerator
-
-    def _division_basis(self, budget: int | None) -> tuple[list[Vec], list[Lead]]:
-        """The reduced basis as 1-tuples, with their leading terms, built once."""
-        if self._held is None:
-            gb = self.groebner_basis(budget)
-            self._held = ([(g,) for g in gb], [(0, *g.terms[0]) for g in gb])
-        return self._held
-
-    def contains(self, f: Polynomial, budget: int | None = None) -> bool:
-        basis, leads = self._division_basis(budget)
-        _, r = module_reduce(self.ring, (f,), basis, None, leads)
-        return r[0].is_zero()
 
     def is_homogeneous(self) -> bool:
         return all(g.is_homogeneous() for g in self.generators)

@@ -158,9 +158,10 @@ def same_hilbert_polynomial(a: IntPoly, b: IntPoly, num_vars: int) -> bool:
 def hilbert_data(I: Ideal, budget: int | None = None) -> HilbertData:
     """Hilbert data of R/I, that of R/in(I) (Eisenbud, Thm 15.26); one numerator per I.
 
-    in(I) is held from the first step of ``free_resolution(I)``, else read off
-    the reduced basis.  Equal to a resolution's alternating twist sum, the
-    numerator still checks every later step of that resolution.
+    in(I) is generated by the leading terms of the basis I holds: the one the
+    first step of ``free_resolution(I)`` built, else the reduced basis.
+    Equal to a resolution's alternating twist sum, the numerator still checks
+    every later step of that resolution.
     """
     return hilbert_from_numerator(I.hilbert_numerator(budget), I.ring.num_vars)
 

@@ -447,8 +447,9 @@ def syzygy_generators(
 
 def minimal_syzygies(
     gens: Sequence[Vec], ring: PolyRing, marks: Marks, budget: int | None = None
-) -> tuple[list[int], list[Vec], list[Lead]]:
-    """One resolution step: (kept generators, their syzygies, basis leading terms).
+) -> tuple[list[int], list[Vec], list[Vec], list[Lead]]:
+    """One resolution step: (kept generators, their syzygies, the integral
+    Groebner basis, its leading terms).
 
     ``gens`` are homogeneous vectors over a free module with Schreyer
     ``marks``.  The kept generators form a minimal generating set of the
@@ -456,12 +457,12 @@ def minimal_syzygies(
     vectors over the kept generators in the order of ``kept``.
     """
     if not gens:
-        return [], [], []
-    _, syzygies, kept, leads = _buchberger(gens, ring, budget, track=True, marks=marks)
+        return [], [], [], []
+    basis, syzygies, kept, leads = _buchberger(gens, ring, budget, track=True, marks=marks)
     kept.sort()
     syzygies = [tuple(u[i] for i in kept) for u in syzygies]
     _certify(syzygies, [gens[i] for i in kept])
-    return kept, syzygies, leads
+    return kept, syzygies, basis, leads
 
 
 def induced_marks(ring: PolyRing, gens: Sequence[Vec], marks: Marks) -> list[tuple[Exponent, int]]:

@@ -10,7 +10,8 @@ the next step's generators, ordered by the Schreyer order the step induces
 (each F_k carries marks: the leading monomial of each generator, carried
 down the frame, and a rank; see ``modules``).  Step 0 runs on I with the
 trivial mark, so its basis is a Groebner basis of I in the ring order: the
-``Ideal`` keeps those leading monomials as in(I), for ``hilbert_data``.
+``Ideal`` keeps it, with its leading terms, and reads in(I), the Hilbert
+data and ``saturate``'s first line off it, so none of them takes a basis.
 
 Two checks certify the output.  A graded resolution is minimal exactly when
 no map has a unit entry, which ``has_unit_entry`` tests.  R/I has
@@ -102,9 +103,9 @@ def free_resolution(I: Ideal, budget: int | None = None) -> FreeResolution:
     while current:
         if len(res.matrices) == ring.num_vars:
             raise InternalInconsistency("resolution ran past the Hilbert syzygy bound")
-        kept, syzygies, leads = minimal_syzygies(current, ring, marks, budget)
+        kept, syzygies, basis, leads = minimal_syzygies(current, ring, marks, budget)
         if not res.matrices:
-            I.hold_initial([e for _, e, _ in leads])
+            I.hold_basis(basis, leads)
         gens = [current[i] for i in kept]
         marks = induced_marks(ring, gens, marks)
         res.matrices.append(gens)

@@ -2,7 +2,7 @@
 
 ``saturate`` computes I^sat = I : m^oo, for the irrelevant ideal
 m = (z_0, ..., z_{n-1}), by one algorithm.  For a linear form l, a change
-of coordinates that makes l the last variable turns one grevlex Groebner
+of coordinates that makes l the last variable turns any grevlex Groebner
 basis of I, each element divided by its content in l, into a basis of
 J = I : l^oo (Bayer-Stillman; Eisenbud, Prop. 15.12).  J contains I^sat
 and is saturated, so J = I^sat exactly when R/J and R/I have the same
@@ -10,7 +10,9 @@ Hilbert polynomial.  The forms l are taken on the rational normal curve:
 z_{n-1}, then z_0 (the one variable that misses the point (1:0:...:0)),
 then sum_i t^(n-1-i) z_i for t = 1, 2, ...  Any n of them are linearly
 independent, so each associated prime of I other than m contains at most
-n-1 of them, and the loop ends.
+n-1 of them, and the loop ends.  On a grevlex ring the first line reads
+the basis I holds (step 0 of its resolution, if one ran), and I^sat comes
+back with the integral divided basis as generators, not a reduced one.
 
 Colon and intersection reduce to syzygy computations.  ``saturate_by_colon``
 iterates I <- I : m until the chain stabilizes: the independent oracle that
@@ -22,7 +24,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Callable, Iterator
 
-from .groebner import Ideal, ideal_equal, reduced_groebner_basis
+from .groebner import Ideal, ideal_equal
 from .hilbert import monomial_numerator, same_hilbert_polynomial
 from .modules import syzygy_generators
 from .rings import PolyRing, Polynomial, map_to_ring
@@ -30,13 +32,8 @@ from .rings import PolyRing, Polynomial, map_to_ring
 
 def _canonical(ring: PolyRing, gens: list[Polynomial], budget: int | None) -> Ideal:
     """Ideal with its reduced Groebner basis as generators (and cached)."""
-    return _with_basis(Ideal(ring, gens), budget)
-
-
-def _with_basis(I: Ideal, budget: int | None) -> Ideal:
-    """I with its reduced Groebner basis, computed once, as generators."""
-    gb = I.groebner_basis(budget)
-    out = Ideal(I.ring, gb)
+    gb = Ideal(ring, gens).groebner_basis(budget)
+    out = Ideal(ring, gb)
     out._gb = gb
     return out
 
@@ -84,21 +81,26 @@ def colon(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
     return result
 
 
-def _changes(ring: PolyRing, work: PolyRing) -> Iterator[tuple[Callable, Callable]]:
-    """Integral unimodular maps from ``ring`` into ``work`` that make l the
-    last variable, each with its inverse, for l = z_{n-1}, z_0, then
-    sum_i t^(n-1-i) z_i for t = 1, 2, ...  A variable l = z_k is swapped
-    with z_{n-1}; any other l becomes y_{n-1}, and y_i = z_i for i < n-1."""
-    n = ring.num_vars
+def _changes(I: Ideal, work: PolyRing) -> Iterator[tuple[Ideal, Callable]]:
+    """I in the coordinates of ``work`` that make l the last variable, each
+    with the map back, for l = z_{n-1}, z_0, then sum_i t^(n-1-i) z_i for
+    t = 1, 2, ...  A variable l = z_k is swapped with z_{n-1}, so z_{n-1} on
+    a grevlex ring gives I itself; any other l becomes y_{n-1}, and y_i = z_i
+    for i < n-1."""
+    ring, n = I.ring, I.ring.num_vars
     for k in (n - 1, 0):
         perm = [n - 1 if i == k else k if i == n - 1 else i for i in range(n)]
-        yield (lambda g, v=perm: map_to_ring(g, work, v)), (lambda g, v=perm: map_to_ring(g, ring, v))
+        moved = I if ring == work and k == n - 1 else Ideal(
+            work, [map_to_ring(g, work, perm) for g in I.generators]
+        )
+        yield moved, (lambda g, v=perm: map_to_ring(g, ring, v))
     y, z = work.variables(), ring.variables()
     for t in count(1):
         c = [t ** (n - 1 - i) for i in range(n - 1)]
         forward = y[:-1] + [y[-1] - sum((y[i].scale(c[i]) for i in range(n - 1)), work.zero())]
         back = z[:-1] + [z[-1] + sum((z[i].scale(c[i]) for i in range(n - 1)), ring.zero())]
-        yield (lambda g, f=forward: g.substitute(f)), (lambda g, b=back: g.substitute(b))
+        moved = Ideal(work, [g.substitute(forward) for g in I.generators])
+        yield moved, (lambda g, b=back: g.substitute(b))
 
 
 def _divide_last(g: Polynomial) -> Polynomial:
@@ -111,22 +113,19 @@ def _divide_last(g: Polynomial) -> Polynomial:
 
 def saturate(I: Ideal, *, budget: int | None = None) -> Ideal:
     """I : m^oo: the first I : l^oo, for l along the rational normal curve,
-    with the Hilbert polynomial of I."""
+    with the Hilbert polynomial of I.  I itself when l divides no element of
+    the basis, else the divided basis, mapped back and made primitive."""
     if not I.is_homogeneous():
         raise ValueError("saturation requires a homogeneous ideal")
-    ring, n = I.ring, I.ring.num_vars
-    work = PolyRing(n)
-    for step, (move, back) in enumerate(_changes(ring, work)):
-        if step == 0 and ring == work:  # l = z_{n-1}: I's own basis
-            basis = I.groebner_basis(budget)
-        else:
-            basis = reduced_groebner_basis([move(g) for g in I.generators], work, budget)
+    n = I.ring.num_vars
+    for moved, back in _changes(I, PolyRing(n)):
+        basis = [v[0] for v in moved.basis(budget)[0]]
         divided = [_divide_last(g) for g in basis]
         if divided == basis:  # l is a nonzerodivisor on R/I, so I is saturated
-            return _with_basis(I, budget)
+            return I
         numerator = monomial_numerator([g.leading_monomial() for g in divided], n)
         if same_hilbert_polynomial(I.hilbert_numerator(budget), numerator, n):
-            return _canonical(ring, [back(g) for g in divided], budget)
+            return Ideal(I.ring, [back(g).primitive() for g in divided])
 
 
 def saturate_by_colon(I: Ideal, *, budget: int | None = None) -> Ideal:

@@ -295,7 +295,7 @@ def test_shifted_betti_table_is_a_consistency_failure(l1111, monkeypatch):
         classify(l1111)
 
 
-def test_classify_builds_one_groebner_basis(l1111, monkeypatch):
+def test_classify_builds_one_groebner_basis(l1111, distribution_d2, monkeypatch):
     # the first resolution step is a Groebner basis of I in the ring order,
     # so in(I) comes from it: no reduced basis of I, one Hilbert numerator,
     # and one Buchberger run per resolution step
@@ -323,6 +323,14 @@ def test_classify_builds_one_groebner_basis(l1111, monkeypatch):
     report = classify(l1111)
     assert report.is_split and report.betti == {(0, 0): 1, (1, 3): 4, (2, 4): 3}
     assert calls == {"reduced_groebner_basis": 0, "monomial_numerator": 1, "_buchberger": 2}
+    # an unsaturated I: saturate's first line, z3, reads the basis of step 0
+    # and fails the Hilbert polynomial; z0, t = 1 and t = 2 take one basis
+    # each, and t = 2 decides.  With the 4 steps of R/I, the 3 of R/I^sat and
+    # Ext^3 that is 11 runs, with no reduced basis of I or of I^sat
+    calls.update(dict.fromkeys(calls, 0))
+    report = classify(distribution_d2)
+    assert not report.saturated and report.betti[(3, 6)] == 4
+    assert calls["reduced_groebner_basis"] == 3 and calls["_buchberger"] == 11
 
 
 def test_codim_one_form_is_rejected_before_saturation(distribution_d2, monkeypatch):

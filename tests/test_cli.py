@@ -137,6 +137,26 @@ def test_sat_saturates_once(l1111_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def test_sat_of_an_unsaturated_ideal_prints_the_reduced_basis(tmp_path, capsys):
+    # the singular ideal of DISTRIBUTION_D2 is not saturated: saturate hands
+    # back an integral basis, and sat prints the reduced basis of I^sat
+    from foliations.formfile import parse_form_file
+    from foliations.forms import singular_ideal
+    from foliations.groebner import Ideal
+    from foliations.saturation import saturate_by_colon
+
+    from .conftest import DISTRIBUTION_D2
+
+    path = tmp_path / "d2.form"
+    path.write_text(DISTRIBUTION_D2)
+    assert main(["sat", str(path), "--json"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    form = parse_form_file(DISTRIBUTION_D2).form
+    oracle = saturate_by_colon(Ideal(R, singular_ideal(form).generators))
+    assert out["verdicts"]["saturated"] is False
+    assert out["saturation"] == [str(g) for g in oracle.groebner_basis()]
+
+
 @pytest.mark.parametrize("exc", [
     InternalInconsistency("split routes disagree"),
     ConsistencyFailure("the Betti table does not give the Hilbert series of R/I^sat"),
@@ -166,9 +186,9 @@ def test_resolution_past_the_syzygy_bound_exits_4(l1111_file, monkeypatch, capsy
     real = resolutions.minimal_syzygies
 
     def endless(gens, ring, marks, budget=None):
-        kept, syzygies, leads = real(gens, ring, marks, budget)
+        kept, syzygies, basis, leads = real(gens, ring, marks, budget)
         fake = (ring.variable(0),) + (ring.zero(),) * (len(kept) - 1)
-        return kept, syzygies or [fake], leads
+        return kept, syzygies or [fake], basis, leads
 
     monkeypatch.setattr(resolutions, "minimal_syzygies", endless)
     assert main(["classify", l1111_file]) == 4

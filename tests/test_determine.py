@@ -222,6 +222,27 @@ def test_walk_tries_the_unit_lines_in_order():
             assert points[9 * (k - 1) : 9 * k] == [unit] + line
 
 
+def test_walk_skips_the_lines_in_l(pullback_d1, monkeypatch):
+    # pullback-d1 has a zero system; e_1..e_4 give multiples of the base, so
+    # every point of their lines is in L and the walk builds no member there:
+    # the only member it builds is the witness e_0 + e_5 (e_5 is degenerate)
+    family = distribution_family(pullback_d1)
+    system = integrability_system(family)
+    in_l = [proportional(t, family.base.coefficients) for t in family.member_tuples[1:]]
+    assert system == [] and in_l == [True] * 4 + [False]
+    built = []
+    real = DistributionFamily.member_coefficients
+
+    def counted(self, alpha):
+        built.append(alpha)
+        return real(self, alpha)
+
+    monkeypatch.setattr(DistributionFamily, "member_coefficients", counted)
+    (_, base), (alpha, witness) = _walk(family, system, 2)
+    assert built == [alpha] == [(1, 0, 0, 0, 0, 1)]
+    assert base is family.base and not proportional(witness.coefficients, base.coefficients)
+
+
 def test_nonzero_singular_member_rejected(l1111):
     family = distribution_family(l1111)
     alpha = (0, 0, 1)
@@ -454,7 +475,6 @@ def test_l1111_non_unique_with_explicit_witness(l1111, l1111_alt):
 
 def test_determination_analyses_the_form_once(l1111, monkeypatch):
     import foliations.classify as classify_mod
-    import foliations.determine as determine_mod
 
     analyses = []
     real_of = classify_mod._Analysis.of.__func__
@@ -477,7 +497,6 @@ def test_determination_analyses_the_form_once(l1111, monkeypatch):
     monkeypatch.setattr(classify_mod._Analysis, "of", classmethod(counted_of))
     monkeypatch.setattr(classify_mod, "free_resolution", counted_resolution)
     monkeypatch.setattr(classify_mod, "saturate", counted_saturate)
-    monkeypatch.setattr(determine_mod, "saturate", counted_saturate)
     verdict = is_determined_by_singular_scheme(l1111)
     assert verdict.kind == "non-unique"
     assert analyses == [l1111]

@@ -3,7 +3,12 @@
 from itertools import product
 from random import Random
 
+import pytest
+
+from foliations.classify import classify
+from foliations.forms import singular_ideal, validate
 from foliations.groebner import Ideal, ideal_equal, normal_form
+from foliations.resolutions import free_resolution
 from foliations.rings import LEX, PolyRing
 from foliations.saturation import colon, intersect, saturate, saturate_by_colon
 
@@ -20,10 +25,10 @@ def test_colon_examples():
 
 def test_saturation_examples():
     I = Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]])
-    assert [str(g) for g in saturate(I).generators] == ["z0"]
+    assert [str(g) for g in saturate(I).groebner_basis()] == ["z0"]
     I = Ideal(R, [Z[0], Z[1]])
     assert ideal_equal(I, saturate(I))
-    assert [str(g) for g in saturate(Ideal(R, list(Z))).generators] == ["1"]
+    assert [str(g) for g in saturate(Ideal(R, list(Z))).groebner_basis()] == ["1"]
     # a complete intersection whose points all lie on z0 = 0 and on z3 = 0
     I = Ideal(R, [Z[0] ** 2, Z[1] * Z[2], Z[3] ** 2])
     assert ideal_equal(saturate(I), I) and ideal_equal(saturate_by_colon(I), I)
@@ -63,26 +68,39 @@ def _count_bases(monkeypatch) -> list:
 
 def test_nonzerodivisor_last_variable_keeps_the_basis_it_holds(monkeypatch):
     # a complete intersection none of whose associated primes holds z3: the
-    # first line, z3, divides no basis element, so I is saturated and keeps
-    # its reduced basis, with no basis of its own
+    # first line, z3, divides no basis element, so I is saturated and is
+    # returned itself, with no basis of its own
     I = Ideal(R, [Z[1] * Z[2] - Z[3] ** 2, Z[0] * Z[1] + Z[2] ** 2])
     gb = I.groebner_basis()
     calls = _count_bases(monkeypatch)
     S = saturate(I)
     assert calls == []
-    assert S.generators == tuple(gb) and S.groebner_basis() == gb
+    assert S is I and S.groebner_basis() == gb
 
 
 def test_embedded_point_is_removed_by_the_last_variable(monkeypatch):
     # the plane z0 = 0 with an m-primary component (the embedded point of
     # tests/test_ext.py): I : z3^oo = (z0) has the Hilbert polynomial of I,
-    # so the first line decides: I's basis, then the reduced divided basis
+    # so the first line decides, on I's basis alone
     I = Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]])
     calls = _count_bases(monkeypatch)
     S = saturate(I)
-    assert len(calls) == 2
-    assert [str(g) for g in S.generators] == ["z0"]
+    assert len(calls) == 1
+    assert [str(g) for g in S.groebner_basis()] == ["z0"]
     assert ideal_equal(S, saturate_by_colon(I))
+
+
+def test_resolved_ideal_saturates_with_no_basis(monkeypatch):
+    # the first step of the resolution holds a Groebner basis of I in the
+    # ring order: the first line divides it, and I^sat comes integral, with
+    # no reduced basis of I or of I^sat
+    I = Ideal(R, [Z[0] ** 2, Z[0] * Z[1], Z[0] * Z[2], Z[0] * Z[3]])
+    assert free_resolution(I).length == 4
+    calls = _count_bases(monkeypatch)
+    S = saturate(I)
+    assert calls == []
+    assert all(type(c) is int for g in S.generators for _, c in g.terms)
+    assert ideal_equal(S, saturate_by_colon(I)) and ideal_equal(S, Ideal(R, [Z[0]]))
 
 
 def test_saturation_walks_the_rational_normal_curve(monkeypatch):
@@ -96,10 +114,42 @@ def test_saturation_walks_the_rational_normal_curve(monkeypatch):
     I.groebner_basis()
     calls = _count_bases(monkeypatch)
     S = saturate(I)
-    # z0's basis, t = 1's basis, then the reduced basis of I^sat
-    assert len(calls) == 3
-    assert S.generators == lines.generators
+    # z0's basis and t = 1's basis; I^sat is the divided basis of the second
+    assert len(calls) == 2
+    assert S.groebner_basis() == lines.groebner_basis()
     assert ideal_equal(S, saturate_by_colon(I))
+
+
+def _random_distribution(seed: int):
+    """F = A*z for an antisymmetric 4x4 matrix A of linear forms with
+    coefficients in -3..3: sum z_i F_i = z^T A z = 0."""
+    rng = Random(seed)
+    A = [[R.zero()] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(i + 1, 4):
+            A[i][j] = sum((Z[k].scale(rng.randint(-3, 3)) for k in range(4)), R.zero())
+            A[j][i] = -A[i][j]
+    return validate([sum((A[i][j] * Z[j] for j in range(4)), R.zero()) for i in range(4)])
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_resolved_random_distribution_saturates_like_the_oracle(seed, monkeypatch):
+    # none of these singular ideals is saturated: z3 decides on the basis of
+    # step 0, with no basis of its own, and I^sat comes back with integral
+    # generators, equal to the oracle's; classify's Betti table is that of
+    # the oracle's I^sat
+    form = _random_distribution(seed)
+    I = singular_ideal(form)
+    assert free_resolution(I).length == 4
+    calls = _count_bases(monkeypatch)
+    S = saturate(I)
+    assert calls == []
+    oracle = saturate_by_colon(Ideal(R, form.coefficients))
+    assert all(type(c) is int for g in S.generators for _, c in g.terms)
+    assert not ideal_equal(S, I) and ideal_equal(S, oracle)
+    report = classify(form)
+    assert not report.saturated
+    assert report.betti == free_resolution(oracle).betti()
 
 
 def test_saturated_line_union_point_reaches_t_equal_one():
