@@ -1,19 +1,26 @@
 """Hilbert series, Krull dimension, and graded dimension counting.
 
 The Hilbert series of R/I is computed from the leading-term ideal of a
-Groebner basis via the standard pivot recursion
-``N(M) = N(M + (x)) + t * N(M : x)`` on monomial ideals, with the numerator
-taken over the full denominator (1-t)^n.  Graded dimensions, Krull dimension
-and multiplicity all derive from the numerator exactly.
+Groebner basis, with the numerator N taken over the full denominator (1-t)^n.
+For a monomial ideal M and a pure power p = x_i^e, the exact sequence
+0 -> R/(M : p)(-e) -> R/M -> R/(M + p) -> 0 gives the pivot recursion
+``N(M) = N(M + (x_i^e)) + t^e * N(M : x_i^e)`` (Bigatti, "Computation of
+Hilbert-Poincare series", JPAA 119, 1997).  The pivot x_i lies in the most
+mixed generators (those in two or more variables) and e is its least positive
+exponent, so the depth is bounded by the number of distinct exponents.  Two
+cases close by formula: pure powers give the product of (1 - t^a), and pure
+powers P with one mixed generator m give N(P) - t^deg(m) * N(P : m).  Graded
+dimensions, Krull dimension and multiplicity all derive from the numerator
+exactly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Iterable, Sequence
 
-from .rings import Exponent, mono_degree
+from .rings import Exponent, mono_degree, mono_divides
 
 if TYPE_CHECKING:
     from .groebner import Ideal  # groebner imports monomial_numerator from here
@@ -28,23 +35,14 @@ def _trim(c: list[int]) -> IntPoly:
 
 
 def _add(a: IntPoly, b: IntPoly) -> IntPoly:
-    n = max(len(a), len(b))
-    return _trim([(a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n)])
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] += c
+    return _trim(out)
 
 
 def _shift(a: IntPoly, k: int) -> IntPoly:
     return _trim([0] * k + list(a)) if a else a
-
-
-def _mul(a: IntPoly, b: IntPoly) -> IntPoly:
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                out[i + j] += x * y
-    return _trim(out)
 
 
 def _div_one_minus_t(a: IntPoly) -> IntPoly | None:
@@ -67,7 +65,7 @@ def _div_one_minus_t(a: IntPoly) -> IntPoly | None:
 def _minimalize(gens: frozenset[Exponent]) -> frozenset[Exponent]:
     out = []
     for g in sorted(gens, key=mono_degree):
-        if not any(all(x <= y for x, y in zip(h, g)) for h in out):
+        if not any(mono_divides(h, g) for h in out):
             out.append(g)
     return frozenset(out)
 
@@ -82,38 +80,46 @@ def _numerator(ms: frozenset[Exponent], n: int, memo: dict) -> IntPoly:
     got = memo.get(ms)
     if got is not None:
         return got
-    if not ms:
-        result: IntPoly = (1,)
-    elif any(mono_degree(g) == 0 for g in ms):
-        result = ()
+    mixed = [g for g in ms if g.count(0) < n - 1]
+    if len(mixed) > 1:
+        counts = [0] * n
+        for g in mixed:
+            for k, x in enumerate(g):
+                if x:
+                    counts[k] += 1
+        i = max(range(n), key=counts.__getitem__)
+        e = min(g[i] for g in ms if g[i])
+        free = [g for g in ms if not g[i]]
+        # M : x_i^e stays minimal once the free generators that a shifted one
+        # divides are dropped; M + (x_i^e) is the free generators and x_i^e
+        colon = [g[:i] + (g[i] - e,) + g[i + 1 :] for g in ms if g[i]]
+        colon += [g for g in free if not any(mono_divides(h, g) for h in colon)]
+        plus = free + [tuple(e if j == i else 0 for j in range(n))]
+        result = _add(
+            _numerator(frozenset(plus), n, memo), _shift(_numerator(frozenset(colon), n, memo), e)
+        )
+    elif mixed:
+        (m,) = mixed
+        pure = [g for g in ms if g is not m]
+        colon = _pure_powers(sum(max(x - y, 0) for x, y in zip(g, m)) for g in pure)
+        colon = _shift(tuple(-c for c in colon), mono_degree(m))
+        result = _add(_pure_powers(map(mono_degree, pure)), colon)
     else:
-        supports = [tuple(i for i, x in enumerate(g) if x) for g in ms]
-        if all(len(s) == 1 for s in supports):
-            # pairwise coprime pure powers: product of (1 - t^deg)
-            result = (1,)
-            for g in ms:
-                d = mono_degree(g)
-                factor = [0] * (d + 1)
-                factor[0], factor[d] = 1, -1
-                result = _mul(result, tuple(factor))
-        else:
-            counts = [0] * n
-            for g, s in zip(ms, supports):
-                if len(s) > 1:
-                    for i in s:
-                        counts[i] += 1
-            pivot = max(range(n), key=counts.__getitem__)
-            x = tuple(1 if i == pivot else 0 for i in range(n))
-            plus = _minimalize(ms | {x})
-            colon = _minimalize(
-                frozenset(
-                    tuple(v - 1 if i == pivot and v > 0 else v for i, v in enumerate(g))
-                    for g in ms
-                )
-            )
-            result = _add(_numerator(plus, n, memo), _shift(_numerator(colon, n, memo), 1))
+        result = _pure_powers(map(mono_degree, ms))
     memo[ms] = result
     return result
+
+
+def _pure_powers(degrees: Iterable[int]) -> IntPoly:
+    """N of coprime pure powers of the given degrees: the product of (1 - t^a)."""
+    out = [1]
+    for a in degrees:
+        if not a:
+            return ()
+        out += [0] * a
+        for k in range(len(out) - 1, a - 1, -1):
+            out[k] -= out[k - a]
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -75,6 +75,20 @@ def test_unsaturated_distribution_report(distribution_d2):
     assert r.betti == {(0, 0): 1, (1, 3): 4, (1, 4): 2, (2, 4): 1, (2, 5): 8, (3, 6): 4}
 
 
+def test_contact_form_report():
+    # -z1 dz0 + z0 dz1 - z3 dz2 + z2 dz3 is not integrable and vanishes nowhere:
+    # I = (z0, .., z3) saturates to (1), whose numerator is 0
+    from foliations.forms import singular_ideal, validate
+    from foliations.saturation import saturate
+
+    contact = validate([-Z[1], Z[0], -Z[3], Z[2]])
+    r = classify(contact)
+    assert (r.degree, r.saturated, r.is_curve, r.is_acm, r.is_split) == (0, False, False, False, False)
+    assert r.splitting_type is None and r.rao_dims is None and r.betti == {}
+    h = hilbert_data(saturate(singular_ideal(contact)))
+    assert h.numerator == () and h.krull_dim == -1
+
+
 def test_report_is_hashable_and_cannot_change(l112, l1111):
     r = classify(l1111)
     assert hash(r) == hash(classify(l1111)) and r == classify(l1111)
