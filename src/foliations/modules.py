@@ -39,6 +39,16 @@ representations (and the syzygies read off them) stay integral too.  Only
 basis monic.  The loop holds the leading terms of its basis and hands them
 to every division.
 
+The loop top-reduces: its divisions stop at the first leading term that no
+basis lead divides, as the criteria read only leading terms (a standard
+representation is enough; Becker-Weispfenning, 1993).  Up to that term top
+and full reduction take the same steps, so a dividend reduces to zero under
+both or neither.  A generator enters once the basis is a Groebner basis
+through its degree, so the kept generators, in(M) and the Betti numbers do
+not depend on the tails; the basis and the syzygies may.  Full reduction
+stays where a normal form is read: ``module_normal_form`` and the
+interreduction of ``module_groebner``.
+
 A resolution step (``minimal_syzygies``) runs the loop degree by degree:
 the degree of a generator or of a pair's lcm is its entry degree plus
 deg M_c, and each generator enters after the pairs of its degree.  So a
@@ -192,6 +202,7 @@ def module_reduce(
     basis: Sequence[Vec],
     marks: Marks | None = None,
     leads: Sequence[Lead] | None = None,
+    top: bool = False,
 ) -> tuple[list[Step], Vec]:
     """Divide f by the basis, fraction-free; returns (steps, remainder).
 
@@ -199,7 +210,8 @@ def module_reduce(
     (see the module docstring), and the remainder is scaled along: with s
     the product of the a's, s*f = sum of the q_k*basis[k] + remainder, where
     replaying the steps as q <- a*q + b*m*e_k from q = 0 gives the q_k.  No
-    term of the remainder is divisible by any basis leading term.
+    term of the remainder is divisible by a basis lead; with ``top`` the
+    remainder is the dividend at the first leading term that none divides.
     ``leads``, when given, are the basis leading terms ``vec_leading``
     would compute.
     """
@@ -220,6 +232,8 @@ def module_reduce(
             if gc == comp and all(map(le, ge, e)):
                 break
         else:
+            if top:
+                break
             rem[comp].append((e, c, scale))
             p[comp] = p[comp][1:]
             continue
@@ -246,9 +260,10 @@ def module_reduce(
             if gt:
                 gt = tuple([(tuple(map(add, x, m)), nb * y) for x, y in gt])
                 p[ci] = merge_terms(p[ci], gt, key, False) if p[ci] else gt
+    # the terms set aside, then what is left of the dividend: none unless ``top``
     return steps, tuple(
-        Polynomial(ring, tuple((e, c * (scale // at) if at != scale else c) for e, c, at in terms))
-        for terms in rem
+        Polynomial(ring, tuple((e, c * (scale // at) if at != scale else c) for e, c, at in r) + t)
+        for r, t in zip(rem, p)
     )
 
 
@@ -375,7 +390,7 @@ def _buchberger(
 
     def reduce_and_add(v: Vec, rep: Vec | None, drop_zero: bool = False) -> bool:
         v, den = vec_integral(v)
-        steps, r = module_reduce(ring, v, basis, marks, leads)
+        steps, r = module_reduce(ring, v, basis, marks, leads, top=True)
         if track:
             rep = vec_scale(rep, den)
             for a, m, b, k in steps:

@@ -397,27 +397,24 @@ class Polynomial:
         return total
 
     def substitute(self, images: Sequence[Polynomial]) -> Polynomial:
-        """Substitute z_i <- images[i]; images live in any single ring."""
+        """Substitute z_i <- images[i]; images live in any single ring.
+
+        Terms expand into unsorted dicts (``add_product``), one for the result, sorted once."""
         if len(images) != self.ring.num_vars:
             raise ValueError("need one image per variable")
         target = images[0].ring
-        powers: dict[tuple[int, int], Polynomial] = {}
-
-        def power(i: int, k: int) -> Polynomial:
-            got = powers.get((i, k))
-            if got is None:
-                got = images[i] ** k
-                powers[(i, k)] = got
-            return got
-
-        total = target.zero()
+        zero = (0,) * target.num_vars
+        powers: dict[tuple[int, int], tuple] = {}
+        total: dict[Exponent, Rational] = {}
         for e, c in self.terms:
-            v = target.constant(c)
+            head, last = ((zero, c),), ((zero, 1),)
             for i, k in enumerate(e):
                 if k:
-                    v = v * power(i, k)
-            total = total + v
-        return total
+                    if (i, k) not in powers:
+                        powers[i, k] = (images[i] ** k).terms
+                    head, last = add_product({}, head, last).items(), powers[i, k]
+            add_product(total, head, last)
+        return target.from_dict(total)
 
     # -- comparison and rendering ------------------------------------------
 

@@ -19,7 +19,7 @@ from foliations.forms import (
     pullback_from_plane,
     validate,
 )
-from foliations.rings import PolyRing, Polynomial
+from foliations.rings import PolyRing, Polynomial, mono_div, mono_lcm
 
 
 # a non-integrable degree-2 form whose singular ideal is not saturated: its
@@ -189,6 +189,14 @@ def random_homogeneous(rng, ring: PolyRing, degree: int, max_terms: int = 4):
             exp[rng.randrange(ring.num_vars)] += 1
         terms[tuple(exp)] = random_rational(rng)
     return ring.from_dict(terms)
+
+
+def s_polynomial(f, g):
+    """The S-polynomial of two polynomials, each scaled to a monic lead."""
+    lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
+    a = f.mul_term(mono_div(lcm, f.leading_monomial()), Fraction(1) / f.terms[0][1])
+    b = g.mul_term(mono_div(lcm, g.leading_monomial()), Fraction(1) / g.terms[0][1])
+    return a - b
 
 
 def dehomogenize(p, var: int):

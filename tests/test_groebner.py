@@ -7,17 +7,12 @@ import pytest
 
 from foliations.groebner import Ideal, ideal_equal, normal_form, reduced_groebner_basis
 from foliations.modules import StepBudgetExceeded
-from foliations.rings import PolyRing, map_to_ring, mono_div, mono_lcm
+from foliations.rings import PolyRing, map_to_ring
+
+from .conftest import s_polynomial
 
 R = PolyRing(4)
 Z = R.variables()
-
-
-def s_polynomial(f, g):
-    lcm = mono_lcm(f.leading_monomial(), g.leading_monomial())
-    a = f.mul_term(mono_div(lcm, f.leading_monomial()), Fraction(1) / f.terms[0][1])
-    b = g.mul_term(mono_div(lcm, g.leading_monomial()), Fraction(1) / g.terms[0][1])
-    return a - b
 
 
 def is_groebner_basis(G) -> bool:

@@ -5,6 +5,7 @@ from random import Random
 import pytest
 
 import foliations.modules as modules
+from foliations.groebner import reduced_groebner_basis
 from foliations.linalg import rank
 from foliations.modules import (
     module_groebner,
@@ -12,7 +13,7 @@ from foliations.modules import (
     syzygy_generators,
     vec_is_zero,
 )
-from foliations.rings import PolyRing
+from foliations.rings import PolyRing, mono_divides
 
 R = PolyRing(4)
 Z = R.variables()
@@ -152,3 +153,48 @@ def test_module_groebner_reduces_membership():
 def test_zero_generator_yields_unit_syzygy():
     syz = syzygy_generators([(Z[0],), (R.zero(),)], R)
     assert any(str(u[1]) == "1" and u[0].is_zero() for u in syz)
+
+
+def test_loop_top_reduces_and_normal_forms_reduce_fully():
+    # the loop stops each division at the first irreducible lead: the third
+    # basis element keeps its tail term z0*z1*z3, which the lead z0*z1 of
+    # the second divides; full reduction would have rewritten it
+    I = [Z[0] ** 2 - Z[1] * Z[3], Z[0] * Z[1] - Z[2] ** 2 - Z[1] * Z[3]]
+    basis, _, _, leads = modules._buchberger([(g,) for g in I], R, None, track=False)
+    assert str(basis[2][0]) == "z0*z2^2 + z0*z1*z3 - z1^2*z3"
+    assert [str(g) for g in reduced_groebner_basis(I, R)] == [
+        "z0*z1 - z2^2 - z1*z3",
+        "z0^2 - z1*z3",
+        "z0*z2^2 - z1^2*z3 + z2^2*z3 + z1*z3^2",
+        "z2^4 - z1^3*z3 + 2*z1*z2^2*z3 + z1^2*z3^2",
+    ]
+    # a normal form against the basis the loop left is still fully reduced
+    f = Z[0] ** 3 * Z[2] + Z[0] * Z[1] * Z[3] ** 2 + Z[2] ** 4
+    r = module_normal_form(R, (f,), basis)[0]
+    assert not r.is_zero()
+    assert not any(mono_divides(e, m) for _, e, _ in leads for m, _ in r.terms)
+
+
+def test_classify_division_work(monkeypatch):
+    # the loop leaves tails alone, so these two classifications take 20 and
+    # 22 division steps; tail-reducing every division takes 31 and 44
+    from foliations.classify import classify
+    from foliations.forms import apply_projectivity, exceptional_form
+
+    from .conftest import build_corpus
+
+    move = ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 2, 1))
+    forms = [dict(build_corpus())["pullback-d3"], apply_projectivity(exceptional_form(2), move)]
+    steps = []
+    reduce = modules.module_reduce
+
+    def counting(*args, **kwargs):
+        done, r = reduce(*args, **kwargs)
+        steps.append(len(done))
+        return done, r
+
+    monkeypatch.setattr(modules, "module_reduce", counting)
+    for form, expected in zip(forms, (20, 22)):
+        steps.clear()
+        classify(form)
+        assert sum(steps) == expected

@@ -14,7 +14,7 @@ from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing, mono_divides
 from foliations.saturation import intersect, saturate
 
-from .conftest import build_corpus, random_homogeneous
+from .conftest import build_corpus, random_homogeneous, s_polynomial
 
 R = PolyRing(4)
 Z = R.variables()
@@ -152,6 +152,31 @@ def test_first_step_holds_the_initial_ideal_of_the_reduced_basis(distribution_d2
     for I, S in _random_saturations():
         agree(I)
         agree(S)
+
+
+def test_first_step_holds_a_groebner_basis_of_the_ideal(distribution_d2):
+    # the loop top-reduces, so the basis step 0 hands I is not interreduced;
+    # saturate and hilbert_data need only that it is a Groebner basis of I:
+    # every S-polynomial reduces to zero on it (Buchberger's criterion, free
+    # of pair criteria), and it spans I both ways
+    def check(I):
+        fresh = Ideal(R, I.generators)
+        free_resolution(fresh)
+        held = [v[0] for v in fresh.basis()[0]]
+        assert all(
+            normal_form(s_polynomial(f, g), held).is_zero() for f, g in combinations(held, 2)
+        ), I
+        assert all(normal_form(f, I.groebner_basis()).is_zero() for f in held), I
+        assert all(normal_form(f, held).is_zero() for f in I.generators), I
+
+    for _, form in build_corpus():
+        check(singular_ideal(form))
+    I = singular_ideal(distribution_d2)
+    check(I)
+    check(saturate(I))
+    for I, S in _random_saturations():
+        check(I)
+        check(S)
 
 
 def test_degree_two_distribution_resolves(distribution_d2):

@@ -249,6 +249,27 @@ def test_apply_composition_matches_evaluation_oracle():
         assert apply_linear_change(p, A).evaluate(point) == p.evaluate(image)
 
 
+def test_substitute_matches_evaluation_oracle():
+    # p(images)(pt) = p(images(pt)), for linear and quadratic images in rings
+    # of 2, 4 and 5 variables
+    rng = Random(8)
+    from .conftest import random_homogeneous, random_polynomial
+
+    for k in range(60):
+        p = random_polynomial(rng, R, max_degree=6, max_terms=8)
+        target = PolyRing((2, 4, 5)[k % 3])
+        degree = 1 + k % 2
+        images = [
+            random_homogeneous(rng, target, degree) + random_polynomial(rng, target, degree)
+            for _ in range(4)
+        ]
+        q = p.substitute(images)
+        assert q.ring == target
+        for _ in range(3):
+            pt = [Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(target.num_vars)]
+            assert q.evaluate(pt) == p.evaluate([g.evaluate(pt) for g in images])
+
+
 def test_evaluate_stays_on_integers():
     rng = Random(5)
     for _ in range(100):
