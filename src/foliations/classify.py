@@ -41,6 +41,7 @@ later step of the table along a second route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .ext import top_ext
 from .forms import ProjectiveOneForm, check_codim
@@ -120,19 +121,19 @@ def _syzygy_matrix(
 
     Column i*N + k holds the k-th of the N monomials of the entry degree in
     g_i, the monomials with their exponent tuples descending: in degree 1,
-    z_k, whatever the ring's order.
+    z_k, whatever the ring's order.  There is a row only for each monomial
+    that occurs in a product z^m * F_i, in no fixed order.  The other rows
+    of the full matrix are zero, and the kernel is read off the RREF, which
+    depends neither on the order of the rows nor on zero rows.
     """
-    ring = coefficients[0].ring
-    source_monos = sorted(monomials_of_degree(ring, entry_degree), reverse=True)
-    cols = [(i, m) for i in range(len(coefficients)) for m in source_monos]
-    target_deg = entry_degree + max(f.degree() for f in coefficients)
-    target = {m: r for r, m in enumerate(monomials_of_degree(ring, target_deg))}
-    matrix = [[0] * len(cols) for _ in target]
-    for c, (i, m) in enumerate(cols):
-        prod = coefficients[i].mul_term(m, 1)
-        for e, coeff in prod.terms:
-            matrix[target[e]][c] += coeff
-    return matrix, len(cols)
+    source_monos = sorted(monomials_of_degree(coefficients[0].ring, entry_degree), reverse=True)
+    ncols = len(coefficients) * len(source_monos)
+    rows: dict[Exponent, list] = {}
+    for c, (f, m) in enumerate((f, m) for f in coefficients for m in source_monos):
+        for e, coeff in f.terms:
+            e = tuple(map(add, e, m))
+            (rows.get(e) or rows.setdefault(e, [0] * ncols))[c] = coeff
+    return list(rows.values()), ncols
 
 
 def graded_syzygy_rows(

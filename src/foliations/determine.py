@@ -6,9 +6,11 @@ row (the Euler relation is the identity matrix); only ``cli syzygies``
 renders the l_j as linear forms.  Invertible members of the matrix pencil
 produce every distribution with the same singular scheme.  The integrable
 members are cut out by a quadratic system S in the pencil parameters: the
-coefficients of omega ^ d omega, expanded like the degenerate locus det (the
-pencil's determinant) into unsorted dicts by ``rings.add_product``.  The
-base sits at e_0; L = {alpha : member(alpha) in Q*base}.
+coefficients of omega ^ d omega, expanded into unsorted dicts by
+``rings.add_product``.  So is the degenerate locus det, the pencil's
+determinant, over ``int``: of the pencil with each row scaled integral,
+divided once by the scales.  The base sits at e_0; L = {alpha :
+member(alpha) in Q*base}.
 
 What is verified where:
 
@@ -32,6 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import lcm, prod
 
 from .classify import _Analysis, _report_from, _split_from, graded_syzygy_rows
 from .forms import (
@@ -148,10 +151,14 @@ def _family_from(analysis: _Analysis) -> DistributionFamily:
     param_ring = PolyRing(len(matrices))
     n = form.ring.num_vars
     units = param_ring.variables()
+    # row i of the pencil times the lcm s_i of its denominators is integral,
+    # so the minors multiply ``int``s, and det = det(diag(s) P) / prod s_i
+    scales = [lcm(*(m[i][j].denominator for m in matrices for j in range(n))) for i in range(n)]
     pencil = [
-        [_combination([m[i][j] for m in matrices], units) for j in range(n)] for i in range(n)
+        [_combination([m[i][j] * s for m in matrices], units) for j in range(n)]
+        for i, s in enumerate(scales)
     ]
-    locus = _poly_det(pencil, param_ring)
+    locus = _poly_det(pencil, param_ring).scale(Fraction(1, prod(scales)))
     members = [tuple(_combination(row, form.coefficients) for row in m) for m in matrices]
     return DistributionFamily(form, matrices, param_ring, members, locus)
 

@@ -13,10 +13,10 @@ test suite checks corpus-wide; integrability omega ^ d omega = 0 is
 convention independent.
 
 No exterior product is built as a polynomial: ``differential`` gives each
-(d omega)_{ij} as a term tuple, and ``add_wedge`` expands a component of
-omega ^ eta into one unsorted coefficient dict (``rings.add_product``),
-which is only tested for zero or read coefficient by coefficient.  The
-Euler relation is checked the same way.
+(d omega)_{ij} as an unsorted term list, and ``add_wedge`` expands a
+component of omega ^ eta into one unsorted coefficient dict
+(``rings.add_product``), which is only tested for zero or read coefficient
+by coefficient.  The Euler relation is checked the same way.
 """
 
 from __future__ import annotations
@@ -184,12 +184,20 @@ def validate(coefficients: Sequence[Polynomial]) -> ProjectiveOneForm:
 # -- exterior calculus --------------------------------------------------------
 
 
-def differential(F: Sequence[Polynomial]) -> dict[tuple[int, int], tuple]:
-    """(d omega)_{ij} = dF_j/dz_i - dF_i/dz_j for i < j, as term tuples."""
-    return {
-        (i, j): (F[j].partial_derivative(i) - F[i].partial_derivative(j)).terms
-        for i, j in combinations(range(len(F)), 2)
-    }
+def differential(F: Sequence[Polynomial]) -> dict[tuple[int, int], list]:
+    """(d omega)_{ij} = dF_j/dz_i - dF_i/dz_j for i < j, each accumulated into
+    one dict and given as its nonzero (exponent, coefficient) pairs in no
+    particular order: term lists for ``add_product``, never sorted."""
+    out = {}
+    for i, j in combinations(range(len(F)), 2):
+        acc: dict = {}
+        for f, v, sign in ((F[j], i, 1), (F[i], j, -1)):
+            for e, c in f.terms:
+                if k := e[v]:
+                    d = e[:v] + (k - 1,) + e[v + 1 :]
+                    acc[d] = acc.get(d, 0) + sign * k * c
+        out[(i, j)] = [(e, c) for e, c in acc.items() if c]
+    return out
 
 
 def add_wedge(

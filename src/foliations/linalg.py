@@ -19,10 +19,13 @@ from .rings import Rational
 
 
 def _primitive(row: Sequence[Rational]) -> list[int]:
-    den = lcm(*(x.denominator for x in row))
-    ints = [x.numerator * (den // x.denominator) for x in row]
-    g = gcd(*ints)
-    return [x // g for x in ints] if g > 1 else ints
+    try:  # most rows are all ``int``
+        ints, g = row, gcd(*row)
+    except TypeError:  # a Fraction entry
+        den = lcm(*(x.denominator for x in row))
+        ints = [x.numerator * (den // x.denominator) for x in row]
+        g = gcd(*ints)
+    return [x // g for x in ints] if g > 1 else list(ints)
 
 
 def _step(v: list[int], r: list[int], c: int) -> list[int]:

@@ -1,7 +1,8 @@
 """Classification verdicts on the paper's fixtures and engine-level schemes."""
 
-from itertools import permutations
+from itertools import combinations, permutations
 from math import comb
+from random import Random
 
 import pytest
 
@@ -9,17 +10,21 @@ from foliations.classify import (
     ConsistencyFailure,
     _Analysis,
     _rao_from,
+    _syzygy_matrix,
     classify,
     graded_syzygy_dimension,
+    graded_syzygy_rows,
+    monomials_of_degree,
 )
 from foliations.ext import top_ext
 from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form
 from foliations.groebner import Ideal
 from foliations.hilbert import hilbert_data
+from foliations.linalg import kernel_basis
 from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing
 
-from .conftest import build_corpus
+from .conftest import build_corpus, build_larger_split_forms, random_homogeneous, seeded
 
 R = PolyRing(4)
 Z = R.variables()
@@ -366,3 +371,65 @@ def test_codim_one_form_is_rejected_before_saturation(distribution_d2, monkeypat
     for budget in (None, 10**6):
         with pytest.raises(CodimTooSmall):
             classify(form, budget=budget)
+
+
+# -- the Macaulay matrix of the syzygy map -----------------------------------------
+
+
+def _dense_syzygy_matrix(F, entry_degree: int) -> list[list]:
+    """The syzygy map's matrix with a row for every monomial of the target
+    degree, in ``_syzygy_matrix``'s column layout."""
+    source = sorted(monomials_of_degree(R, entry_degree), reverse=True)
+    target = monomials_of_degree(R, entry_degree + max(f.degree() for f in F))
+    row_of = {m: r for r, m in enumerate(target)}
+    matrix = [[0] * (len(F) * len(source)) for _ in target]
+    for c, (f, m) in enumerate((f, m) for f in F for m in source):
+        for e, x in f.mul_term(m, 1).terms:
+            matrix[row_of[e]][c] += x
+    return matrix
+
+
+def _random_syzygy_tuples(count: int) -> list[list]:
+    """Four entries of one degree, with zero and Fraction coefficients among
+    them; every other kind has products that cancel in sum g_i F_i."""
+    rng = Random(8)
+    out = []
+    while len(out) < count:
+        kind, degree = len(out) % 4, rng.randint(1, 3)
+        f, g = (random_homogeneous(rng, R, degree) for _ in range(2))
+        if kind == 0:  # independent entries, some of them zero
+            F = [random_homogeneous(rng, R, degree) if rng.random() < 0.7 else R.zero()
+                 for _ in range(4)]
+        elif kind == 1:  # a constant syzygy
+            F = [f, -f, g, R.zero()]
+        elif kind == 2:  # two Koszul syzygies
+            F = [Z[1] * f, -Z[0] * f, Z[3] * g, -Z[2] * g]
+        else:  # the Euler relation: F = i_R of a 2-form
+            eta = {(i, j): random_homogeneous(rng, R, degree) for i, j in combinations(range(4), 2)}
+            eta.update({(j, i): -h for (i, j), h in list(eta.items())})
+            F = [sum((Z[i] * eta[(i, j)] for i in range(4) if i != j), R.zero()) for j in range(4)]
+        if any(x.terms for x in F):
+            out.append(F)
+    return out
+
+
+def test_sparse_syzygy_matrix_has_the_kernel_of_the_dense_one():
+    # rows only for the monomials of the products: the same kernel, row for row
+    tuples = [
+        seeded(name, form, seed).coefficients
+        for seed in (0, 1)
+        for name, form in build_corpus() + build_larger_split_forms()
+    ]
+    tuples += _random_syzygy_tuples(120)
+    for F in tuples:
+        for k in (0, 1, 2):
+            dense = _dense_syzygy_matrix(F, k)
+            assert graded_syzygy_rows(F, k) == kernel_basis(dense, len(dense[0])), (F, k)
+
+
+def test_syzygy_matrix_has_a_row_per_product_monomial(l1111):
+    # L1111 has entries of degree 3: 13 of the 35 quartic monomials occur in
+    # the products z_k * F_i
+    rows, ncols = _syzygy_matrix(l1111.coefficients, 1)
+    assert (len(rows), ncols) == (13, 16)
+    assert all(any(row) for row in rows)

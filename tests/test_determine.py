@@ -4,6 +4,7 @@ import json
 import sys
 from fractions import Fraction
 from functools import cache, partial
+from math import lcm
 from pathlib import Path
 from random import Random
 
@@ -33,6 +34,7 @@ from foliations.determine import (
 )
 from foliations.forms import (
     ProjectiveOneForm,
+    exceptional_form,
     integrability_check,
     proportional,
     singular_ideal,
@@ -42,7 +44,7 @@ from foliations.groebner import Ideal, ideal_equal
 from foliations.linalg import rank
 from foliations.modules import InternalInconsistency
 from foliations.resolutions import free_resolution
-from foliations.rings import LEX, PolyRing
+from foliations.rings import LEX, PolyRing, Polynomial
 from foliations.saturation import saturate
 
 from .conftest import (
@@ -265,19 +267,26 @@ def _as_sympy(poly, syms):
     return sympy.Poly.from_dict({e: sympy.Rational(c) for e, c in poly.terms}, *syms, domain=sympy.QQ)
 
 
-def test_poly_det_matches_sympy():
+@pytest.mark.parametrize("seed", [0, 1])
+def test_degenerate_locus_matches_sympy(seed):
+    # the locus is expanded over int from the pencil with its rows scaled
+    # integral; sympy expands the pencil with the Fraction entries themselves
     sympy = pytest.importorskip("sympy")
-    # the degenerate locus of every determination family
-    checked = 0
-    for name, form in build_determination_forms():
-        if not _report_from(_Analysis.of(form)).is_split:
-            continue
-        family = distribution_family(form)
+    checked = set()
+    for name, _, family, _ in _split_families(seed):
         syms = sympy.symbols(f"a0:{family.parameter_dim}")
         entries = [[[m[i][j] for m in family.matrices] for j in range(4)] for i in range(4)]
         assert _as_sympy(family.degenerate_locus, syms) == _sympy_det(entries, syms), name
-        checked += 1
-    assert checked >= 10
+        checked.add(name)
+        if name == "L1111-generic" and seed == 0:
+            dens = [lcm(*(x.denominator for row in entries[i] for x in row)) for i in range(4)]
+            assert dens == [1, 1, 5, 10]
+    assert {"L1111-generic", "L1112", "exceptional-d3", "pullback-d3b"} <= checked
+    assert len(checked) >= 17
+
+
+def test_poly_det_matches_sympy():
+    sympy = pytest.importorskip("sympy")
     # random 4x4 pencils of linear forms in 2-6 parameters, zero entries among them
     rng = Random(3)
     for trial in range(10):
@@ -503,6 +512,43 @@ def test_determination_analyses_the_form_once(l1111, monkeypatch):
     # the base ideal is saturated, which its resolution of length 2 shows
     assert resolved.count(True) == 1
     assert saturated.count(True) == 0
+
+
+def test_the_exterior_calculus_and_the_locus_sort_nothing(l1111, monkeypatch):
+    # d omega is accumulated straight into dicts, with no partial derivative
+    # and no sorted polynomial; the family sorts its 16 pencil entries, its 12
+    # member coefficients and the locus, and the locus is expanded over int
+    calls = {"partial_derivative": 0, "from_dict": 0}
+    entries = []
+
+    def counted(cls, name):
+        real = getattr(cls, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(cls, name, wrapper)
+
+    def recorded_det(pencil, ring):
+        entries.extend(f for row in pencil for f in row)
+        return _poly_det(pencil, ring)
+
+    exceptional3 = exceptional_form(3)
+    counted(Polynomial, "partial_derivative")
+    counted(PolyRing, "from_dict")
+    monkeypatch.setattr(determine, "_poly_det", recorded_det)
+    integrability_system(distribution_family(l1111))
+    assert calls == {"partial_derivative": 0, "from_dict": 29}
+    calls.update(dict.fromkeys(calls, 0))
+    assert integrability_check(exceptional3)
+    assert calls == {"partial_derivative": 0, "from_dict": 0}
+    # every pencil handed to the determinant is integral, the ones with
+    # Fraction matrices (L1111-generic's rows have denominators 1, 1, 5, 10) too
+    for seed in (0, 1):
+        for name, form in build_determination_forms():
+            distribution_family(seeded(name, form, seed))
+    assert entries and all(type(c) is int for f in entries for _, c in f.terms)
 
 
 def test_exceptional_unique(exceptional2):
