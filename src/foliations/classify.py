@@ -95,7 +95,7 @@ class ClassificationReport:
 
 
 def monomials_of_degree(ring: PolyRing, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, descending in ring order."""
+    """All exponent tuples of the given total degree, descending as tuples."""
     if degree < 0:
         return []
     n = ring.num_vars
@@ -109,7 +109,6 @@ def monomials_of_degree(ring: PolyRing, degree: int) -> list[Exponent]:
             rec(prefix + [k], remaining - k, pos + 1)
 
     rec([], degree, 0)
-    out.sort(key=ring.exp_key, reverse=True)
     return out
 
 
@@ -126,7 +125,7 @@ def _syzygy_matrix(
     of the full matrix are zero, and the kernel is read off the RREF, which
     depends neither on the order of the rows nor on zero rows.
     """
-    source_monos = sorted(monomials_of_degree(coefficients[0].ring, entry_degree), reverse=True)
+    source_monos = monomials_of_degree(coefficients[0].ring, entry_degree)
     ncols = len(coefficients) * len(source_monos)
     rows: dict[Exponent, list] = {}
     for c, (f, m) in enumerate((f, m) for f in coefficients for m in source_monos):

@@ -32,12 +32,19 @@ the two leading coefficients, so integral input stays integral and no
 p.  Only when a leading coefficient is not an integer -- a monic reduced
 basis, say -- does a step divide, through ``Fraction``, with a = 1.  The
 loop keeps its basis integral: ``reduce_and_add`` clears the denominators of
-its input, replays each step on the representation it tracks, and divides
-the remainder and the representation by their joint content, so tracked
-representations (and the syzygies read off them) stay integral too.  Only
-``module_groebner`` leaves the integers: its last step makes the reduced
-basis monic.  The loop holds the leading terms of its basis and hands them
-to every division.
+its input and divides the remainder and the representation it tracks by
+their joint content, so tracked representations (and the syzygies read off
+them) stay integral too.  Only ``module_groebner`` leaves the integers: its
+last step makes the reduced basis monic.  The loop holds the leading terms
+of its basis and hands them to every division, which hands back the lead
+where it stopped.
+
+A tracked representation is a list of unsorted ((component, exponent),
+coefficient) pairs; generator i starts as ((i, 1), 1).  After a division
+with steps (a_s, m_s, b_s, k_s) the dividend's rep becomes, in one dict,
+A*rep - sum_s b_s*S_s*m_s*rep_{k_s}: A is the product of the a's and of the
+denominator cleared, S_s that of the a's after step s, the integers a replay
+step by step gives.  Only the syzygies kept are sorted into Polynomials.
 
 The loop top-reduces: its divisions stop at the first leading term that no
 basis lead divides, as the criteria read only leading terms (a standard
@@ -97,13 +104,12 @@ Lead = tuple[int, Exponent, Rational]
 """A leading module term: (component, monomial, coefficient)."""
 Step = tuple[Rational, Exponent, Rational, int]
 """A division step (a, m, b, k): the dividend p became a*p - b*m*basis[k]."""
+Rep = list[tuple[tuple[int, Exponent], int]]
+"""A tracked representation: unsorted ((comp, e), c) pairs, no zero c (module docstring)."""
 
 
 # -- raw vector helpers ------------------------------------------------------
 
-
-def vec_unit(ring: PolyRing, rank: int, i: int) -> Vec:
-    return tuple(ring.one() if k == i else ring.zero() for k in range(rank))
 
 def vec_is_zero(v: Vec) -> bool:
     return all(c.is_zero() for c in v)
@@ -115,9 +121,6 @@ def vec_scale(a: Vec, c: Rational) -> Vec:
     if c == 1:
         return a
     return tuple(x.scale(c) for x in a)
-
-def vec_mul_term(a: Vec, e: Exponent, c: Rational) -> Vec:
-    return tuple(x.mul_term(e, c) for x in a)
 
 def _term_key(ring: PolyRing, marks: Marks | None, comp: int, e: Exponent) -> tuple:
     if marks is None:
@@ -203,8 +206,9 @@ def module_reduce(
     marks: Marks | None = None,
     leads: Sequence[Lead] | None = None,
     top: bool = False,
-) -> tuple[list[Step], Vec]:
-    """Divide f by the basis, fraction-free; returns (steps, remainder).
+) -> tuple[list[Step], Vec, Lead | None]:
+    """Divide f by the basis, fraction-free; returns (steps, remainder, the
+    remainder's leading term or None when it is zero).
 
     Each step (a, m, b, k) replaced the dividend p by a*p - b*m*basis[k]
     (see the module docstring), and the remainder is scaled along: with s
@@ -223,6 +227,7 @@ def module_reduce(
     # remainder terms per component, each with the scale p had when it left
     rem: list[list[tuple[Exponent, Rational, int]]] = [[] for _ in p]
     scale = 1
+    first = -1  # the component of the first term no lead divides: the remainder's lead
     while True:
         comp = (0 if p[0] else -1) if len(p) == 1 else _leading_component(ring, p, marks)
         if comp < 0:
@@ -232,6 +237,8 @@ def module_reduce(
             if gc == comp and all(map(le, ge, e)):
                 break
         else:
+            if first < 0:
+                first = comp
             if top:
                 break
             rem[comp].append((e, c, scale))
@@ -261,19 +268,19 @@ def module_reduce(
                 gt = tuple([(tuple(map(add, x, m)), nb * y) for x, y in gt])
                 p[ci] = merge_terms(p[ci], gt, key, False) if p[ci] else gt
     # the terms set aside, then what is left of the dividend: none unless ``top``
-    return steps, tuple(
-        Polynomial(ring, tuple((e, c * (scale // at) if at != scale else c) for e, c, at in r) + t)
-        for r, t in zip(rem, p)
+    r = tuple(
+        Polynomial(ring, tuple((e, c * (scale // at) if at != scale else c) for e, c, at in aside) + t)
+        for aside, t in zip(rem, p)
     )
+    return steps, r, (first, *r[first].terms[0]) if first >= 0 else None
 
 
 def module_normal_form(ring: PolyRing, f: Vec, basis: Sequence[Vec]) -> Vec:
     """The remainder of f on division by the basis, with the scalings undone."""
     if not basis:
         return f
-    steps, r = module_reduce(ring, f, basis)
-    scale = prod(a for a, _, _, _ in steps)
-    return r if scale == 1 else vec_scale(r, Fraction(1, scale))
+    steps, r, _ = module_reduce(ring, f, basis)
+    return vec_scale(r, Fraction(1, prod(a for a, _, _, _ in steps)))
 
 
 # -- tracked Buchberger and syzygies ----------------------------------------
@@ -343,17 +350,46 @@ class _PairQueue:
 
 
 def _module_spair(
-    gi: Vec, gj: Vec, lead_i: Lead, lead_j: Lead
+    ring: PolyRing, gi: Vec, gj: Vec, lead_i: Lead, lead_j: Lead
 ) -> tuple[Vec, tuple[Exponent, int], tuple[Exponent, int]]:
-    """The integral S-vector ti*gi - tj*gj of two integral basis elements."""
+    """The integral S-vector ti*gi + tj*gj of two integral basis elements and
+    the terms ti, tj (tj's coefficient negative), each component one merge."""
     _, ei, ki = lead_i
     _, ej, kj = lead_j
     L = mono_lcm(ei, ej)
     g = gcd(ki, kj)
-    ti = (mono_div(L, ei), kj // g)
-    tj = (mono_div(L, ej), ki // g)
-    s = vec_sub(vec_mul_term(gi, *ti), vec_mul_term(gj, *tj))
-    return s, ti, tj
+    (mi, ci), (mj, cj) = ti, tj = (mono_div(L, ei), kj // g), (mono_div(L, ej), -ki // g)
+    s = []
+    for p, q in zip(gi, gj):
+        a = tuple([(tuple(map(add, e, mi)), ci * c) for e, c in p.terms])
+        b = tuple([(tuple(map(add, e, mj)), cj * c) for e, c in q.terms])
+        s.append(Polynomial(ring, merge_terms(a, b, ring.exp_key, False) if a and b else a or b))
+    return tuple(s), ti, tj
+
+
+def _replay(pieces: list, steps: list[Step], den: int, reps: list[Rep]) -> Rep:
+    """den*A*sum c*x^m*rep over the pieces (m, c, rep) - sum_s b_s*S_s*m_s*reps[k_s],
+    the representation after a division, expanded into one dict (module docstring)."""
+    after = prod(a for a, _, _, _ in steps)
+    pieces = [(m, c * den * after, rep) for m, c, rep in pieces]
+    for a, m, b, k in steps:
+        after //= a  # S_s
+        pieces.append((m, -b * after, reps[k]))
+    acc: dict[tuple[int, Exponent], int] = {}
+    get = acc.get
+    for m, c, rep in pieces:
+        for (comp, e), x in rep:
+            t = (comp, tuple(map(add, e, m)))
+            acc[t] = get(t, 0) + c * x
+    return [t for t in acc.items() if t[1]]
+
+
+def _rep_vector(ring: PolyRing, rep: Rep, rank: int) -> Vec:
+    """A representation as a vector of ``rank`` Polynomials, sorted in one pass."""
+    comps: list[list[tuple[Exponent, int]]] = [[] for _ in range(rank)]
+    for (comp, e), c in sorted(rep, key=lambda t: ring.exp_key(t[0][1]), reverse=True):
+        comps[comp].append((e, c))
+    return tuple(Polynomial(ring, tuple(t)) for t in comps)
 
 
 def _buchberger(
@@ -382,39 +418,35 @@ def _buchberger(
     limit = DEFAULT_PAIR_BUDGET if budget is None else budget
     basis: list[Vec] = []
     leads: list[Lead] = []
-    reps: list[Vec | None] = []
+    reps: list[Rep | None] = []
     syzygies: list[Vec] = []
     kept: list[int] = []
     ideal = not track and all(len(f) == 1 for f in gens)
     queue = _PairQueue(ring, marks, coprime=ideal)
+    one = (0,) * ring.num_vars
 
-    def reduce_and_add(v: Vec, rep: Vec | None, drop_zero: bool = False) -> bool:
+    def reduce_and_add(v: Vec, pieces: list, drop_zero: bool = False) -> bool:
+        # v and its representation, the sum of the pieces (m, c, rep) of c*x^m*rep
         v, den = vec_integral(v)
-        steps, r = module_reduce(ring, v, basis, marks, leads, top=True)
-        if track:
-            rep = vec_scale(rep, den)
-            for a, m, b, k in steps:
-                rep = vec_sub(vec_scale(rep, a), vec_mul_term(reps[k], m, b))
-        if not vec_is_zero(r):
-            comp, e, c = vec_leading(ring, r, marks)
-            g = vec_content(r + rep if track else r)
+        steps, r, lead = module_reduce(ring, v, basis, marks, leads, top=True)
+        rep = _replay(pieces, steps, den, reps) if track else None
+        if lead is not None:
+            comp, e, c = lead
+            g = gcd(vec_content(r), *(x for _, x in rep)) if track else vec_content(r)
             if c < 0:
                 g = -g
             basis.append(vec_divide(r, g))
             leads.append((comp, e, c // g))
-            reps.append(vec_divide(rep, g) if track else None)
+            reps.append([(t, x // g) for t, x in rep] if track and g != 1 else rep)
             queue.add(comp, e)
             return True
-        if track and not drop_zero and not vec_is_zero(rep):
-            syzygies.append(rep)
+        if track and not drop_zero and rep:
+            syzygies.append(_rep_vector(ring, rep, len(gens)))
         return False
-
-    def unit(i: int) -> Vec | None:
-        return vec_unit(ring, len(gens), i) if track else None
 
     if marks is None:
         for i, f in enumerate(gens):
-            reduce_and_add(f, unit(i))
+            reduce_and_add(f, [(one, 1, [((i, one), 1)])])
     else:
         for i, f in enumerate(gens):
             c = next(c for c, p in enumerate(f) if not p.is_zero())
@@ -424,16 +456,15 @@ def _buchberger(
     while (pair := queue.pop()) is not None:
         i, j = pair
         if j is None:
-            if reduce_and_add(gens[i], unit(i), drop_zero=True):
+            if reduce_and_add(gens[i], [(one, 1, [((i, one), 1)])], drop_zero=True):
                 kept.append(i)
             continue
         steps_done += 1
         if steps_done > limit:
             kind = "syzygy" if track else "ideal" if ideal else "module"
             raise StepBudgetExceeded(f"{kind} pair budget {limit} exhausted")
-        svec, ti, tj = _module_spair(basis[i], basis[j], leads[i], leads[j])
-        rep = vec_sub(vec_mul_term(reps[i], *ti), vec_mul_term(reps[j], *tj)) if track else None
-        reduce_and_add(svec, rep)
+        svec, ti, tj = _module_spair(ring, basis[i], basis[j], leads[i], leads[j])
+        reduce_and_add(svec, [(*ti, reps[i]), (*tj, reps[j])])
     return basis, syzygies, kept, leads
 
 
@@ -510,6 +541,6 @@ def module_groebner(
     # interreduction keeps each leading term, so the result stays sorted
     reduced: list[Vec] = []
     for k, g in enumerate(minimal):
-        _, r = module_reduce(ring, g, minimal[:k] + minimal[k + 1 :], None, kept[:k] + kept[k + 1 :])
-        reduced.append(vec_monic(r, vec_leading(ring, r)[2]))
+        _, r, lead = module_reduce(ring, g, minimal[:k] + minimal[k + 1 :], None, kept[:k] + kept[k + 1 :])
+        reduced.append(vec_monic(r, lead[2]))
     return reduced

@@ -94,19 +94,21 @@ def _integral_input():
 def test_integral_run_stays_integral(monkeypatch):
     gens = _integral_input()
     reps_seen = []
-    real_divide = modules.vec_divide
+    real_replay = modules._replay
 
-    def recording(v, g):
-        out = real_divide(v, g)
+    def recording(*args):
+        out = real_replay(*args)
         reps_seen.append(out)
         return out
 
-    monkeypatch.setattr(modules, "vec_divide", recording)
+    monkeypatch.setattr(modules, "_replay", recording)
     basis, syzygies, _, leads = modules._buchberger(gens, R, None, track=True)
     assert basis and syzygies and reps_seen
-    for what, vectors in (("basis", basis), ("syzygies", syzygies), ("reps", reps_seen)):
+    for what, vectors in (("basis", basis), ("syzygies", syzygies)):
         for c in _coefficients(p for v in vectors for p in v):
             assert type(c) is int, f"{what}: {c!r}"
+    for c in (c for rep in reps_seen for _, c in rep):
+        assert type(c) is int, f"reps: {c!r}"
     assert all(type(c) is int and c > 0 for _, _, c in leads)
     marks = [((0, 0, 0, 0), 0)]
     _, resolved, held, _ = minimal_syzygies(gens, R, marks)

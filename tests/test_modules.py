@@ -10,8 +10,10 @@ from foliations.linalg import rank
 from foliations.modules import (
     module_groebner,
     module_normal_form,
+    module_reduce,
     syzygy_generators,
     vec_is_zero,
+    vec_leading,
 )
 from foliations.rings import PolyRing, mono_divides
 
@@ -175,6 +177,35 @@ def test_loop_top_reduces_and_normal_forms_reduce_fully():
     assert not any(mono_divides(e, m) for _, e, _ in leads for m, _ in r.terms)
 
 
+def test_module_reduce_returns_the_lead_of_its_remainder():
+    # the lead where a division stopped is the one vec_leading finds on the
+    # remainder, under TOP and under Schreyer marks, and None for zero
+    O = R.zero()
+    marks = [((0, 0, 0, 0), 0), ((0, 1, 0, 0), 1), ((0, 1, 0, 0), 2)]
+    g1 = (Z[1] ** 2, O, 2 * Z[0])
+    g2 = (O, 3 * Z[1], Z[2])
+    f = (3 * Z[1] ** 2 + Z[3] ** 2, 2 * Z[1] + Z[2], 5 * Z[0] + Z[3])
+    cases = [
+        (f, [g1, g2], marks),
+        (f, [g1, g2], None),
+        ((Z[0] ** 2 + Z[1] * Z[2],), [(Z[0] ** 2 - Z[3] ** 2,), (2 * Z[1],)], None),
+    ]
+    # under the marks the lead moves from component 2 to component 0
+    assert vec_leading(R, f, marks)[0] == 2
+    assert module_reduce(R, f, [g1, g2], marks, top=True)[2][0] == 0
+    for v, basis, m in cases:
+        for top in (True, False):
+            steps, r, lead = module_reduce(R, v, basis, m, top=top)
+            assert steps and lead == vec_leading(R, r, m)
+    for v, basis, m in cases:
+        member = tuple(
+            a.mul_term((0, 0, 1, 0), 1) + b.scale(-2) for a, b in zip(basis[0], basis[1])
+        )
+        for top in (True, False):
+            _, r, lead = module_reduce(R, member, basis, m, top=top)
+            assert lead is None and vec_is_zero(r)
+
+
 def test_classify_division_work(monkeypatch):
     # the loop leaves tails alone, so these two classifications take 20 and
     # 22 division steps; tail-reducing every division takes 31 and 44
@@ -189,9 +220,9 @@ def test_classify_division_work(monkeypatch):
     reduce = modules.module_reduce
 
     def counting(*args, **kwargs):
-        done, r = reduce(*args, **kwargs)
+        done, r, lead = reduce(*args, **kwargs)
         steps.append(len(done))
-        return done, r
+        return done, r, lead
 
     monkeypatch.setattr(modules, "module_reduce", counting)
     for form, expected in zip(forms, (20, 22)):

@@ -1,12 +1,13 @@
 """Free resolutions: Betti tables, exactness certificates, minimality."""
 
+import hashlib
 from itertools import combinations
 from random import Random
 
 import pytest
 
 from foliations.classify import monomials_of_degree
-from foliations.forms import singular_ideal
+from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form, singular_ideal
 from foliations.groebner import Ideal, ideal_equal, normal_form
 from foliations.hilbert import _minimalize, hilbert_data
 from foliations.linalg import rank
@@ -257,3 +258,27 @@ def test_corpus_betti_tables_match_koszul_homology():
             _check_against_koszul(S, res)
             checked += 1
     assert checked >= 10
+
+
+# sha256 of the repr of [[[p.terms for p in v] for v in m] for m in res.matrices]
+PINNED_MATRICES = {
+    "L1113": "9cfb010ff2710bf672e28806423f3b4a6bb8c5256790cb3105e40ae7a8e667e6",
+    "exceptional-d2-moved": "5493a295aef35fa1ba03b93a3833ff7c6705a539f215dbd3d4f542b20896b543",
+    "pullback-d3": "9bcc0496e1334bea0127cef19559ee974e521c22597853f8e478566a95f01aeb",
+}
+
+
+def test_resolution_matrices_are_pinned():
+    # certified syzygies could differ by a unit or a Groebner tail; these
+    # hashes pin the very integers of the resolution, term by term
+    cubic = Z[0] ** 3 + Z[1] ** 3 + Z[2] ** 3 + Z[3] ** 3
+    move = ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 2, 1))
+    forms = {
+        "L1113": logarithmic_form([Z[0], Z[1], Z[2], cubic], [1, 1, 1, -1]),
+        "exceptional-d2-moved": apply_projectivity(exceptional_form(2), move),
+        "pullback-d3": dict(build_corpus())["pullback-d3"],
+    }
+    for name, form in forms.items():
+        res = free_resolution(singular_ideal(form))
+        data = [[[p.terms for p in v] for v in m] for m in res.matrices]
+        assert hashlib.sha256(repr(data).encode()).hexdigest() == PINNED_MATRICES[name], name
