@@ -156,7 +156,7 @@ def graded_syzygy_dimension(coefficients: tuple[Polynomial, ...], entry_degree: 
 # -- shared analysis ------------------------------------------------------------
 
 
-def saturated_resolution(I: Ideal, budget: int | None = None) -> tuple[Ideal, FreeResolution]:
+def saturated_resolution(I: Ideal) -> tuple[Ideal, FreeResolution]:
     """I^sat and the minimal free resolution of R/I^sat, resolving I first.
 
     By Auslander-Buchsbaum, pd R/I = 4 - depth R/I, and depth R/I >= 1
@@ -166,12 +166,12 @@ def saturated_resolution(I: Ideal, budget: int | None = None) -> tuple[Ideal, Fr
     Raises CodimTooSmall when codim Z(I) < 2, checked on the basis that
     step 0 of the resolution hands I, before any saturation is paid for.
     """
-    res = free_resolution(I, budget=budget)
-    check_codim(I, budget)
+    res = free_resolution(I)
+    check_codim(I)
     if res.length <= 3:
         return I, res
-    sat = saturate(I, budget=budget)
-    return sat, free_resolution(sat, budget=budget)
+    sat = saturate(I)
+    return sat, free_resolution(sat)
 
 
 @dataclass
@@ -185,21 +185,21 @@ class _Analysis:
     ext3: ModuleHilbert | None  # Ext^3(R/I^sat, R); None when it vanishes
 
     @classmethod
-    def of(cls, form: ProjectiveOneForm, budget: int | None = None) -> "_Analysis":
+    def of(cls, form: ProjectiveOneForm) -> "_Analysis":
         if form.ring.num_vars != 4:
             raise ValueError("classification requires a form on P^3 (4 variables)")
         I = Ideal(form.ring, form.coefficients)
         # resolve I first: step 0 hands I the basis that the codim check and
         # saturate read, and a length <= 3 means I is saturated
-        sat, res = saturated_resolution(I, budget)
+        sat, res = saturated_resolution(I)
         # depth R/I^sat >= 1, so the resolution has length at most 3
         # (Auslander-Buchsbaum) and Ext^3 is zero or the top Ext
         if res.length > 3:
             raise InternalInconsistency(
                 f"the resolution of a saturated ideal has length {res.length} > 3"
             )
-        e3 = top_ext(res, budget) if res.length == 3 else None
-        return cls(form, I, sat, sat is I, hilbert_data(sat, budget), res, e3)
+        e3 = top_ext(res) if res.length == 3 else None
+        return cls(form, I, sat, sat is I, hilbert_data(sat), res, e3)
 
     def curve(self) -> bool:
         """Locally free test: Z is an equidimensional locally CM curve.
@@ -274,9 +274,9 @@ def _rao_from(analysis: _Analysis) -> dict[int, int]:
     return {(-4 - deg): dim for deg, dim in sorted(support.items(), reverse=True)}
 
 
-def classify(form: ProjectiveOneForm, budget: int | None = None) -> ClassificationReport:
+def classify(form: ProjectiveOneForm) -> ClassificationReport:
     """The consolidated report; every field computed, invariants asserted."""
-    return _report_from(_Analysis.of(form, budget))
+    return _report_from(_Analysis.of(form))
 
 
 def _report_from(a: _Analysis) -> ClassificationReport:

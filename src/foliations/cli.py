@@ -2,13 +2,15 @@
 
 Exit codes: 0 success; 1 parse/validation errors (including precondition
 failures and a missing input flag of ``make``); 2 the command needs an
-integrable form and the input is not; 3 a step budget ran out, or
+integrable form and the input is not; 3 the ``--budget`` ran out, or
 ``determine`` found neither a witness on the family's unit lines nor a
 certificate that the form is unique; 4 an internal check or certificate
 failed, which is an engine bug and not a verdict.  ``classify --dir`` classifies the
 files in turn, reports each failed file on stderr, with the line and the
 code that ``classify <file>`` would give, and exits with the largest
-per-file code.  ``--json`` selects a stable machine-readable report;
+per-file code.  ``--budget N`` bounds the S-pairs of all the Groebner and
+syzygy loops of the whole command, of each file with ``--dir``
+(``modules.pair_budget``).  ``--json`` selects a stable machine-readable report;
 identical inputs produce byte-identical reports except for the timings
 field.  ``main`` can be called many times in one process: it builds its
 argument parser on the first call and reuses it.
@@ -46,7 +48,7 @@ from .forms import (
 )
 from .groebner import ideal_equal
 from .hilbert import hilbert_data
-from .modules import StepBudgetExceeded
+from .modules import StepBudgetExceeded, pair_budget
 from .rings import PolyRing
 from .saturation import saturate
 
@@ -105,7 +107,7 @@ def cmd_check(args) -> int:
     ff = _read_form(args.file)
     form = ff.form
     integrable = integrability_check(form)
-    singular_ideal(form, args.budget)  # raises CodimTooSmall on failure
+    singular_ideal(form)  # raises CodimTooSmall on failure
     report = _report(
         args.file,
         degree=form.degree,
@@ -119,11 +121,11 @@ def cmd_check(args) -> int:
     return 0 if integrable else 2
 
 
-def _classification_payload(path: str, budget: int | None) -> dict:
+def _classification_payload(path: str) -> dict:
     ff = _read_form(path)
     if ff.form.ring.num_vars != 4:
         raise FormError("classify requires a P^3 form (ring z0 z1 z2 z3)")
-    report = classify(ff.form, budget)
+    report = classify(ff.form)
     payload = _report(
         path,
         degree=report.degree,
@@ -142,10 +144,10 @@ def _classification_payload(path: str, budget: int | None) -> dict:
     return payload
 
 
-def _classify_file(path: str, budget: int | None) -> tuple[str, dict | None, str | None, int]:
+def _classify_file(path: str) -> tuple[str, dict | None, str | None, int]:
     """(path, payload, error, exit code) for one file of ``classify --dir``."""
     try:
-        return path, _classification_payload(path, budget), None, 0
+        return path, _classification_payload(path), None, 0
     except Exception as exc:
         code, error = _failure(exc)
         return path, None, error, code
@@ -172,7 +174,10 @@ def cmd_classify(args) -> int:
         if not paths:
             print(f"no .form files under {args.dir}", file=sys.stderr)
             return 1
-        results = [_classify_file(p, args.budget) for p in paths]
+        results = []
+        for p in paths:
+            with pair_budget(args.budget):  # each file has a budget of its own
+                results.append(_classify_file(p))
         payloads = []
         for path, payload, error, _ in results:
             if error is not None:
@@ -184,7 +189,7 @@ def cmd_classify(args) -> int:
         if args.json:
             print(json.dumps(payloads, sort_keys=True, indent=2))
         return max(code for *_, code in results)
-    payload = _classification_payload(args.file, args.budget)
+    payload = _classification_payload(args.file)
     payload["timings"] = {"total_s": round(time.monotonic() - started, 3)}
     _emit(args, payload, [_classify_text(payload)])
     return 0
@@ -228,8 +233,8 @@ def cmd_family(args) -> int:
     if not integrability_check(form):
         print(f"{args.file}: the base form is not integrable", file=sys.stderr)
         return 2
-    family = distribution_family(form, args.budget)
-    outcome = integrable_members(family, args.budget)
+    family = distribution_family(form)
+    outcome = integrable_members(family)
     payload = _report(
         args.file,
         degree=form.degree,
@@ -262,7 +267,7 @@ def cmd_determine(args) -> int:
     if not integrability_check(form):
         print(f"{args.file}: the form is not integrable", file=sys.stderr)
         return 2
-    verdict = is_determined_by_singular_scheme(form, args.budget)
+    verdict = is_determined_by_singular_scheme(form)
     payload = _report(
         args.file,
         degree=form.degree,
@@ -282,8 +287,8 @@ def cmd_determine(args) -> int:
 def cmd_gb(args) -> int:
     started = time.monotonic()
     ff = _read_form(args.file)
-    I = singular_ideal(ff.form, args.budget)
-    gb = I.groebner_basis(args.budget)
+    I = singular_ideal(ff.form)
+    gb = I.groebner_basis()
     payload = _report(
         args.file,
         degree=ff.form.degree,
@@ -298,11 +303,11 @@ def cmd_gb(args) -> int:
 def cmd_sat(args) -> int:
     started = time.monotonic()
     ff = _read_form(args.file)
-    I = singular_ideal(ff.form, args.budget)
-    sat = saturate(I, budget=args.budget)
-    saturated = ideal_equal(I, sat, args.budget)
-    gb = sat.groebner_basis(args.budget)
-    h = hilbert_data(sat, args.budget)
+    I = singular_ideal(ff.form)
+    sat = saturate(I)
+    saturated = ideal_equal(I, sat)
+    gb = sat.groebner_basis()
+    h = hilbert_data(sat)
     payload = _report(
         args.file,
         degree=ff.form.degree,
@@ -384,7 +389,7 @@ def _build_parser() -> argparse.ArgumentParser:
         if needs_file:
             p.add_argument("file", help="a .form input file")
         p.add_argument("--json", action="store_true", help="machine-readable report")
-        p.add_argument("--budget", type=int, help="step budget override")
+        p.add_argument("--budget", type=int, help="S-pairs for the command (per file with --dir)")
 
     common(sub.add_parser("check", help="validate, integrability, codimension"))
     p = sub.add_parser("classify", help="saturated/curve/ACM/split verdicts and splitting type")
@@ -427,7 +432,8 @@ def main(argv: list[str] | None = None) -> int:
         print("classify needs a file or --dir", file=sys.stderr)
         return 1
     try:
-        return _COMMANDS[args.command](args)
+        with pair_budget(getattr(args, "budget", None)):  # ``make`` has none
+            return _COMMANDS[args.command](args)
     except Exception as exc:
         code, message = _failure(exc)
         print(message, file=sys.stderr)

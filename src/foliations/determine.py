@@ -25,8 +25,9 @@ What is verified where:
 * ``unique``: ``_only_degenerate_or_base`` shows det * l in rad(S) for
   every linear form l vanishing on L, so every integrable member is
   degenerate or a multiple of the base;
-* ``inconclusive`` is left when the budget runs out, or when an integrable
-  member exists that no unit line reaches.
+* ``inconclusive`` is left when an active ``modules.pair_budget`` runs out
+  in the family analysis, or when an integrable member exists that no unit
+  line reaches.
 """
 
 from __future__ import annotations
@@ -138,9 +139,9 @@ def _poly_det(entries: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
     return ring.from_dict(minors[tuple(range(n))])
 
 
-def distribution_family(form: ProjectiveOneForm, budget: int | None = None) -> DistributionFamily:
+def distribution_family(form: ProjectiveOneForm) -> DistributionFamily:
     """The syzygy-parameterized family; requires a split base foliation."""
-    return _family_from(_Analysis.of(form, budget))
+    return _family_from(_Analysis.of(form))
 
 
 def _family_from(analysis: _Analysis) -> DistributionFamily:
@@ -211,7 +212,8 @@ def integrability_system(family: DistributionFamily) -> list[Polynomial]:
             seen.add(q.terms)
             system.append(q)
     # in one order, however the table was filled: the system's Groebner basis
-    # reduces its generators in the order given, and a pair budget counts that run
+    # reduces its generators in the order given, and its pairs count against
+    # an active pair budget
     key = pring.exp_key
     return sorted(system, key=lambda q: [(key(e), c) for e, c in q.terms])
 
@@ -265,9 +267,7 @@ def _walk(
     return found
 
 
-def _only_degenerate_or_base(
-    family: DistributionFamily, system: list[Polynomial], budget: int | None = None
-) -> bool:
+def _only_degenerate_or_base(family: DistributionFamily, system: list[Polynomial]) -> bool:
     """Is det * l in rad(S) for every linear form l vanishing on L?
 
     L is read off the kernel of the columns [member tuples | base], the l
@@ -286,23 +286,21 @@ def _only_degenerate_or_base(
     y_det = ring.variable(p) * det
     for ell in kernel_basis(span, p):
         h = y_det * _combination(ell, ring.variables()[:p])
-        if reduced_groebner_basis(lifted + [ring.one() - h], ring, budget) != [ring.one()]:
+        if reduced_groebner_basis(lifted + [ring.one() - h], ring) != [ring.one()]:
             return False
     return True
 
 
-def integrable_members(
-    family: DistributionFamily, budget: int | None = None
-) -> FamilyIntegrability:
+def integrable_members(family: DistributionFamily) -> FamilyIntegrability:
     """The kind of V(S), by dim R/S = dim R/S^sat >= 1 (V(S) holds the base
-    point; "inconclusive" if the budget runs out first), and up to three
+    point; "inconclusive" if an active pair budget runs out first), and up to three
     members of ``_walk``."""
     system = integrability_system(family)
     members = _walk(family, system, 3)
     if not system:
         return FamilyIntegrability("positive" if family.parameter_dim > 1 else "finite", members)
     try:
-        dim = hilbert_data(Ideal(family.parameter_ring, system), budget).krull_dim
+        dim = hilbert_data(Ideal(family.parameter_ring, system)).krull_dim
     except StepBudgetExceeded:
         return FamilyIntegrability("inconclusive", members)
     if dim <= 0:
@@ -337,16 +335,14 @@ def _same_span(F: tuple[Polynomial, ...], G: tuple[Polynomial, ...]) -> bool:
     return rank(rows[: len(F)]) == both and rank(rows[len(F) :]) == both
 
 
-def is_determined_by_singular_scheme(
-    form: ProjectiveOneForm, budget: int | None = None
-) -> Determination:
+def is_determined_by_singular_scheme(form: ProjectiveOneForm) -> Determination:
     """Is the foliation the only one with its singular scheme?
 
     The cheap criteria first: splitting type a <= b <= -1, or a type-(1, 1-d)
     pull-back with d != 1, is unique.  Else the family decides, by the first
     witness of ``_walk`` or by the certificate (module docstring).
     """
-    analysis = _Analysis.of(form, budget)
+    analysis = _Analysis.of(form)
     report = _report_from(analysis)
     if not report.is_split:
         raise ValueError("determination analysis applies to split foliations")
@@ -362,7 +358,7 @@ def is_determined_by_singular_scheme(
             raise InternalInconsistency(f"the member {w} has another singular ideal")
         return Determination("non-unique", "integrable family member", w)
     try:
-        unique = _only_degenerate_or_base(family, system, budget)
+        unique = _only_degenerate_or_base(family, system)
     except StepBudgetExceeded:
         return Determination("inconclusive", "family analysis (budget exhausted)")
     if unique:

@@ -23,7 +23,7 @@ def _dual_images(matrix: list[Vec], dual_source_rank: int) -> list[Vec]:
     ]
 
 
-def top_ext(resolution: FreeResolution, budget: int | None = None) -> ModuleHilbert:
+def top_ext(resolution: FreeResolution) -> ModuleHilbert:
     """Hilbert data of Ext^p(R/I, R), p = resolution.length >= 1."""
     ring = resolution.ring
     p = resolution.length
@@ -32,5 +32,5 @@ def top_ext(resolution: FreeResolution, budget: int | None = None) -> ModuleHilb
         for v in _dual_images(resolution.matrices[p - 1], len(resolution.twists[p - 1]))
         if not vec_is_zero(v)
     ]
-    leads = [vec_leading(ring, v)[:2] for v in module_groebner(relations, ring, budget)]
+    leads = [vec_leading(ring, v)[:2] for v in module_groebner(relations, ring)]
     return module_hilbert(tuple(-t for t in resolution.twists[p]), leads, ring.num_vars)

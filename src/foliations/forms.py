@@ -86,10 +86,6 @@ class ProjectiveOneForm:
             self.ring, tuple(f.scale(c) for f in self.coefficients), self.degree
         )
 
-    def is_proportional_to(self, other: ProjectiveOneForm) -> bool:
-        """True when every 2x2 minor f_i*g_j - f_j*g_i (i < j) vanishes."""
-        return self.ring == other.ring and proportional(self.coefficients, other.coefficients)
-
 
 def proportional(F: Sequence[Polynomial], G: Sequence[Polynomial]) -> bool:
     """True when every 2x2 minor F_i*G_j - F_j*G_i (i < j) vanishes.
@@ -228,14 +224,14 @@ def integrability_check(form: ProjectiveOneForm | AffineOneForm) -> bool:
 # -- singular scheme ----------------------------------------------------------
 
 
-def singular_ideal(form: ProjectiveOneForm, budget: int | None = None) -> Ideal:
+def singular_ideal(form: ProjectiveOneForm) -> Ideal:
     """The ideal (F_0, ..., F_n); raises CodimTooSmall when codim Z < 2."""
-    return check_codim(Ideal(form.ring, form.coefficients), budget)
+    return check_codim(Ideal(form.ring, form.coefficients))
 
 
-def check_codim(I: Ideal, budget: int | None = None) -> Ideal:
+def check_codim(I: Ideal) -> Ideal:
     """I itself, once its zero set is checked to have codimension >= 2."""
-    dim = hilbert_data(I, budget).krull_dim
+    dim = hilbert_data(I).krull_dim
     if dim >= I.ring.num_vars - 1:
         raise CodimTooSmall(
             f"singular scheme has affine dimension {dim}: a common divisor survived"

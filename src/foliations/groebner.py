@@ -41,26 +41,26 @@ class Ideal:
         self.generators = gens
         self._gb = self._basis = self._numerator = None
 
-    def groebner_basis(self, budget: int | None = None) -> list[Polynomial]:
+    def groebner_basis(self) -> list[Polynomial]:
         if self._gb is None:
-            self._gb = reduced_groebner_basis(list(self.generators), self.ring, budget)
+            self._gb = reduced_groebner_basis(list(self.generators), self.ring)
         return self._gb
 
     def hold_basis(self, basis: list[Vec], leads: list[Lead]) -> None:
         """Keep a Groebner basis of I in the ring order, as 1-tuples with their leading terms."""
         self._basis = (basis, leads)
 
-    def basis(self, budget: int | None = None) -> tuple[list[Vec], list[Lead]]:
+    def basis(self) -> tuple[list[Vec], list[Lead]]:
         """The Groebner basis held by ``hold_basis``, else the reduced basis, with leading terms."""
         if self._basis is None:
-            gb = self.groebner_basis(budget)
+            gb = self.groebner_basis()
             self._basis = ([(g,) for g in gb], [(0, *g.terms[0]) for g in gb])
         return self._basis
 
-    def hilbert_numerator(self, budget: int | None = None) -> tuple[int, ...]:
+    def hilbert_numerator(self) -> tuple[int, ...]:
         """Numerator of Hilb(R/I) over (1-t)^n, that of R/in(I) (Eisenbud, Thm 15.26)."""
         if self._numerator is None:
-            leads = self.basis(budget)[1]
+            leads = self.basis()[1]
             self._numerator = monomial_numerator([e for _, e, _ in leads], self.ring.num_vars)
         return self._numerator
 
@@ -76,15 +76,13 @@ def normal_form(f: Polynomial, basis: Sequence[Polynomial]) -> Polynomial:
     return module_normal_form(f.ring, (f,), [(g,) for g in basis])[0]
 
 
-def reduced_groebner_basis(
-    gens: Sequence[Polynomial], ring: PolyRing, budget: int | None = None
-) -> list[Polynomial]:
+def reduced_groebner_basis(gens: Sequence[Polynomial], ring: PolyRing) -> list[Polynomial]:
     """The unique reduced (monic, auto-reduced) Groebner basis."""
-    return [v[0] for v in module_groebner([(g,) for g in gens], ring, budget)]
+    return [v[0] for v in module_groebner([(g,) for g in gens], ring)]
 
 
-def ideal_equal(I: Ideal, J: Ideal, budget: int | None = None) -> bool:
+def ideal_equal(I: Ideal, J: Ideal) -> bool:
     """True when the ideals coincide (reduced Groebner bases agree)."""
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
-    return I.groebner_basis(budget) == J.groebner_basis(budget)
+    return I.groebner_basis() == J.groebner_basis()

@@ -161,7 +161,7 @@ def same_hilbert_polynomial(a: IntPoly, b: IntPoly, num_vars: int) -> bool:
     return hilbert_from_numerator(_add(a, tuple(-c for c in b)), num_vars).krull_dim <= 0
 
 
-def hilbert_data(I: Ideal, budget: int | None = None) -> HilbertData:
+def hilbert_data(I: Ideal) -> HilbertData:
     """Hilbert data of R/I, that of R/in(I) (Eisenbud, Thm 15.26); one numerator per I.
 
     in(I) is generated by the leading terms of the basis I holds: the one the
@@ -169,7 +169,7 @@ def hilbert_data(I: Ideal, budget: int | None = None) -> HilbertData:
     Equal to a resolution's alternating twist sum, the numerator still checks
     every later step of that resolution.
     """
-    return hilbert_from_numerator(I.hilbert_numerator(budget), I.ring.num_vars)
+    return hilbert_from_numerator(I.hilbert_numerator(), I.ring.num_vars)
 
 
 # -- graded quotients of free modules ----------------------------------------

@@ -62,15 +62,22 @@ deg M_c, and each generator enters after the pairs of its degree.  So a
 generator that reduces to zero lies in the span of lower degrees and of the
 generators before it: it is not minimal, and it is dropped without a
 coordinate in the syzygies.
+
+Work is counted in S-pairs, and only here.  Inside ``with pair_budget(n):``
+every loop run draws on one count of n pairs, so n bounds the whole
+computation; the run that finds it spent raises ``StepBudgetExceeded``.
+Outside one, each run may take ``DEFAULT_PAIR_BUDGET`` pairs on its own.
 """
 
 from __future__ import annotations
 
 import heapq
+from contextlib import contextmanager
+from contextvars import ContextVar
 from fractions import Fraction
 from math import gcd, lcm, prod
 from operator import add, le, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .rings import (
     Exponent,
@@ -88,9 +95,25 @@ from .rings import (
 
 DEFAULT_PAIR_BUDGET = 200_000
 
+_pair_budget: ContextVar[list[int] | None] = ContextVar("pair_budget", default=None)
+"""[S-pairs left, limit] of the innermost ``pair_budget``; None outside one."""
+
 
 class StepBudgetExceeded(RuntimeError):
     """A configured step budget ran out before the computation finished."""
+
+
+@contextmanager
+def pair_budget(limit: int | None) -> Iterator[None]:
+    """Bound the S-pairs of every loop run inside by ``limit`` in all; None does nothing."""
+    if limit is None:
+        yield
+        return
+    token = _pair_budget.set([limit, limit])
+    try:
+        yield
+    finally:
+        _pair_budget.reset(token)
 
 
 class InternalInconsistency(RuntimeError):
@@ -113,9 +136,6 @@ Rep = list[tuple[tuple[int, Exponent], int]]
 
 def vec_is_zero(v: Vec) -> bool:
     return all(c.is_zero() for c in v)
-
-def vec_sub(a: Vec, b: Vec) -> Vec:
-    return tuple(x - y for x, y in zip(a, b))
 
 def vec_scale(a: Vec, c: Rational) -> Vec:
     if c == 1:
@@ -395,7 +415,6 @@ def _rep_vector(ring: PolyRing, rep: Rep, rank: int) -> Vec:
 def _buchberger(
     gens: Sequence[Vec],
     ring: PolyRing,
-    budget: int | None,
     track: bool,
     marks: Marks | None = None,
 ) -> tuple[list[Vec], list[Vec], list[int], list[Lead]]:
@@ -415,7 +434,6 @@ def _buchberger(
     product criterion.  A tracked run keeps the coprime pairs: their zero
     reductions are the Koszul syzygies.
     """
-    limit = DEFAULT_PAIR_BUDGET if budget is None else budget
     basis: list[Vec] = []
     leads: list[Lead] = []
     reps: list[Rep | None] = []
@@ -425,9 +443,9 @@ def _buchberger(
     queue = _PairQueue(ring, marks, coprime=ideal)
     one = (0,) * ring.num_vars
 
-    def reduce_and_add(v: Vec, pieces: list, drop_zero: bool = False) -> bool:
-        # v and its representation, the sum of the pieces (m, c, rep) of c*x^m*rep
-        v, den = vec_integral(v)
+    def reduce_and_add(v: Vec, den: int, pieces: list, drop_zero: bool = False) -> bool:
+        # v, integral, and its representation, den times the sum of the pieces
+        # (m, c, rep) of c*x^m*rep; den > 1 only for an input generator
         steps, r, lead = module_reduce(ring, v, basis, marks, leads, top=True)
         rep = _replay(pieces, steps, den, reps) if track else None
         if lead is not None:
@@ -446,25 +464,31 @@ def _buchberger(
 
     if marks is None:
         for i, f in enumerate(gens):
-            reduce_and_add(f, [(one, 1, [((i, one), 1)])])
+            reduce_and_add(*vec_integral(f), [(one, 1, [((i, one), 1)])])
     else:
         for i, f in enumerate(gens):
             c = next(c for c, p in enumerate(f) if not p.is_zero())
             queue.add_generator(i, f[c].degree() + sum(marks[c][0]))
 
-    steps_done = 0
-    while (pair := queue.pop()) is not None:
-        i, j = pair
-        if j is None:
-            if reduce_and_add(gens[i], [(one, 1, [((i, one), 1)])], drop_zero=True):
-                kept.append(i)
-            continue
-        steps_done += 1
-        if steps_done > limit:
-            kind = "syzygy" if track else "ideal" if ideal else "module"
-            raise StepBudgetExceeded(f"{kind} pair budget {limit} exhausted")
-        svec, ti, tj = _module_spair(ring, basis[i], basis[j], leads[i], leads[j])
-        reduce_and_add(svec, [(*ti, reps[i]), (*tj, reps[j])])
+    # the pairs left, in a local while the loop runs: one compare per pair
+    active = _pair_budget.get()
+    left, limit = active or (DEFAULT_PAIR_BUDGET, DEFAULT_PAIR_BUDGET)
+    try:
+        while (pair := queue.pop()) is not None:
+            i, j = pair
+            if j is None:
+                if reduce_and_add(*vec_integral(gens[i]), [(one, 1, [((i, one), 1)])], True):
+                    kept.append(i)
+                continue
+            if not left:
+                kind = "syzygy" if track else "ideal" if ideal else "module"
+                raise StepBudgetExceeded(f"{kind} pair budget {limit} exhausted")
+            left -= 1
+            svec, ti, tj = _module_spair(ring, basis[i], basis[j], leads[i], leads[j])
+            reduce_and_add(svec, 1, [(*ti, reps[i]), (*tj, reps[j])])
+    finally:
+        if active is not None:
+            active[0] = left
     return basis, syzygies, kept, leads
 
 
@@ -480,19 +504,17 @@ def _certify(syzygies: list[Vec], gens: Sequence[Vec]) -> None:
                 raise AssertionError("syzygy certificate failed to expand to zero")
 
 
-def syzygy_generators(
-    gens: Sequence[Vec], ring: PolyRing, budget: int | None = None
-) -> list[Vec]:
+def syzygy_generators(gens: Sequence[Vec], ring: PolyRing) -> list[Vec]:
     """Generators of {u in R^s : sum u_k * gens[k] = 0}, each certified."""
     if not gens:
         return []
-    _, syzygies, _, _ = _buchberger(gens, ring, budget, track=True)
+    _, syzygies, _, _ = _buchberger(gens, ring, track=True)
     _certify(syzygies, gens)
     return syzygies
 
 
 def minimal_syzygies(
-    gens: Sequence[Vec], ring: PolyRing, marks: Marks, budget: int | None = None
+    gens: Sequence[Vec], ring: PolyRing, marks: Marks
 ) -> tuple[list[int], list[Vec], list[Vec], list[Lead]]:
     """One resolution step: (kept generators, their syzygies, the integral
     Groebner basis, its leading terms).
@@ -504,7 +526,7 @@ def minimal_syzygies(
     """
     if not gens:
         return [], [], [], []
-    basis, syzygies, kept, leads = _buchberger(gens, ring, budget, track=True, marks=marks)
+    basis, syzygies, kept, leads = _buchberger(gens, ring, track=True, marks=marks)
     kept.sort()
     syzygies = [tuple(u[i] for i in kept) for u in syzygies]
     _certify(syzygies, [gens[i] for i in kept])
@@ -523,14 +545,12 @@ def induced_marks(ring: PolyRing, gens: Sequence[Vec], marks: Marks) -> list[tup
     return [(mono_mul(e, marks[c][0]), rank[i]) for i, (c, e) in enumerate(leads)]
 
 
-def module_groebner(
-    gens: Sequence[Vec], ring: PolyRing, budget: int | None = None
-) -> list[Vec]:
+def module_groebner(gens: Sequence[Vec], ring: PolyRing) -> list[Vec]:
     """Reduced Groebner basis of the submodule generated by gens (TOP order).
 
     The basis is monic: the one place the engine leaves the integers.
     """
-    basis, _, _, leads = _buchberger(gens, ring, budget, track=False)
+    basis, _, _, leads = _buchberger(gens, ring, track=False)
     minimal: list[Vec] = []
     kept: list[Lead] = []
     for i in sorted(range(len(basis)), key=lambda i: (leads[i][0], ring.exp_key(leads[i][1]))):

@@ -31,8 +31,6 @@ from .modules import (
     Vec,
     induced_marks,
     minimal_syzygies,
-    vec_is_zero,
-    vec_sub,
 )
 from .rings import PolyRing
 
@@ -61,16 +59,6 @@ class FreeResolution:
                 table[(i, t)] = table.get((i, t), 0) + 1
         return table
 
-    def composites_are_zero(self) -> bool:
-        for k in range(len(self.matrices) - 1):
-            for image in self.matrices[k + 1]:
-                acc = tuple(self.ring.zero() for _ in self.twists[k])
-                for coeff, col in zip(image, self.matrices[k]):
-                    acc = vec_sub(acc, tuple(p * (-coeff) for p in col))
-                if not vec_is_zero(acc):
-                    return False
-        return True
-
     def has_unit_entry(self) -> bool:
         return any(
             p.terms and p.degree() == 0
@@ -89,7 +77,7 @@ class FreeResolution:
         return total
 
 
-def free_resolution(I: Ideal, budget: int | None = None) -> FreeResolution:
+def free_resolution(I: Ideal) -> FreeResolution:
     """The minimal graded free resolution of R/I."""
     ring = I.ring
     for g in I.generators:
@@ -103,7 +91,7 @@ def free_resolution(I: Ideal, budget: int | None = None) -> FreeResolution:
     while current:
         if len(res.matrices) == ring.num_vars:
             raise InternalInconsistency("resolution ran past the Hilbert syzygy bound")
-        kept, syzygies, basis, leads = minimal_syzygies(current, ring, marks, budget)
+        kept, syzygies, basis, leads = minimal_syzygies(current, ring, marks)
         if not res.matrices:
             I.hold_basis(basis, leads)
         gens = [current[i] for i in kept]

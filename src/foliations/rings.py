@@ -123,15 +123,6 @@ class PolyRing:
     def variables(self) -> list[Polynomial]:
         return [self.variable(i) for i in range(self.num_vars)]
 
-    def monomial(self, exponents: Sequence[int], coeff: Rational = 1) -> Polynomial:
-        e = tuple(int(x) for x in exponents)
-        if len(e) != self.num_vars or any(x < 0 for x in e):
-            raise ValueError(f"bad exponent tuple {exponents!r}")
-        c = exact(coeff)
-        if c == 0:
-            return self.zero()
-        return Polynomial(self, ((e, c),))
-
     def from_dict(self, terms: Mapping[Exponent, Rational]) -> Polynomial:
         d = {e: exact(c) for e, c in terms.items() if c != 0}
         return Polynomial(self, self._sorted(d))
@@ -261,15 +252,6 @@ class Polynomial:
             return True
         degs = {mono_degree(e) for e, _ in self.terms}
         return len(degs) == 1
-
-    def coefficient(self, exponents: Exponent) -> Rational:
-        for e, c in self.terms:
-            if e == exponents:
-                return c
-        return 0
-
-    def as_dict(self) -> dict[Exponent, Rational]:
-        return dict(self.terms)
 
     def variables_used(self) -> set[int]:
         used: set[int] = set()

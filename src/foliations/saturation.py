@@ -30,34 +30,34 @@ from .modules import syzygy_generators
 from .rings import PolyRing, Polynomial, map_to_ring
 
 
-def _canonical(ring: PolyRing, gens: list[Polynomial], budget: int | None) -> Ideal:
+def _canonical(ring: PolyRing, gens: list[Polynomial]) -> Ideal:
     """Ideal with its reduced Groebner basis as generators (and cached)."""
-    gb = Ideal(ring, gens).groebner_basis(budget)
+    gb = Ideal(ring, gens).groebner_basis()
     out = Ideal(ring, gb)
     out._gb = gb
     return out
 
 
-def colon_by_poly(I: Ideal, f: Polynomial, budget: int | None = None) -> Ideal:
+def colon_by_poly(I: Ideal, f: Polynomial) -> Ideal:
     """I : (f) = {h : h*f in I}, via the last coordinate of a syzygy module."""
     if f.is_zero():
-        return _canonical(I.ring, [I.ring.one()], budget)
+        return _canonical(I.ring, [I.ring.one()])
     gens = list(I.generators)
     vectors = [(g,) for g in gens] + [(f,)]
-    syz = syzygy_generators(vectors, I.ring, budget)
+    syz = syzygy_generators(vectors, I.ring)
     projected = [u[-1] for u in syz if not u[-1].is_zero()]
-    return _canonical(I.ring, projected + gens, budget)
+    return _canonical(I.ring, projected + gens)
 
 
-def intersect(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
+def intersect(I: Ideal, J: Ideal) -> Ideal:
     """I cap J via syzygies of the concatenated generator lists."""
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
     gi, gj = list(I.generators), list(J.generators)
     if not gi or not gj:
-        return _canonical(I.ring, [], budget)
+        return _canonical(I.ring, [])
     vectors = [(g,) for g in gi + gj]
-    syz = syzygy_generators(vectors, I.ring, budget)
+    syz = syzygy_generators(vectors, I.ring)
     combos = []
     for u in syz:
         total = I.ring.zero()
@@ -65,19 +65,19 @@ def intersect(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
             total = total + coeff * g
         if not total.is_zero():
             combos.append(total)
-    return _canonical(I.ring, combos, budget)
+    return _canonical(I.ring, combos)
 
 
-def colon(I: Ideal, J: Ideal, budget: int | None = None) -> Ideal:
+def colon(I: Ideal, J: Ideal) -> Ideal:
     """I : J  =  intersection of I : (f) over the generators f of J."""
     if I.ring != J.ring:
         raise ValueError("ideals live in different rings")
     if not J.generators:
-        return _canonical(I.ring, [I.ring.one()], budget)
+        return _canonical(I.ring, [I.ring.one()])
     result: Ideal | None = None
     for f in J.generators:
-        piece = colon_by_poly(I, f, budget)
-        result = piece if result is None else intersect(result, piece, budget)
+        piece = colon_by_poly(I, f)
+        result = piece if result is None else intersect(result, piece)
     return result
 
 
@@ -111,7 +111,7 @@ def _divide_last(g: Polynomial) -> Polynomial:
     return Polynomial(g.ring, tuple(((*e[:-1], e[-1] - shift), c) for e, c in g.terms))
 
 
-def saturate(I: Ideal, *, budget: int | None = None) -> Ideal:
+def saturate(I: Ideal) -> Ideal:
     """I : m^oo: the first I : l^oo, for l along the rational normal curve,
     with the Hilbert polynomial of I.  I itself when l divides no element of
     the basis, else the divided basis, mapped back and made primitive."""
@@ -119,23 +119,23 @@ def saturate(I: Ideal, *, budget: int | None = None) -> Ideal:
         raise ValueError("saturation requires a homogeneous ideal")
     n = I.ring.num_vars
     for moved, back in _changes(I, PolyRing(n)):
-        basis = [v[0] for v in moved.basis(budget)[0]]
+        basis = [v[0] for v in moved.basis()[0]]
         divided = [_divide_last(g) for g in basis]
         if divided == basis:  # l is a nonzerodivisor on R/I, so I is saturated
             return I
         numerator = monomial_numerator([g.leading_monomial() for g in divided], n)
-        if same_hilbert_polynomial(I.hilbert_numerator(budget), numerator, n):
+        if same_hilbert_polynomial(I.hilbert_numerator(), numerator, n):
             return Ideal(I.ring, [back(g).primitive() for g in divided])
 
 
-def saturate_by_colon(I: Ideal, *, budget: int | None = None) -> Ideal:
+def saturate_by_colon(I: Ideal) -> Ideal:
     """I : m^oo by the ``colon`` algorithm, the independent oracle of ``saturate``."""
     if not I.is_homogeneous():
         raise ValueError("saturation requires a homogeneous ideal")
     target = Ideal(I.ring, I.ring.variables())
-    current = _canonical(I.ring, list(I.generators), budget)
+    current = _canonical(I.ring, list(I.generators))
     while True:
-        step = colon(current, target, budget)
-        if ideal_equal(step, current, budget):
+        step = colon(current, target)
+        if ideal_equal(step, current):
             return current
         current = step

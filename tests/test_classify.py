@@ -18,6 +18,7 @@ from foliations.classify import (
 )
 from foliations.ext import top_ext
 from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form
+from foliations.modules import StepBudgetExceeded, _pair_budget, pair_budget
 from foliations.groebner import Ideal
 from foliations.hilbert import hilbert_data
 from foliations.linalg import kernel_basis
@@ -369,8 +370,24 @@ def test_codim_one_form_is_rejected_before_saturation(distribution_d2, monkeypat
 
     monkeypatch.setattr(classify_mod, "saturate", no_saturation)
     for budget in (None, 10**6):
-        with pytest.raises(CodimTooSmall):
-            classify(form, budget=budget)
+        with pytest.raises(CodimTooSmall), pair_budget(budget):
+            classify(form)
+
+
+# -- the pair budget ----------------------------------------------------------------
+
+
+def test_one_pair_budget_bounds_the_whole_classification(l112):
+    # classify(L112) takes 8 S-pairs over 4 loop runs, at most 7 in one run:
+    # 7 would do for each run, but not for all of them
+    with pytest.raises(StepBudgetExceeded, match="^syzygy pair budget 7 exhausted$"):
+        with pair_budget(7):
+            classify(l112)
+    with pair_budget(8):
+        report = classify(l112)
+    # the spent budget is gone with its context: the next call runs on the default
+    assert _pair_budget.get() is None
+    assert classify(l112) == report
 
 
 # -- the Macaulay matrix of the syzygy map -----------------------------------------

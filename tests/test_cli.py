@@ -185,8 +185,8 @@ def test_resolution_past_the_syzygy_bound_exits_4(l1111_file, monkeypatch, capsy
 
     real = resolutions.minimal_syzygies
 
-    def endless(gens, ring, marks, budget=None):
-        kept, syzygies, basis, leads = real(gens, ring, marks, budget)
+    def endless(gens, ring, marks):
+        kept, syzygies, basis, leads = real(gens, ring, marks)
         fake = (ring.variable(0),) + (ring.zero(),) * (len(kept) - 1)
         return kept, syzygies or [fake], basis, leads
 
@@ -259,6 +259,26 @@ def test_classify_directory_budget_exhausted_exits_3(l1111_file, capsys):
     assert err.count("\n") == 1 and "StepBudgetExceeded" in err
 
 
+def test_budget_bounds_the_whole_command_and_each_file_with_dir(l1111_file, capsys):
+    # classify L112 takes 8 S-pairs over its loop runs (at most 7 in one),
+    # L1111 3: one budget of 8 for both files would run out
+    directory = Path(l1111_file).parent
+    l112 = str(directory / "l112.form")
+    make = ["make", "logarithmic", "--factors", "z0,z1,z0^2+z1^2+z2^2+z3^2", "--weights", "1,1,-1"]
+    assert main(make + ["-o", l112]) == 0
+    capsys.readouterr()
+    assert main(["classify", l112, "--budget", "7"]) == 3
+    assert capsys.readouterr().err == (
+        "budget exhausted: StepBudgetExceeded: syzygy pair budget 7 exhausted\n"
+    )
+    # nothing of the spent budget is left for the next command
+    assert main(["classify", l112]) == 0
+    assert main(["classify", l112, "--budget", "8"]) == 0
+    capsys.readouterr()
+    assert main(["classify", "--dir", str(directory), "--budget", "8", "--json"]) == 0
+    assert len(json.loads(capsys.readouterr().out)) == 2
+
+
 def test_pullback_make(tmp_path, capsys):
     plane = tmp_path / "plane.form"
     plane.write_text("ring z0 z1 z2\nform (z1) dz0 - (z0) dz1\n")
@@ -300,6 +320,7 @@ def test_factor_errors_give_the_column_and_the_factor(tmp_path, capsys):
 
 def test_repeated_calls_share_one_parser_and_no_state(l1111_file, tmp_path, monkeypatch, capsys):
     import foliations.cli as cli
+    import foliations.modules as modules
 
     assert main(["classify", l1111_file, "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["verdicts"]["split"] is True
@@ -311,9 +332,11 @@ def test_repeated_calls_share_one_parser_and_no_state(l1111_file, tmp_path, monk
     budgets = []
     real = cli.singular_ideal
 
-    def recording(form, budget=None):
-        budgets.append(budget)
-        return real(form, budget)
+    def recording(form):
+        # the limit of the pair budget in effect, None outside one
+        active = modules._pair_budget.get()
+        budgets.append(active and active[1])
+        return real(form)
 
     monkeypatch.setattr(cli, "singular_ideal", recording)
     assert main(["check", l1111_file, "--budget", "5"]) == 0

@@ -102,7 +102,7 @@ def test_integral_run_stays_integral(monkeypatch):
         return out
 
     monkeypatch.setattr(modules, "_replay", recording)
-    basis, syzygies, _, leads = modules._buchberger(gens, R, None, track=True)
+    basis, syzygies, _, leads = modules._buchberger(gens, R, track=True)
     assert basis and syzygies and reps_seen
     for what, vectors in (("basis", basis), ("syzygies", syzygies)):
         for c in _coefficients(p for v in vectors for p in v):

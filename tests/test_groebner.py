@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from foliations.groebner import Ideal, ideal_equal, normal_form, reduced_groebner_basis
-from foliations.modules import StepBudgetExceeded
+from foliations.modules import StepBudgetExceeded, pair_budget
 from foliations.rings import PolyRing, map_to_ring
 
 from .conftest import s_polynomial
@@ -112,14 +112,16 @@ def test_ideal_equal_examples():
 def test_budget_exhaustion_is_an_error():
     gens = [Z[0] * Z[2] - Z[1] ** 2, Z[0] * Z[3] - Z[1] * Z[2], Z[1] * Z[3] - Z[2] ** 2]
     with pytest.raises(StepBudgetExceeded, match="^ideal pair budget 0 exhausted$"):
-        reduced_groebner_basis(gens, R, budget=0)
+        with pair_budget(0):
+            reduced_groebner_basis(gens, R)
 
 
 def test_coprime_leading_terms_make_no_pair():
     # the product criterion: the one pair has coprime leading terms z0^2 and
     # z2^2, so the basis needs no S-polynomial at all
     gens = [Z[0] ** 2 + Z[1] * Z[3], Z[2] ** 2]
-    assert reduced_groebner_basis(gens, R, budget=0) == [gens[1], gens[0]]
+    with pair_budget(0):
+        assert reduced_groebner_basis(gens, R) == [gens[1], gens[0]]
 
 
 def test_reduced_basis_matches_sympy():

@@ -108,7 +108,7 @@ def test_saturation_walks_the_rational_normal_curve(monkeypatch):
     # first, so I : z3^oo and I : z0^oo each lose a line; z0+z1+z2+z3 (t = 1)
     # lies on neither and gives I^sat, the union of the two lines
     lines = intersect(Ideal(R, [Z[0], Z[1]]), Ideal(R, [Z[2], Z[3]]))
-    cube = Ideal(R, [R.monomial(e) for e in product(range(4), repeat=4) if sum(e) == 3])
+    cube = Ideal(R, [R.from_dict({e: 1}) for e in product(range(4), repeat=4) if sum(e) == 3])
     I = intersect(lines, cube)
     assert not ideal_equal(I, lines)
     I.groebner_basis()
@@ -167,14 +167,14 @@ def random_monomial_or_binomial_ideal(rng, size=3):
         e = [0, 0, 0, 0]
         for _ in range(rng.randint(1, 4)):
             e[rng.randrange(4)] += 1
-        m = R.monomial(e)
+        m = R.from_dict({tuple(e): 1})
         if rng.random() < 0.5:
             d = sum(e)
             e2 = [0, 0, 0, 0]
             for _ in range(d):
                 e2[rng.randrange(4)] += 1
             if tuple(e2) != tuple(e):
-                m = m - R.monomial(e2, rng.choice([1, 2, -1]))
+                m = m - R.from_dict({tuple(e2): rng.choice([1, 2, -1])})
         gens.append(m)
     return Ideal(R, gens)
 
@@ -188,7 +188,7 @@ def test_two_saturation_algorithms_agree_on_random_ideals():
         assert ideal_equal(a, b)
         # on a lex ring the bases are taken in grevlex and mapped back
         lex = PolyRing(4, LEX)
-        I_lex = Ideal(lex, [lex.from_dict(g.as_dict()) for g in I.generators])
+        I_lex = Ideal(lex, [lex.from_dict(dict(g.terms)) for g in I.generators])
         a_lex = saturate(I_lex)
         assert ideal_equal(a_lex, saturate_by_colon(I_lex))
-        assert ideal_equal(a, Ideal(R, [R.from_dict(g.as_dict()) for g in a_lex.generators]))
+        assert ideal_equal(a, Ideal(R, [R.from_dict(dict(g.terms)) for g in a_lex.generators]))
