@@ -4,17 +4,17 @@ The package is organized in layers:
 
 * ``rings`` -- sparse exact-rational polynomials, ordered by grevlex or lex;
   ``add_product`` expands a sum of products into one unsorted coefficient
-  dict, the one product loop, which the exact identities outside the
-  Buchberger loop (omega ^ d omega, the Euler relation, the integrability
-  system, the pencil's determinant, syzygy certificates) test or read
-  without sorting.
+  dict (``forms.add_wedge`` runs its loop over three products at once), which
+  the exact identities outside the Buchberger loop (omega ^ d omega, the
+  Euler relation, the integrability system, the pencil's determinant,
+  syzygy certificates) test or read without sorting.
 * ``linalg`` -- one exact fraction-free elimination over Q: echelon, rank
   and kernel bases of dense rational matrices.
 * ``modules`` -- the one Buchberger engine: module Groebner bases, division,
   syzygies and minimal resolution steps, with ideals as rank-1 modules.
 * ``groebner``, ``resolutions``, ``hilbert``, ``saturation``, ``ext`` -- the
   commutative algebra built on it (ideals holding one Groebner basis each,
-  step 0 of their resolution or the reduced basis; free resolutions;
+  step 0 of their resolution or the loop's integral one; free resolutions;
   Hilbert series; saturation as I : l^oo for a linear form l that the
   Hilbert polynomial certifies, read off the held basis for l = z3, with
   colon ideals as its oracle; the top Ext of a resolution).

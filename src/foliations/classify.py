@@ -5,7 +5,8 @@ saturation, the curve test (locally free tangent sheaf), the ACM test
 (split tangent sheaf), the splitting type and Hartshorne-Rao dimensions.
 All are read from one ``_Analysis`` of the form: the saturated singular
 ideal I^sat, its minimal free resolution, and Ext^3(R/I^sat, R) as the top
-Ext of that resolution when it has length 3.
+Ext of that resolution when it has length 3, computed where it is read:
+the curve test when dim R/I^sat = 2, and the Rao module of a curve.
 
 The singular ideal I is resolved first.  By Auslander-Buchsbaum (Eisenbud,
 Thm 19.9), depth R/I >= 1, that is I = I^sat, exactly when the resolution
@@ -41,13 +42,14 @@ later step of the table along a second route.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from operator import add
 
 from .ext import top_ext
 from .forms import ProjectiveOneForm, check_codim
 from .groebner import Ideal
 from .hilbert import HilbertData, ModuleHilbert, hilbert_data
-from .linalg import kernel_basis, rank
+from .linalg import kernel_basis
 from .modules import InternalInconsistency
 from .resolutions import FreeResolution, free_resolution
 from .rings import Exponent, PolyRing, Polynomial, Rational
@@ -146,13 +148,6 @@ def graded_syzygy_rows(
     return kernel_basis(matrix, ncols=ncols)
 
 
-def graded_syzygy_dimension(coefficients: tuple[Polynomial, ...], entry_degree: int) -> int:
-    if entry_degree < 0:
-        return 0
-    matrix, ncols = _syzygy_matrix(coefficients, entry_degree)
-    return ncols - rank(matrix)
-
-
 # -- shared analysis ------------------------------------------------------------
 
 
@@ -182,7 +177,6 @@ class _Analysis:
     saturated: bool
     sat_hilbert: HilbertData
     resolution: FreeResolution
-    ext3: ModuleHilbert | None  # Ext^3(R/I^sat, R); None when it vanishes
 
     @classmethod
     def of(cls, form: ProjectiveOneForm) -> "_Analysis":
@@ -198,8 +192,12 @@ class _Analysis:
             raise InternalInconsistency(
                 f"the resolution of a saturated ideal has length {res.length} > 3"
             )
-        e3 = top_ext(res) if res.length == 3 else None
-        return cls(form, I, sat, sat is I, hilbert_data(sat), res, e3)
+        return cls(form, I, sat, sat is I, hilbert_data(sat), res)
+
+    @cached_property
+    def ext3(self) -> ModuleHilbert | None:
+        """Ext^3(R/I^sat, R), None when it vanishes; computed on first read."""
+        return top_ext(self.resolution) if self.resolution.length == 3 else None
 
     def curve(self) -> bool:
         """Locally free test: Z is an equidimensional locally CM curve.

@@ -9,22 +9,23 @@ members are cut out by a quadratic system S in the pencil parameters: the
 coefficients of omega ^ d omega, expanded into unsorted dicts by
 ``rings.add_product``.  So is the degenerate locus det, the pencil's
 determinant, over ``int``: of the pencil with each row scaled integral,
-divided once by the scales.  The base sits at e_0; L = {alpha :
-member(alpha) in Q*base}.
+divided once by the scales, and only for the certificate and ``cli family``.
+The base sits at e_0; L = {alpha : member(alpha) in Q*base}.
 
 What is verified where:
 
 * a witness: ``_walk`` tries e_k and e_0 + v*e_k (k = 1..p-1, eight steps
-  v) and keeps a member only when it solves S, is off det = 0 and is new;
-  the member is validated and checked once, and a witness must span the
-  base's forms (``_same_span``: the ideals, so the schemes, agree).  Either
-  failing is an engine bug.  When S = 0 the walk is complete: if L is not
-  everything, some e_k is not in L, and then no e_0 + v*e_k is, while
-  det(I + v*M_k) has degree <= 4 in v and is 1 at v = 0, so at least four
-  of the eight steps give an invertible member;
+  v) and keeps a member only when it solves S, is off det = 0 (its matrix
+  has full rank) and is new; the member is validated and checked once, and
+  a witness must span the base's forms (``_same_span``: the ideals, so the
+  schemes, agree).  Either failing is an engine bug.  When S = 0 the walk
+  is complete: if L is not everything, some e_k is not in L, and then no
+  e_0 + v*e_k is, while det(I + v*M_k) has degree <= 4 in v and is 1 at
+  v = 0, so at least four of the eight steps give an invertible member;
 * ``unique``: ``_only_degenerate_or_base`` shows det * l in rad(S) for
   every linear form l vanishing on L, so every integrable member is
-  degenerate or a multiple of the base;
+  degenerate or a multiple of the base, by a constant lead of the loop's
+  integral basis;
 * ``inconclusive`` is left when an active ``modules.pair_budget`` runs out
   in the family analysis, or when an integrable member exists that no unit
   line reaches.
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
 from math import lcm, prod
 
@@ -47,7 +49,7 @@ from .forms import (
     proportional,
     validate,
 )
-from .groebner import Ideal, reduced_groebner_basis
+from .groebner import Ideal
 from .hilbert import hilbert_data
 from .linalg import echelon, kernel_basis, rank
 from .modules import InternalInconsistency, StepBudgetExceeded, vec_integral
@@ -105,7 +107,6 @@ class DistributionFamily:
     matrices: list[tuple[tuple[Rational, ...], ...]]
     parameter_ring: PolyRing
     member_tuples: list[tuple[Polynomial, ...]]
-    degenerate_locus: Polynomial
 
     @property
     def parameter_dim(self) -> int:
@@ -118,6 +119,21 @@ class DistributionFamily:
                 f"parameter {alpha} has {len(alpha)} coordinates, not {self.parameter_dim}"
             )
         return tuple(_combination(alpha, column) for column in zip(*self.member_tuples))
+
+    @cached_property
+    def degenerate_locus(self) -> Polynomial:
+        """det of the pencil sum_k a_k M_k, expanded when first read.  Row i
+        times the lcm s_i of its denominators is integral, so the minors
+        multiply ``int``s, and det = det(diag(s) P) / prod s_i."""
+        n, ms, units = self.base.ring.num_vars, self.matrices, self.parameter_ring.variables()
+        scales = [lcm(*(m[i][j].denominator for m in ms for j in range(n))) for i in range(n)]
+        pencil = [[_combination([m[i][j] * s for m in ms], units) for j in range(n)] for i, s in enumerate(scales)]
+        return _poly_det(pencil, self.parameter_ring).scale(Fraction(1, prod(scales)))
+
+    def is_degenerate(self, point) -> bool:
+        """det = 0 at the point: the matrix sum_k point_k M_k is singular."""
+        n, terms = self.base.ring.num_vars, [(x, m) for x, m in zip(point, self.matrices) if x]
+        return rank([[sum(x * m[i][j] for x, m in terms) for j in range(n)] for i in range(n)]) < n
 
 
 def _poly_det(entries: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
@@ -149,19 +165,8 @@ def _family_from(analysis: _Analysis) -> DistributionFamily:
         raise ValueError("the family construction requires a split foliation")
     form = analysis.form
     matrices = linear_syzygy_space(form)
-    param_ring = PolyRing(len(matrices))
-    n = form.ring.num_vars
-    units = param_ring.variables()
-    # row i of the pencil times the lcm s_i of its denominators is integral,
-    # so the minors multiply ``int``s, and det = det(diag(s) P) / prod s_i
-    scales = [lcm(*(m[i][j].denominator for m in matrices for j in range(n))) for i in range(n)]
-    pencil = [
-        [_combination([m[i][j] * s for m in matrices], units) for j in range(n)]
-        for i, s in enumerate(scales)
-    ]
-    locus = _poly_det(pencil, param_ring).scale(Fraction(1, prod(scales)))
     members = [tuple(_combination(row, form.coefficients) for row in m) for m in matrices]
-    return DistributionFamily(form, matrices, param_ring, members, locus)
+    return DistributionFamily(form, matrices, PolyRing(len(matrices)), members)
 
 
 # -- the quadratic integrability system ----------------------------------------
@@ -243,7 +248,6 @@ def _walk(
     """
     p = family.parameter_dim
     found = [(tuple(int(i == 0) for i in range(p)), family.base)]
-    locus = family.degenerate_locus.primitive()
     for k in range(1, p):
         if proportional(family.member_tuples[k], family.base.coefficients):
             continue  # e_k is in L, and so is every point of its line
@@ -251,7 +255,7 @@ def _walk(
             if len(found) >= count:
                 return found
             point = tuple(a * (i == 0) + b * (i == k) for i in range(p))
-            if any(q.evaluate(point) for q in system) or not locus.evaluate(point):
+            if any(q.evaluate(point) for q in system) or family.is_degenerate(point):
                 continue
             alpha = point if a <= 1 else tuple(exact(Fraction(x, a)) for x in point)
             coefficients = family.member_coefficients(alpha)
@@ -273,7 +277,7 @@ def _only_degenerate_or_base(family: DistributionFamily, system: list[Polynomial
     L is read off the kernel of the columns [member tuples | base], the l
     off the kernel of L.  Each membership is 1 in S + (1 - y * det * l), one
     more variable y (Rabinowitsch; Cox-Little-O'Shea, Ideals, Varieties, and
-    Algorithms, 4.2).
+    Algorithms, 4.2): the ideal's integral Groebner basis has a constant lead.
     """
     p = family.parameter_dim
     tuples = family.member_tuples + [family.base.coefficients]
@@ -286,7 +290,7 @@ def _only_degenerate_or_base(family: DistributionFamily, system: list[Polynomial
     y_det = ring.variable(p) * det
     for ell in kernel_basis(span, p):
         h = y_det * _combination(ell, ring.variables()[:p])
-        if reduced_groebner_basis(lifted + [ring.one() - h], ring) != [ring.one()]:
+        if all(any(e) for _, e, _ in Ideal(ring, lifted + [ring.one() - h]).basis()[1]):
             return False
     return True
 

@@ -14,9 +14,9 @@ convention independent.
 
 No exterior product is built as a polynomial: ``differential`` gives each
 (d omega)_{ij} as an unsorted term list, and ``add_wedge`` expands a
-component of omega ^ eta into one unsorted coefficient dict
-(``rings.add_product``), which is only tested for zero or read coefficient
-by coefficient.  The Euler relation is checked the same way.
+component of omega ^ eta into one unsorted coefficient dict, which is only
+tested for zero or read coefficient by coefficient.  The Euler relation is
+checked the same way, by ``rings.add_product``.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from operator import add
 from typing import Sequence
 
 from .groebner import Ideal, normal_form
@@ -196,14 +197,17 @@ def differential(F: Sequence[Polynomial]) -> dict[tuple[int, int], list]:
     return out
 
 
-def add_wedge(
-    acc: dict, F: Sequence[Polynomial], eta: dict[tuple[int, int], tuple], triple
-) -> dict:
-    """acc += (omega ^ eta)_{ijk} = F_i eta_jk - F_j eta_ik + F_k eta_ij."""
+def add_wedge(acc: dict, F: Sequence[Polynomial], eta: dict[tuple[int, int], tuple], triple) -> dict:
+    """acc += (omega ^ eta)_{ijk} = F_i eta_jk - F_j eta_ik + F_k eta_ij, in one loop."""
     i, j, k = triple
-    add_product(acc, F[i].terms, eta[(j, k)])
-    add_product(acc, F[j].terms, eta[(i, k)], -1)
-    return add_product(acc, F[k].terms, eta[(i, j)])
+    get = acc.get
+    for f, g, sign in ((F[i], eta[(j, k)], 1), (F[j], eta[(i, k)], -1), (F[k], eta[(i, j)], 1)):
+        for e1, c1 in f.terms:
+            c1 *= sign
+            for e2, c2 in g:
+                e = tuple(map(add, e1, e2))
+                acc[e] = get(e, 0) + c1 * c2
+    return acc
 
 
 def integrability_check(form: ProjectiveOneForm | AffineOneForm) -> bool:

@@ -9,7 +9,8 @@ basis returned to callers is monic and sorted by leading monomial, so it is
 the unique reduced Groebner basis for the ring's order.  An ``Ideal`` holds
 one Groebner basis in the ring order, as 1-tuples with their leading terms:
 the integral one that the first step of ``free_resolution`` handed it, else
-the reduced basis.  in(I), the Hilbert numerator and ``saturate`` read it.
+the loop's integral basis, not monic or interreduced.  in(I), the Hilbert
+numerator, ``saturate`` and the certificate of ``determine`` read it.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .hilbert import monomial_numerator
-from .modules import Lead, Vec, module_groebner, module_normal_form
+from .modules import Lead, Vec, integral_basis, module_groebner, module_normal_form
 from .rings import PolyRing, Polynomial
 
 
@@ -51,10 +52,9 @@ class Ideal:
         self._basis = (basis, leads)
 
     def basis(self) -> tuple[list[Vec], list[Lead]]:
-        """The Groebner basis held by ``hold_basis``, else the reduced basis, with leading terms."""
+        """The Groebner basis held by ``hold_basis``, else the loop's integral one, with leading terms."""
         if self._basis is None:
-            gb = self.groebner_basis()
-            self._basis = ([(g,) for g in gb], [(0, *g.terms[0]) for g in gb])
+            self._basis = integral_basis([(g,) for g in self.generators], self.ring)
         return self._basis
 
     def hilbert_numerator(self) -> tuple[int, ...]:

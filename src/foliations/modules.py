@@ -545,12 +545,18 @@ def induced_marks(ring: PolyRing, gens: Sequence[Vec], marks: Marks) -> list[tup
     return [(mono_mul(e, marks[c][0]), rank[i]) for i, (c, e) in enumerate(leads)]
 
 
+def integral_basis(gens: Sequence[Vec], ring: PolyRing) -> tuple[list[Vec], list[Lead]]:
+    """A Groebner basis (TOP order) with its leading terms: one untracked run, integral."""
+    basis, _, _, leads = _buchberger(gens, ring, track=False)
+    return basis, leads
+
+
 def module_groebner(gens: Sequence[Vec], ring: PolyRing) -> list[Vec]:
     """Reduced Groebner basis of the submodule generated by gens (TOP order).
 
     The basis is monic: the one place the engine leaves the integers.
     """
-    basis, _, _, leads = _buchberger(gens, ring, track=False)
+    basis, leads = integral_basis(gens, ring)
     minimal: list[Vec] = []
     kept: list[Lead] = []
     for i in sorted(range(len(basis)), key=lambda i: (leads[i][0], ring.exp_key(leads[i][1]))):

@@ -13,6 +13,12 @@ trivial mark, so its basis is a Groebner basis of I in the ring order: the
 ``Ideal`` keeps it, with its leading terms, and reads in(I), the Hilbert
 data and ``saturate``'s first line off it, so none of them takes a basis.
 
+The rank stop: rho generators of a module of rank rho are independent over
+the fraction field, so it is free on them (Eisenbud, Commutative Algebra),
+and their step, which would keep them all and find no syzygy, is not run.
+By rank-nullity rho is the number the step before kept less its image's
+rank: 1 for I, and rho for each later step.
+
 Two checks certify the output.  A graded resolution is minimal exactly when
 no map has a unit entry, which ``has_unit_entry`` tests.  R/I has
 projective dimension at most the number of variables (Hilbert's syzygy
@@ -88,17 +94,22 @@ def free_resolution(I: Ideal) -> FreeResolution:
     res = FreeResolution(ring, [(0,)], [])
     marks = [((0,) * ring.num_vars, 0)]
     current: list[Vec] = [(g,) for g in I.generators]
+    rank = 1  # of the module the next step's generators generate: I, then a kernel
     while current:
         if len(res.matrices) == ring.num_vars:
             raise InternalInconsistency("resolution ran past the Hilbert syzygy bound")
-        kept, syzygies, basis, leads = minimal_syzygies(current, ring, marks)
-        if not res.matrices:
-            I.hold_basis(basis, leads)
+        if res.matrices and len(current) == rank:
+            kept, syzygies = range(rank), []  # the rank stop (module docstring)
+        else:
+            kept, syzygies, basis, leads = minimal_syzygies(current, ring, marks)
+            if not res.matrices:
+                I.hold_basis(basis, leads)
         gens = [current[i] for i in kept]
         marks = induced_marks(ring, gens, marks)
         res.matrices.append(gens)
         res.twists.append(tuple(sum(mark) for mark, _ in marks))
         current = syzygies
+        rank = len(gens) - rank
     if res.has_unit_entry():
         raise InternalInconsistency("the resolution has a unit entry, so it is not minimal")
     return res

@@ -9,6 +9,7 @@ from itertools import combinations
 
 import pytest
 
+from foliations.classify import _syzygy_matrix
 from foliations.formfile import parse_form_file
 from foliations.forms import (
     AffineOneForm,
@@ -19,6 +20,7 @@ from foliations.forms import (
     pullback_from_plane,
     validate,
 )
+from foliations.linalg import rank
 from foliations.rings import PolyRing, Polynomial, mono_div, mono_lcm
 
 
@@ -189,6 +191,13 @@ def random_homogeneous(rng, ring: PolyRing, degree: int, max_terms: int = 4):
             exp[rng.randrange(ring.num_vars)] += 1
         terms[tuple(exp)] = random_rational(rng)
     return ring.from_dict(terms)
+
+
+def syzygy_dimension(coefficients, entry_degree: int) -> int:
+    """dim {(g_i) : sum g_i F_i = 0, deg g_i = entry_degree}, as ncols minus the
+    rank of the syzygy map's matrix: a route apart from its kernel rows."""
+    matrix, ncols = _syzygy_matrix(tuple(coefficients), entry_degree)
+    return ncols - rank(matrix)
 
 
 def s_polynomial(f, g):

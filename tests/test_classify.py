@@ -10,13 +10,12 @@ from foliations.classify import (
     ConsistencyFailure,
     _Analysis,
     _rao_from,
+    _report_from,
     _syzygy_matrix,
     classify,
-    graded_syzygy_dimension,
     graded_syzygy_rows,
     monomials_of_degree,
 )
-from foliations.ext import top_ext
 from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form
 from foliations.modules import StepBudgetExceeded, _pair_budget, pair_budget
 from foliations.groebner import Ideal
@@ -25,7 +24,13 @@ from foliations.linalg import kernel_basis
 from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing
 
-from .conftest import build_corpus, build_larger_split_forms, random_homogeneous, seeded
+from .conftest import (
+    build_corpus,
+    build_larger_split_forms,
+    random_homogeneous,
+    seeded,
+    syzygy_dimension,
+)
 
 R = PolyRing(4)
 Z = R.variables()
@@ -155,7 +160,7 @@ def test_rao_of_skew_lines_engine_level(gens, betti, rao):
     assert res.betti() == betti
     analysis = _Analysis(
         form=None, ideal=I, saturation=I, saturated=True,
-        sat_hilbert=hilbert_data(I), resolution=res, ext3=top_ext(res),
+        sat_hilbert=hilbert_data(I), resolution=res,
     )
     assert analysis.curve() and not analysis.acm()
     assert _rao_from(analysis) == rao
@@ -177,9 +182,9 @@ def test_plane_saturation(plane_deg1, plane_deg2):
 
 
 def test_syzygy_dimensions_drive_splitting(l1111, exceptional2):
-    assert graded_syzygy_dimension(l1111.coefficients, 1) == 3
-    assert graded_syzygy_dimension(l1111.coefficients, 0) == 0
-    assert graded_syzygy_dimension(exceptional2.coefficients, 1) == 2
+    assert syzygy_dimension(l1111.coefficients, 1) == 3
+    assert syzygy_dimension(l1111.coefficients, 0) == 0
+    assert syzygy_dimension(exceptional2.coefficients, 1) == 2
 
 
 def test_classification_invariant_under_projectivity(l1111):
@@ -269,7 +274,7 @@ def _type_from_section_counts(form) -> tuple[int, int]:
     d = form.degree
     F = form.coefficients
     for m in range(-1, d + 2):
-        h0 = graded_syzygy_dimension(F, m + 1) - _sections(m)
+        h0 = syzygy_dimension(F, m + 1) - _sections(m)
         assert h0 >= 0, f"negative section count at twist {m}"
         if h0 > 0:
             break
@@ -279,7 +284,7 @@ def _type_from_section_counts(form) -> tuple[int, int]:
     a = 2 - d - b
     for t in (m + 1, m + 2, m + 3):
         expected = _sections(t + a) + _sections(t + b) + _sections(t)
-        assert graded_syzygy_dimension(F, t + 1) == expected
+        assert syzygy_dimension(F, t + 1) == expected
     return (a, b)
 
 
@@ -318,7 +323,7 @@ def test_shifted_betti_table_is_a_consistency_failure(l1111, monkeypatch):
 def test_classify_builds_one_groebner_basis(l1111, distribution_d2, monkeypatch):
     # the first resolution step is a Groebner basis of I in the ring order,
     # so in(I) comes from it: no reduced basis of I, one Hilbert numerator,
-    # and one Buchberger run per resolution step
+    # and one Buchberger run per resolution step that is not skipped
     import foliations.groebner as groebner_mod
     import foliations.hilbert as hilbert_mod
     import foliations.modules as modules_mod
@@ -342,15 +347,36 @@ def test_classify_builds_one_groebner_basis(l1111, distribution_d2, monkeypatch)
     count(modules_mod, "_buchberger")
     report = classify(l1111)
     assert report.is_split and report.betti == {(0, 0): 1, (1, 3): 4, (2, 4): 3}
-    assert calls == {"reduced_groebner_basis": 0, "monomial_numerator": 1, "_buchberger": 2}
+    # step 0 only: its 3 syzygies of 4 generators are as many as the rank of
+    # the kernel, so the rank stop ends the resolution without step 1
+    assert calls == {"reduced_groebner_basis": 0, "monomial_numerator": 1, "_buchberger": 1}
     # an unsaturated I: saturate's first line, z3, reads the basis of step 0
-    # and fails the Hilbert polynomial; z0, t = 1 and t = 2 take one basis
-    # each, and t = 2 decides.  With the 4 steps of R/I, the 3 of R/I^sat and
-    # Ext^3 that is 11 runs, with no reduced basis of I or of I^sat
+    # and fails the Hilbert polynomial; z0, t = 1 and t = 2 take one integral
+    # basis each, and t = 2 decides.  R/I has 4 steps, of which the rank stop
+    # skips the last (2 syzygies, rank 8 - (9 - 3) = 2), R/I^sat has 3, and
+    # Ext^3 is read (dim R/I^sat = 2): 10 runs, with no reduced basis
     calls.update(dict.fromkeys(calls, 0))
     report = classify(distribution_d2)
     assert not report.saturated and report.betti[(3, 6)] == 4
-    assert calls["reduced_groebner_basis"] == 3 and calls["_buchberger"] == 11
+    assert calls["reduced_groebner_basis"] == 0 and calls["_buchberger"] == 10
+
+
+def test_ext3_is_computed_only_where_it_is_read(l112, monkeypatch):
+    # the curve test reads Ext^3 only when dim R/I^sat = 2, and the Rao module
+    # only for a curve: L112 (dim 2) computes it, a random degree-1
+    # distribution (5 points, dim 1, a resolution of length 3) does not
+    import foliations.classify as classify_mod
+
+    from .test_saturation import _random_distribution
+
+    runs = []
+    real = classify_mod.top_ext
+    monkeypatch.setattr(classify_mod, "top_ext", lambda res: runs.append(res) or real(res))
+    assert not classify(l112).is_curve and len(runs) == 1
+    analysis = _Analysis.of(_random_distribution(1))
+    assert analysis.sat_hilbert.krull_dim == 1 and analysis.resolution.length == 3
+    assert not _report_from(analysis).is_curve and len(runs) == 1
+    assert analysis.ext3 is not None and len(runs) == 2
 
 
 def test_codim_one_form_is_rejected_before_saturation(distribution_d2, monkeypatch):

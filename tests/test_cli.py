@@ -184,17 +184,23 @@ def test_resolution_past_the_syzygy_bound_exits_4(l1111_file, monkeypatch, capsy
     import foliations.resolutions as resolutions
 
     real = resolutions.minimal_syzygies
+    steps = []
 
     def endless(gens, ring, marks):
+        # every step hands on two more syzygies than it found, so that no
+        # step has as many generators as the rank it is told to generate: the
+        # rank stop never applies, and the loop runs into the bound
         kept, syzygies, basis, leads = real(gens, ring, marks)
         fake = (ring.variable(0),) + (ring.zero(),) * (len(kept) - 1)
-        return kept, syzygies or [fake], basis, leads
+        steps.append(len(gens))
+        return kept, syzygies + [fake, fake], basis, leads
 
     monkeypatch.setattr(resolutions, "minimal_syzygies", endless)
     assert main(["classify", l1111_file]) == 4
     err = capsys.readouterr().err
     assert err.startswith("internal check failed: InternalInconsistency: ")
     assert "Hilbert syzygy bound" in err
+    assert steps == [4, 5, 2, 2]  # steps 0-3 ran, step 4 is past the bound
     assert main(["classify", "--dir", str(Path(l1111_file).parent)]) == 4
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "Hilbert syzygy bound" in err

@@ -14,7 +14,6 @@ import foliations.determine as determine
 from foliations.classify import (
     _Analysis,
     _report_from,
-    graded_syzygy_dimension,
     saturated_resolution,
 )
 from foliations.determine import (
@@ -56,6 +55,7 @@ from .conftest import (
     random_homogeneous,
     random_rational,
     seeded,
+    syzygy_dimension,
     wedge_1_2,
 )
 
@@ -135,7 +135,7 @@ def test_linear_syzygy_matrices_span_the_linear_syzygies():
                 assert sum((ell[j] * F[j] for j in range(4)), R.zero()).is_zero(), (name, seed)
             p = len(matrices)
             assert rank([[x for row in m for x in row] for m in matrices]) == p, (name, seed)
-            assert p == graded_syzygy_dimension(F, 1), (name, seed)
+            assert p == syzygy_dimension(F, 1), (name, seed)
             if seed == 0:
                 # the kernel's layout does not depend on the ring's order
                 moved = _on_ring(form, PolyRing(4, LEX))
@@ -150,7 +150,7 @@ def test_constant_syzygies_span_the_constant_syzygies():
             consts = constant_syzygy_space(form)
             for v in consts:
                 assert sum((F[j].scale(v[j]) for j in range(4)), R.zero()).is_zero(), (name, seed)
-            assert rank(consts) == len(consts) == graded_syzygy_dimension(F, 0), (name, seed)
+            assert rank(consts) == len(consts) == syzygy_dimension(F, 0), (name, seed)
 
 
 def test_linear_dimensions(l1111, exceptional2):
@@ -207,6 +207,42 @@ def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
             except SingularMatrix:
                 rejected = True
             assert rejected == singular, (name, alpha)
+    # the walk's own test, the rank of the matrix at a*e_0 + b*e_k, agrees
+    # with the expanded determinant at every point it tries, on every family
+    tried = degenerate = 0
+    for seed in (0, 1):
+        for name, form in build_determination_forms():
+            form = seeded(name, form, seed)
+            if not _report_from(_Analysis.of(form)).is_split:
+                continue
+            family = distribution_family(form)
+            p = family.parameter_dim
+            for k in range(1, p):
+                for a, b in _LINE:
+                    point = tuple(a * (i == 0) + b * (i == k) for i in range(p))
+                    on_locus = family.degenerate_locus.evaluate(point) == 0
+                    assert family.is_degenerate(point) == on_locus, (name, seed, point)
+                    tried += 1
+                    degenerate += on_locus
+    assert tried > 500 and 0 < degenerate < tried, (tried, degenerate)
+
+
+def test_the_determinant_is_expanded_only_for_the_certificate(corpus, monkeypatch):
+    # L1111 finds a witness on the walk, which reads no determinant;
+    # exceptional-d2 has none and is certified, which expands it once
+    expanded = []
+
+    def recorded(pencil, ring):
+        expanded.append(ring)
+        return _poly_det(pencil, ring)
+
+    monkeypatch.setattr(determine, "_poly_det", recorded)
+    forms = dict(corpus)
+    assert is_determined_by_singular_scheme(forms["L1111"]).kind == "non-unique"
+    assert expanded == []
+    verdict = is_determined_by_singular_scheme(forms["exceptional-d2"])
+    assert (verdict.kind, verdict.route) == ("unique", CERTIFIED)
+    assert len(expanded) == 1
 
 
 def test_walk_tries_the_unit_lines_in_order():
@@ -367,7 +403,8 @@ def test_integral_system_is_the_rational_one():
 
 def _random_families(base, seed: int, count: int) -> list[DistributionFamily]:
     """Families of 2-4 random member tuples over ``base``: Fraction
-    coefficients, zero entries, no Euler relation, no degenerate locus."""
+    coefficients, zero entries, no Euler relation, and no matrices, so
+    that every point is degenerate."""
     rng = Random(seed)
     families = []
     for trial in range(count):
@@ -385,7 +422,6 @@ def _random_families(base, seed: int, count: int) -> list[DistributionFamily]:
                 matrices=[],
                 parameter_ring=PolyRing(p),
                 member_tuples=[base.coefficients] + members,
-                degenerate_locus=PolyRing(p).zero(),
             )
         )
     return families
@@ -452,8 +488,8 @@ def test_single_parameter_family_is_trivial(l1111):
         matrices=full.matrices[:1],
         parameter_ring=PolyRing(1),
         member_tuples=full.member_tuples[:1],
-        degenerate_locus=PolyRing(1).variable(0) ** 4,
     )
+    assert sub.degenerate_locus == PolyRing(1).variable(0) ** 4
     assert integrability_system(sub) == []
     outcome = integrable_members(sub)
     assert outcome.kind == "finite" and len(outcome.members) == 1
@@ -523,8 +559,9 @@ def test_determination_analyses_the_form_once(l1111, monkeypatch):
 
 def test_the_exterior_calculus_and_the_locus_sort_nothing(l1111, monkeypatch):
     # d omega is accumulated straight into dicts, with no partial derivative
-    # and no sorted polynomial; the family sorts its 16 pencil entries, its 12
-    # member coefficients and the locus, and the locus is expanded over int
+    # and no sorted polynomial; the family sorts its 12 member coefficients,
+    # and only once the locus is read its 16 pencil entries and the locus,
+    # which is expanded over int
     calls = {"partial_derivative": 0, "from_dict": 0}
     entries = []
 
@@ -545,7 +582,10 @@ def test_the_exterior_calculus_and_the_locus_sort_nothing(l1111, monkeypatch):
     counted(Polynomial, "partial_derivative")
     counted(PolyRing, "from_dict")
     monkeypatch.setattr(determine, "_poly_det", recorded_det)
-    integrability_system(distribution_family(l1111))
+    family = distribution_family(l1111)
+    integrability_system(family)
+    assert calls == {"partial_derivative": 0, "from_dict": 12}
+    family.degenerate_locus
     assert calls == {"partial_derivative": 0, "from_dict": 29}
     calls.update(dict.fromkeys(calls, 0))
     assert integrability_check(exceptional3)
@@ -554,7 +594,7 @@ def test_the_exterior_calculus_and_the_locus_sort_nothing(l1111, monkeypatch):
     # Fraction matrices (L1111-generic's rows have denominators 1, 1, 5, 10) too
     for seed in (0, 1):
         for name, form in build_determination_forms():
-            distribution_family(seeded(name, form, seed))
+            distribution_family(seeded(name, form, seed)).degenerate_locus
     assert entries and all(type(c) is int for f in entries for _, c in f.terms)
 
 
@@ -657,10 +697,16 @@ def test_the_certificate_needs_the_degenerate_locus(corpus):
     system = integrability_system(family)
     assert system and _only_degenerate_or_base(family, system)
     assert [alpha for alpha, _ in _walk(family, system, 3)] == [(1, 0)]
-    # with the locus taken as nowhere, the degenerate solution counts
+    # with the locus taken as nowhere, the degenerate solution counts: in the
+    # walk, whose singularity test reads the matrix at the point, and in the
+    # certificate, which reads the determinant; each reads only its own
+    walked = distribution_family(dict(corpus)["L1112"])
+    walked.is_degenerate = lambda point: False
+    assert [alpha for alpha, _ in _walk(walked, system, 3)] == [(1, 0), (1, -2)]
+    assert _only_degenerate_or_base(walked, system)
     family.degenerate_locus = family.parameter_ring.one()
     assert not _only_degenerate_or_base(family, system)
-    assert [alpha for alpha, _ in _walk(family, system, 3)] == [(1, 0), (1, -2)]
+    assert [alpha for alpha, _ in _walk(family, system, 3)] == [(1, 0)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -704,7 +750,7 @@ def test_pullback_d3b_is_certified_without_a_basis(monkeypatch):
     def no_basis(*args):
         pytest.fail("a basis was computed")
 
-    monkeypatch.setattr(determine, "reduced_groebner_basis", no_basis)
+    monkeypatch.setattr(Ideal, "basis", no_basis)
     assert _only_degenerate_or_base(family, integrability_system(family))
 
 

@@ -17,6 +17,8 @@ from foliations.modules import (
 )
 from foliations.rings import PolyRing, mono_divides
 
+from .conftest import syzygy_dimension
+
 R = PolyRing(4)
 Z = R.variables()
 
@@ -59,9 +61,7 @@ def test_l1111_linear_syzygy_dimension_via_linear_algebra():
             if j != i:
                 p = p * Z[j]
         F.append(p.scale(lam[i]))
-    from foliations.classify import graded_syzygy_dimension
-
-    assert graded_syzygy_dimension(tuple(F), 1) == 3
+    assert syzygy_dimension(tuple(F), 1) == 3
     # the Schreyer-style generators of internal degree 4 span that same space
     syz, twists = _syzygies(F)
     degree_four = [s for s in syz if _degree(s, twists) == 4]
@@ -125,8 +125,6 @@ def _span_dimension(syzygies, entry_degree):
 def test_syzygies_generate_against_dense_linear_algebra():
     # completeness oracle: pruned pairs must not lose a syzygy, so in each
     # entry degree the returned generators span what dense elimination counts
-    from foliations.classify import graded_syzygy_dimension
-
     from .conftest import random_homogeneous
 
     rng = Random(0)
@@ -134,7 +132,7 @@ def test_syzygies_generate_against_dense_linear_algebra():
         gens = [random_homogeneous(rng, R, degree, max_terms=2) for _ in range(count)]
         syz = syzygy_generators([(g,) for g in gens], R)
         for entry_degree in range(3):
-            assert _span_dimension(syz, entry_degree) == graded_syzygy_dimension(
+            assert _span_dimension(syz, entry_degree) == syzygy_dimension(
                 tuple(gens), entry_degree
             )
 

@@ -11,11 +11,12 @@ from foliations.forms import apply_projectivity, exceptional_form, logarithmic_f
 from foliations.groebner import Ideal, ideal_equal, normal_form
 from foliations.hilbert import _minimalize, hilbert_data
 from foliations.linalg import rank
+from foliations.modules import induced_marks
 from foliations.resolutions import free_resolution
 from foliations.rings import PolyRing, mono_divides
 from foliations.saturation import intersect, saturate
 
-from .conftest import build_corpus, random_homogeneous, s_polynomial
+from .conftest import build_corpus, build_larger_split_forms, random_homogeneous, s_polynomial
 
 R = PolyRing(4)
 Z = R.variables()
@@ -277,20 +278,75 @@ PINNED_MATRICES = {
     "L1113": "9cfb010ff2710bf672e28806423f3b4a6bb8c5256790cb3105e40ae7a8e667e6",
     "exceptional-d2-moved": "5493a295aef35fa1ba03b93a3833ff7c6705a539f215dbd3d4f542b20896b543",
     "pullback-d3": "9bcc0496e1334bea0127cef19559ee974e521c22597853f8e478566a95f01aeb",
+    # forms whose last step the rank stop skips: step 1, and step 2 of L112 and L113
+    "L1111": "a630d07a53244f0634e5a4e0c1d3240859464444bc6b508ee700ca2169e7b41c",
+    "pullback-d1": "8ef8fb63fd2834c568ef8524d15f7480ab7baad2d3674d99f1b46190d25e116b",
+    "pullback-d2": "7432800d82d1a22372a98dcfdb5781fc3bf14ee096e0838da08a24464c7f1c19",
+    "pullback-d3b": "c55982699e9dc61613dcf46a4ff90af9612272a1c9faa19e74eb90bef5793437",
+    "L112": "3aa9b8a2aff4fd30d14b8cfcd964291f6c87da7b37a81ab00ddc2c77fb57b478",
+    "L113": "2208ab48dc3b738aee5b878b392403c3e3ec460c6f3443de9b782d17f7904c93",
 }
+
+
+def _pinned_forms():
+    cubic = Z[0] ** 3 + Z[1] ** 3 + Z[2] ** 3 + Z[3] ** 3
+    move = ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 2, 1))
+    named = dict(build_corpus() + build_larger_split_forms())
+    return {
+        "L1113": logarithmic_form([Z[0], Z[1], Z[2], cubic], [1, 1, 1, -1]),
+        "exceptional-d2-moved": apply_projectivity(exceptional_form(2), move),
+        "L113": logarithmic_form([Z[0], Z[1], cubic], [1, 2, -1]),
+        **{name: named[name] for name in PINNED_MATRICES if name in named},
+    }
 
 
 def test_resolution_matrices_are_pinned():
     # certified syzygies could differ by a unit or a Groebner tail; these
     # hashes pin the very integers of the resolution, term by term
-    cubic = Z[0] ** 3 + Z[1] ** 3 + Z[2] ** 3 + Z[3] ** 3
-    move = ((1, 0, 0, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 2, 1))
-    forms = {
-        "L1113": logarithmic_form([Z[0], Z[1], Z[2], cubic], [1, 1, 1, -1]),
-        "exceptional-d2-moved": apply_projectivity(exceptional_form(2), move),
-        "pullback-d3": dict(build_corpus())["pullback-d3"],
-    }
+    forms = _pinned_forms()
+    assert forms.keys() == PINNED_MATRICES.keys()
     for name, form in forms.items():
         res = free_resolution(singular_ideal(form))
         data = [[[p.terms for p in v] for v in m] for m in res.matrices]
         assert hashlib.sha256(repr(data).encode()).hexdigest() == PINNED_MATRICES[name], name
+
+
+def _marks_before_each_step(res):
+    """The Schreyer marks each step of ``free_resolution`` ran with."""
+    marks = [((0,) * res.ring.num_vars, 0)]
+    out = []
+    for gens in res.matrices:
+        out.append(marks)
+        marks = induced_marks(res.ring, gens, marks)
+    return out
+
+
+def test_the_rank_stop_skips_only_steps_with_no_syzygy(monkeypatch):
+    # a step whose generators are as many as the rank of the module they
+    # generate is free on them: run anyway, minimal_syzygies keeps every
+    # generator and finds no syzygy.  The stop only ends a resolution, so
+    # the steps it skips are those after the last one run
+    import foliations.resolutions as resolutions
+
+    ran = []
+    real = resolutions.minimal_syzygies
+
+    def recorded(gens, ring, marks):
+        ran.append(len(gens))
+        return real(gens, ring, marks)
+
+    monkeypatch.setattr(resolutions, "minimal_syzygies", recorded)
+    forms = {**dict(build_corpus() + build_larger_split_forms()), **_pinned_forms()}
+    skipped = {}
+    for name, form in forms.items():
+        ran.clear()
+        res = free_resolution(singular_ideal(form))
+        skipped[name] = list(range(len(ran), res.length))
+        marks = _marks_before_each_step(res)
+        for k in skipped[name]:
+            kept, syzygies, _, _ = real(res.matrices[k], R, marks[k])
+            assert kept == list(range(len(res.matrices[k]))) and syzygies == [], (name, k)
+    assert skipped["L1111"] == skipped["pullback-d3b"] == [1]
+    assert skipped["L112"] == skipped["L113"] == skipped["L1113"] == [2]
+    assert skipped["exceptional-d2"] == skipped["exceptional-d2-moved"] == []
+    assert sum(map(bool, skipped.values())) == 13, skipped
