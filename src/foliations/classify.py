@@ -56,10 +56,6 @@ from .rings import Exponent, PolyRing, Polynomial, Rational
 from .saturation import saturate
 
 
-class ConsistencyFailure(RuntimeError):
-    """The Betti table of a split form does not match any splitting type."""
-
-
 @dataclass(frozen=True, slots=True)
 class ClassificationReport:
     """The verdicts on one form.
@@ -78,7 +74,6 @@ class ClassificationReport:
     splitting_type: tuple[int, int] | None
     rao_flat: tuple[int, ...] | None  # degree, dimension, degree, dimension, ...
     betti_flat: tuple[int, ...]  # i, twist, count, i, twist, count, ...
-    normal_twist: int
 
     @property
     def rao_dims(self) -> dict[int, int] | None:
@@ -121,11 +116,11 @@ def _syzygy_matrix(
     with its number of columns.
 
     Column i*N + k holds the k-th of the N monomials of the entry degree in
-    g_i, the monomials with their exponent tuples descending: in degree 1,
-    z_k, whatever the ring's order.  There is a row only for each monomial
-    that occurs in a product z^m * F_i, in no fixed order.  The other rows
-    of the full matrix are zero, and the kernel is read off the RREF, which
-    depends neither on the order of the rows nor on zero rows.
+    g_i, the monomials with their exponent tuples descending as tuples: in
+    degree 1, z_k.  There is a row only for each monomial that occurs in a
+    product z^m * F_i, in no fixed order.  The other rows of the full matrix
+    are zero, and the kernel is read off the RREF, which depends neither on
+    the order of the rows nor on zero rows.
     """
     source_monos = monomials_of_degree(coefficients[0].ring, entry_degree)
     ncols = len(coefficients) * len(source_monos)
@@ -172,7 +167,6 @@ def saturated_resolution(I: Ideal) -> tuple[Ideal, FreeResolution]:
 @dataclass
 class _Analysis:
     form: ProjectiveOneForm
-    ideal: Ideal
     saturation: Ideal
     saturated: bool
     sat_hilbert: HilbertData
@@ -192,7 +186,7 @@ class _Analysis:
             raise InternalInconsistency(
                 f"the resolution of a saturated ideal has length {res.length} > 3"
             )
-        return cls(form, I, sat, sat is I, hilbert_data(sat), res)
+        return cls(form, sat, sat is I, hilbert_data(sat), res)
 
     @cached_property
     def ext3(self) -> ModuleHilbert | None:
@@ -238,21 +232,21 @@ def _splitting_type_from(analysis: _Analysis) -> tuple[int, int]:
     res = analysis.resolution
     d = analysis.form.degree
     if res.euler_numerator() != analysis.sat_hilbert.numerator:
-        raise ConsistencyFailure(
+        raise InternalInconsistency(
             "the Betti table does not give the Hilbert series of R/I^sat"
         )
     if res.length != 2 or set(res.twists[1]) != {d + 1}:
-        raise ConsistencyFailure(
+        raise InternalInconsistency(
             f"Betti table {res.betti()} is not that of a split form of degree {d}"
         )
     k = 4 - len(res.twists[1])  # constant syzygies, one for each 1 in (a, b)
     rest = list(res.twists[2])
     if d + 2 not in rest:
-        raise ConsistencyFailure(f"F_2 has no Euler syzygy twist {d + 2}")
+        raise InternalInconsistency(f"F_2 has no Euler syzygy twist {d + 2}")
     rest.remove(d + 2)
     rest += [d + 1] * k
     if len(rest) != 2:
-        raise ConsistencyFailure(
+        raise InternalInconsistency(
             f"Betti table {res.betti()} leaves {len(rest)} syzygy twists, not 2"
         )
     a, b = sorted(d + 2 - t for t in rest)
@@ -302,5 +296,4 @@ def _report_from(a: _Analysis) -> ClassificationReport:
         splitting_type=stype,
         rao_flat=None if rao is None else tuple(x for item in rao.items() for x in item),
         betti_flat=tuple(x for (i, t), n in a.resolution.betti().items() for x in (i, t, n)),
-        normal_twist=form.degree + 2,
     )

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .classify import ConsistencyFailure, InternalInconsistency, classify
+from .classify import InternalInconsistency, classify
 from .determine import (
     _combination,
     distribution_family,
@@ -52,7 +52,7 @@ from .modules import StepBudgetExceeded, pair_budget
 from .rings import PolyRing
 from .saturation import saturate
 
-INTERNAL_FAILURES = (InternalInconsistency, ConsistencyFailure, AssertionError)
+INTERNAL_FAILURES = (InternalInconsistency, AssertionError)
 
 
 def _failure(exc: Exception) -> tuple[int, str]:

@@ -2,7 +2,10 @@
 
 A degree-d form on P^n is a tuple of homogeneous degree-(d+1) coefficients
 (F_0, ..., F_n) with the Euler relation sum z_j F_j = 0, normalized by
-stripping any common monomial factor.  Sign conventions are fixed here once:
+stripping any common monomial factor.  Every form here is projective: the
+constructors write homogeneous coefficients, and ``exceptional_form``
+homogenizes its affine family member by hand.  Sign conventions are fixed
+here once:
 
     (d omega)_{ij} = dF_j/dz_i - dF_i/dz_j                    (i < j)
     (omega ^ eta)_{ijk} = F_i eta_{jk} - F_j eta_{ik} + F_k eta_{ij}
@@ -37,7 +40,6 @@ from .rings import (
     add_product,
     apply_linear_change,
     exact,
-    homogenize,
     map_to_ring,
     mono_gcd,
 )
@@ -79,14 +81,6 @@ class ProjectiveOneForm:
         ]
         return " + ".join(parts)
 
-    def scale(self, c: Rational) -> ProjectiveOneForm:
-        c = exact(Fraction(c))
-        if c == 0:
-            raise ZeroForm("cannot scale a form to zero")
-        return ProjectiveOneForm(
-            self.ring, tuple(f.scale(c) for f in self.coefficients), self.degree
-        )
-
 
 def proportional(F: Sequence[Polynomial], G: Sequence[Polynomial]) -> bool:
     """True when every 2x2 minor F_i*G_j - F_j*G_i (i < j) vanishes.
@@ -118,14 +112,6 @@ def proportional(F: Sequence[Polynomial], G: Sequence[Polynomial]) -> bool:
     ):
         return True
     return all(fi * g == f * gi for f, g in rest)
-
-
-@dataclass(frozen=True)
-class AffineOneForm:
-    """A 1-form on affine space; coefficients need not be homogeneous."""
-
-    ring: PolyRing
-    coefficients: tuple[Polynomial, ...]
 
 
 # -- validation ---------------------------------------------------------------
@@ -210,7 +196,7 @@ def add_wedge(acc: dict, F: Sequence[Polynomial], eta: dict[tuple[int, int], tup
     return acc
 
 
-def integrability_check(form: ProjectiveOneForm | AffineOneForm) -> bool:
+def integrability_check(form: ProjectiveOneForm) -> bool:
     """True when omega ^ d omega = 0 identically.
 
     Checked on the integral multiple m*omega, whose product is m^2 times
@@ -244,32 +230,6 @@ def check_codim(I: Ideal) -> Ideal:
 
 
 # -- constructors -------------------------------------------------------------
-
-
-def projectivize(form: AffineOneForm, new_var: int = 0) -> ProjectiveOneForm:
-    """Homogenize an affine form into one more variable.
-
-    Coefficients are homogenized to the maximal degree D, each F_j picks up
-    the new variable as a factor, and the new coefficient is forced by the
-    Euler relation; the common monomial factor is stripped afterwards.
-    """
-    n = form.ring.num_vars
-    target = PolyRing(n + 1, form.ring.order)
-    var_map = [i if i < new_var else i + 1 for i in range(n)]
-    D = max((a.degree() for a in form.coefficients), default=-1)
-    if D < 0:
-        raise ZeroForm("affine form is zero")
-    lifted = [map_to_ring(a, target, var_map) for a in form.coefficients]
-    tilde = [homogenize(a, new_var, D) if not a.is_zero() else a for a in lifted]
-    coeffs = [target.zero()] * (n + 1)
-    z_new = target.variable(new_var)
-    acc = target.zero()
-    for old_i, a in enumerate(tilde):
-        j = var_map[old_i]
-        coeffs[j] = z_new * a
-        acc = acc + target.variable(j) * a
-    coeffs[new_var] = -acc
-    return validate(coeffs)
 
 
 def logarithmic_form(
@@ -317,30 +277,30 @@ def pullback_from_plane(plane: ProjectiveOneForm) -> ProjectiveOneForm:
 
 
 def exceptional_form(d: int) -> ProjectiveOneForm:
-    """The affine quasi-homogeneous family member, projectivized.
+    """The affine quasi-homogeneous family member, homogenized in z0.
 
     The affine form is
 
-        (1+d)(z2 - z3^(d+1)) dz1
-      - (1+d+d^2)(z1 - z2^d z3) dz2
-      - (1+2d+2d^2+d^3)(z2^(d+1) - z1 z3^d) dz3
+        a1 dz1 + a2 dz2 + a3 dz3 = (1+d)(z2 - z3^(d+1)) dz1
+                                 - (1+d+d^2)(z1 - z2^d z3) dz2
+                                 - (1+2d+2d^2+d^3)(z2^(d+1) - z1 z3^d) dz3
 
     which equals i_S i_X(dVol) for the linear field
     S = (1+d+d^2) z1 d/dz1 + (1+d) z2 d/dz2 + z3 d/dz3 and the
     quasi-homogeneous field X = (1+d+d^2) z2^d d/dz1 + (1+d) z3^d d/dz2 +
-    d/dz3.  The projectivization degree is computed, not assumed: the
-    radial pairing of the affine coefficients does not vanish at infinity,
-    so the minimal extension comes out one degree higher than the affine
-    family parameter d.
+    d/dz3.  Each a_j is homogenized in z0 to degree d+1 and multiplied by
+    z0, and F_0 = -(z1 a1 + z2 a2 + z3 a3) is forced by the Euler relation.
+    The radial pairing of the affine coefficients does not vanish at
+    infinity, so the form has degree d+1, one more than the affine family
+    parameter d.
     """
     if d < 2:
         raise ValueError("the family needs d >= 2")
-    ring = PolyRing(3)
-    z1, z2, z3 = ring.variables()
-    a1 = (z2 - z3 ** (d + 1)).scale(1 + d)
-    a2 = (z1 - z2**d * z3).scale(-(1 + d + d * d))
+    z0, z1, z2, z3 = PolyRing(4).variables()
+    a1 = (z2 * z0**d - z3 ** (d + 1)).scale(1 + d)
+    a2 = (z1 * z0**d - z2**d * z3).scale(-(1 + d + d * d))
     a3 = (z2 ** (d + 1) - z1 * z3**d).scale(-(1 + 2 * d + 2 * d * d + d**3))
-    return projectivize(AffineOneForm(ring, (a1, a2, a3)), new_var=0)
+    return validate([-(z1 * a1 + z2 * a2 + z3 * a3), z0 * a1, z0 * a2, z0 * a3])
 
 
 def apply_projectivity(

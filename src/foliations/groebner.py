@@ -2,15 +2,16 @@
 
 An ideal is a rank-1 module of ``modules``: its basis comes from the one
 Buchberger loop there, its normal forms from the one division routine
-(``module_reduce``), and its inter-reduction from ``module_groebner``.  This
+(``module_reduce``), and its reduced basis from ``interreduce``.  This
 layer has no loop of its own.  It wraps polynomials as 1-tuples and keeps
-the ``Ideal`` view that the rest of the package works with.  The reduced
-basis returned to callers is monic and sorted by leading monomial, so it is
-the unique reduced Groebner basis for the ring's order.  An ``Ideal`` holds
-one Groebner basis in the ring order, as 1-tuples with their leading terms:
-the integral one that the first step of ``free_resolution`` handed it, else
-the loop's integral basis, not monic or interreduced.  in(I), the Hilbert
-numerator, ``saturate`` and the certificate of ``determine`` read it.
+the ``Ideal`` view that the rest of the package works with.  An ``Ideal``
+holds one Groebner basis, as 1-tuples with their leading terms: the
+integral one that the first step of ``free_resolution`` handed it, else the
+loop's integral basis, not monic or interreduced.  in(I), the Hilbert
+numerator, ``saturate`` and the certificate of ``determine`` read it, and
+``groebner_basis`` interreduces it, with no second loop run, into the
+reduced basis: monic and sorted by leading monomial, so the unique reduced
+Groebner basis of I.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .hilbert import monomial_numerator
-from .modules import Lead, Vec, integral_basis, module_groebner, module_normal_form
+from .modules import Lead, Vec, integral_basis, interreduce, module_groebner, module_normal_form
 from .rings import PolyRing, Polynomial
 
 
@@ -43,12 +44,13 @@ class Ideal:
         self._gb = self._basis = self._numerator = None
 
     def groebner_basis(self) -> list[Polynomial]:
+        """The reduced Groebner basis, interreduced from the basis held."""
         if self._gb is None:
-            self._gb = reduced_groebner_basis(list(self.generators), self.ring)
+            self._gb = [v[0] for v in interreduce(*self.basis(), self.ring)]
         return self._gb
 
     def hold_basis(self, basis: list[Vec], leads: list[Lead]) -> None:
-        """Keep a Groebner basis of I in the ring order, as 1-tuples with their leading terms."""
+        """Keep a Groebner basis of I, as 1-tuples with their leading terms."""
         self._basis = (basis, leads)
 
     def basis(self) -> tuple[list[Vec], list[Lead]]:

@@ -34,7 +34,7 @@ basis, say -- does a step divide, through ``Fraction``, with a = 1.  The
 loop keeps its basis integral: ``reduce_and_add`` clears the denominators of
 its input and divides the remainder and the representation it tracks by
 their joint content, so tracked representations (and the syzygies read off
-them) stay integral too.  Only ``module_groebner`` leaves the integers: its
+them) stay integral too.  Only ``interreduce`` leaves the integers: its
 last step makes the reduced basis monic.  The loop holds the leading terms
 of its basis and hands them to every division, which hands back the lead
 where it stopped.
@@ -53,8 +53,9 @@ and full reduction take the same steps, so a dividend reduces to zero under
 both or neither.  A generator enters once the basis is a Groebner basis
 through its degree, so the kept generators, in(M) and the Betti numbers do
 not depend on the tails; the basis and the syzygies may.  Full reduction
-stays where a normal form is read: ``module_normal_form`` and the
-interreduction of ``module_groebner``.
+stays where a normal form is read: ``module_normal_form`` and
+``interreduce``, which turns any Groebner basis into the reduced one (and,
+after one loop run, is ``module_groebner``).
 
 A resolution step (``minimal_syzygies``) runs the loop degree by degree:
 the degree of a generator or of a pair's lcm is its entry degree plus
@@ -551,12 +552,13 @@ def integral_basis(gens: Sequence[Vec], ring: PolyRing) -> tuple[list[Vec], list
     return basis, leads
 
 
-def module_groebner(gens: Sequence[Vec], ring: PolyRing) -> list[Vec]:
-    """Reduced Groebner basis of the submodule generated by gens (TOP order).
+def interreduce(basis: Sequence[Vec], leads: Sequence[Lead], ring: PolyRing) -> list[Vec]:
+    """The reduced Groebner basis (TOP order) of the module that a Groebner
+    basis, with its leading terms, generates: its minimal leads, each
+    element fully reduced by the others and made monic, sorted by lead.
 
-    The basis is monic: the one place the engine leaves the integers.
+    The monic step is the one place the engine leaves the integers.
     """
-    basis, leads = integral_basis(gens, ring)
     minimal: list[Vec] = []
     kept: list[Lead] = []
     for i in sorted(range(len(basis)), key=lambda i: (leads[i][0], ring.exp_key(leads[i][1]))):
@@ -570,3 +572,8 @@ def module_groebner(gens: Sequence[Vec], ring: PolyRing) -> list[Vec]:
         _, r, lead = module_reduce(ring, g, minimal[:k] + minimal[k + 1 :], None, kept[:k] + kept[k + 1 :])
         reduced.append(vec_monic(r, lead[2]))
     return reduced
+
+
+def module_groebner(gens: Sequence[Vec], ring: PolyRing) -> list[Vec]:
+    """Reduced Groebner basis of the submodule generated by gens (TOP order)."""
+    return interreduce(*integral_basis(gens, ring), ring)

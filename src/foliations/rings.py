@@ -1,12 +1,13 @@
 """Exact sparse multivariate polynomial arithmetic over the rationals.
 
-A ring fixes a number of variables (named ``z0 .. z{n-1}``) and one of two
-monomial orders: grevlex, with z{n-1} cheapest, or lex.  Grevlex with
-another variable cheapest is a relabelling away (``map_to_ring``).
-Monomials are bare exponent tuples; polynomials store their terms as a
-tuple of ``(exponent, coefficient)`` pairs sorted descending in the ring
-order, so the leading term is ``terms[0]`` and equal polynomials have equal
-term tuples.  The zero polynomial has an empty term tuple.
+A ring is its number of variables, named ``z0 .. z{n-1}`` and ordered by
+grevlex with z{n-1} cheapest, the one order the package computes in.
+Grevlex with another variable cheapest is a relabelling away
+(``map_to_ring``).  Monomials are bare exponent tuples; polynomials store
+their terms as a tuple of ``(exponent, coefficient)`` pairs sorted
+descending in the ring order, so the leading term is ``terms[0]`` and equal
+polynomials have equal term tuples.  The zero polynomial has an empty term
+tuple.
 
 Coefficients are exact rationals, ``int | Fraction``: the constructors,
 sums, multiples and products store integral values as ``int``, so integral
@@ -36,9 +37,6 @@ from typing import Callable, Iterable, Mapping, Sequence
 Exponent = tuple[int, ...]
 Rational = int | Fraction
 
-GREVLEX = "grevlex"
-LEX = "lex"
-
 
 class RingMismatch(ValueError):
     """Operands live in different polynomial rings."""
@@ -58,32 +56,26 @@ def exact(c: Rational) -> Rational:
     return c.numerator if c.denominator == 1 else c
 
 
-class _KeyMemo(dict):
-    """Exponent -> order key, computed on first lookup."""
+class _GrevlexKeys(dict):
+    """Exponent -> grevlex key (the degree, then the exponents negated from
+    the last), computed on first lookup."""
 
-    __slots__ = ("compute",)
-
-    def __init__(self, compute: Callable[[Exponent], tuple]):
-        super().__init__()
-        self.compute = compute
+    __slots__ = ()
 
     def __missing__(self, e: Exponent) -> tuple:
-        k = self[e] = self.compute(e)
+        k = self[e] = (sum(e), *(-x for x in reversed(e)))
         return k
 
 
 @dataclass(frozen=True)
 class PolyRing:
-    """A polynomial ring Q[z0, ..., z{n-1}] ordered by grevlex (z{n-1} cheapest) or lex."""
+    """A polynomial ring Q[z0, ..., z{n-1}] ordered by grevlex, z{n-1} cheapest."""
 
     num_vars: int
-    order: str = GREVLEX
 
     def __post_init__(self) -> None:
         if self.num_vars < 1:
             raise ValueError("ring needs at least one variable")
-        if self.order not in (GREVLEX, LEX):
-            raise ValueError(f"unknown monomial order {self.order!r}")
 
     @cached_property
     def exp_key(self) -> Callable[[Exponent], tuple]:
@@ -91,13 +83,7 @@ class PolyRing:
 
         Keys are memoized per exponent for the life of the ring.
         """
-        if self.order == LEX:
-            return tuple  # an exponent is its own key
-
-        def key(e: Exponent) -> tuple:
-            return (sum(e), *(-x for x in reversed(e)))
-
-        return _KeyMemo(key).__getitem__
+        return _GrevlexKeys().__getitem__
 
     # -- element constructors ------------------------------------------------
 
@@ -252,12 +238,6 @@ class Polynomial:
             return True
         degs = {mono_degree(e) for e, _ in self.terms}
         return len(degs) == 1
-
-    def variables_used(self) -> set[int]:
-        used: set[int] = set()
-        for e, _ in self.terms:
-            used.update(i for i, x in enumerate(e) if x > 0)
-        return used
 
     # -- arithmetic -------------------------------------------------------
 
@@ -441,23 +421,6 @@ def render(p: Polynomial) -> str:
 
 
 # -- operations on polynomials -------------------------------------------------
-
-
-def homogenize(p: Polynomial, var: int, target_degree: int) -> Polynomial:
-    """Pad every term with powers of z_var up to target_degree.
-
-    Requires var absent from p and target_degree >= deg(p).
-    """
-    if var in p.variables_used():
-        raise ValueError(f"variable z{var} occurs in the polynomial")
-    if target_degree < p.degree():
-        raise ValueError("target degree below the degree of the polynomial")
-    d: dict[Exponent, Rational] = {}
-    for e, c in p.terms:
-        new = list(e)
-        new[var] = target_degree - mono_degree(e)
-        d[tuple(new)] = c
-    return p.ring.from_dict(d)
 
 
 def apply_linear_change(p: Polynomial, matrix: Sequence[Sequence[Rational]]) -> Polynomial:

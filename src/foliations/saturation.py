@@ -10,9 +10,10 @@ Hilbert polynomial.  The forms l are taken on the rational normal curve:
 z_{n-1}, then z_0 (the one variable that misses the point (1:0:...:0)),
 then sum_i t^(n-1-i) z_i for t = 1, 2, ...  Any n of them are linearly
 independent, so each associated prime of I other than m contains at most
-n-1 of them, and the loop ends.  On a grevlex ring the first line reads
-the basis I holds (step 0 of its resolution, if one ran), and I^sat comes
-back with the integral divided basis as generators, not a reduced one.
+n-1 of them, and the loop ends.  Every ring is grevlex with z_{n-1}
+cheapest, so the first line is I itself and reads the basis I holds (step 0
+of its resolution, if one ran), and I^sat comes back with the integral
+divided basis as generators, not a reduced one.
 
 Colon and intersection reduce to syzygy computations.  ``saturate_by_colon``
 iterates I <- I : m until the chain stabilizes: the independent oracle that
@@ -81,25 +82,22 @@ def colon(I: Ideal, J: Ideal) -> Ideal:
     return result
 
 
-def _changes(I: Ideal, work: PolyRing) -> Iterator[tuple[Ideal, Callable]]:
-    """I in the coordinates of ``work`` that make l the last variable, each
-    with the map back, for l = z_{n-1}, z_0, then sum_i t^(n-1-i) z_i for
-    t = 1, 2, ...  A variable l = z_k is swapped with z_{n-1}, so z_{n-1} on
-    a grevlex ring gives I itself; any other l becomes y_{n-1}, and y_i = z_i
-    for i < n-1."""
+def _changes(I: Ideal) -> Iterator[tuple[Ideal, Callable]]:
+    """I in the coordinates that make l the last variable, each with the map
+    back, for l = z_{n-1}, z_0, then sum_i t^(n-1-i) z_i for t = 1, 2, ...
+    A variable l = z_k is swapped with z_{n-1}, so z_{n-1} gives I itself;
+    any other l becomes y_{n-1}, and y_i = z_i for i < n-1."""
     ring, n = I.ring, I.ring.num_vars
     for k in (n - 1, 0):
         perm = [n - 1 if i == k else k if i == n - 1 else i for i in range(n)]
-        moved = I if ring == work and k == n - 1 else Ideal(
-            work, [map_to_ring(g, work, perm) for g in I.generators]
-        )
+        moved = I if k == n - 1 else Ideal(ring, [map_to_ring(g, ring, perm) for g in I.generators])
         yield moved, (lambda g, v=perm: map_to_ring(g, ring, v))
-    y, z = work.variables(), ring.variables()
+    z = ring.variables()
     for t in count(1):
         c = [t ** (n - 1 - i) for i in range(n - 1)]
-        forward = y[:-1] + [y[-1] - sum((y[i].scale(c[i]) for i in range(n - 1)), work.zero())]
+        forward = z[:-1] + [z[-1] - sum((z[i].scale(c[i]) for i in range(n - 1)), ring.zero())]
         back = z[:-1] + [z[-1] + sum((z[i].scale(c[i]) for i in range(n - 1)), ring.zero())]
-        moved = Ideal(work, [g.substitute(forward) for g in I.generators])
+        moved = Ideal(ring, [g.substitute(forward) for g in I.generators])
         yield moved, (lambda g, b=back: g.substitute(b))
 
 
@@ -118,7 +116,7 @@ def saturate(I: Ideal) -> Ideal:
     if not I.is_homogeneous():
         raise ValueError("saturation requires a homogeneous ideal")
     n = I.ring.num_vars
-    for moved, back in _changes(I, PolyRing(n)):
+    for moved, back in _changes(I):
         basis = [v[0] for v in moved.basis()[0]]
         divided = [_divide_last(g) for g in basis]
         if divided == basis:  # l is a nonzerodivisor on R/I, so I is saturated

@@ -12,7 +12,6 @@ import pytest
 from foliations.classify import _syzygy_matrix
 from foliations.formfile import parse_form_file
 from foliations.forms import (
-    AffineOneForm,
     ProjectiveOneForm,
     apply_projectivity,
     exceptional_form,
@@ -232,6 +231,16 @@ def mat_mul(a, b) -> list[list[Fraction]]:
 
 
 @dataclass(frozen=True)
+class RawForm:
+    """Any coefficient tuple with its ring, homogeneous or not and with no
+    Euler relation: all that ``integrability_check`` and
+    ``exterior_derivative`` read of a form."""
+
+    ring: PolyRing
+    coefficients: tuple[Polynomial, ...]
+
+
+@dataclass(frozen=True)
 class HomogeneousTwoForm:
     """Antisymmetric coefficients on index pairs; stored for i < j."""
 
@@ -286,7 +295,7 @@ def wedge_1_2(coefficients, eta: HomogeneousTwoForm) -> HomogeneousThreeForm:
 
 def integrable_oracle(coefficients) -> bool:
     """omega ^ d omega = 0, on the rational tuple itself."""
-    omega = AffineOneForm(coefficients[0].ring, tuple(coefficients))
+    omega = RawForm(coefficients[0].ring, tuple(coefficients))
     return wedge_1_2(omega.coefficients, exterior_derivative(omega)).is_zero()
 
 
@@ -304,7 +313,7 @@ def integrability_system_oracle(family) -> list:
     through sorted products, each quadric once, made primitive."""
     pring = family.parameter_ring
     tuples = family.member_tuples
-    derivs = [exterior_derivative(AffineOneForm(family.base.ring, t)) for t in tuples]
+    derivs = [exterior_derivative(RawForm(family.base.ring, t)) for t in tuples]
     collected: dict = {}
     for k in range(len(tuples)):
         for j in range(k, len(tuples)):

@@ -7,7 +7,6 @@ from random import Random
 import pytest
 
 from foliations.classify import (
-    ConsistencyFailure,
     _Analysis,
     _rao_from,
     _report_from,
@@ -17,7 +16,7 @@ from foliations.classify import (
     monomials_of_degree,
 )
 from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form
-from foliations.modules import StepBudgetExceeded, _pair_budget, pair_budget
+from foliations.modules import InternalInconsistency, StepBudgetExceeded, _pair_budget, pair_budget
 from foliations.groebner import Ideal
 from foliations.hilbert import hilbert_data
 from foliations.linalg import kernel_basis
@@ -42,7 +41,6 @@ def test_pencil_report(pencil):
     assert (r.degree, r.saturated, r.is_curve, r.is_acm, r.is_split) == (0, True, True, True, True)
     assert r.splitting_type == (1, 1)
     assert r.rao_dims == {}
-    assert r.normal_twist == 2
 
 
 def test_l1111_report(l1111):
@@ -159,7 +157,7 @@ def test_rao_of_skew_lines_engine_level(gens, betti, rao):
     res = free_resolution(I)
     assert res.betti() == betti
     analysis = _Analysis(
-        form=None, ideal=I, saturation=I, saturated=True,
+        form=None, saturation=I, saturated=True,
         sat_hilbert=hilbert_data(I), resolution=res,
     )
     assert analysis.curve() and not analysis.acm()
@@ -316,14 +314,15 @@ def test_shifted_betti_table_is_a_consistency_failure(l1111, monkeypatch):
         return res
 
     monkeypatch.setattr(classify_mod, "free_resolution", shifted)
-    with pytest.raises(ConsistencyFailure, match="Hilbert series"):
+    with pytest.raises(InternalInconsistency, match="Hilbert series"):
         classify(l1111)
 
 
 def test_classify_builds_one_groebner_basis(l1111, distribution_d2, monkeypatch):
     # the first resolution step is a Groebner basis of I in the ring order,
-    # so in(I) comes from it: no reduced basis of I, one Hilbert numerator,
-    # and one Buchberger run per resolution step that is not skipped
+    # so in(I) comes from it: no interreduction to a reduced basis, one
+    # Hilbert numerator, and one Buchberger run per resolution step that is
+    # not skipped
     import foliations.groebner as groebner_mod
     import foliations.hilbert as hilbert_mod
     import foliations.modules as modules_mod
@@ -340,7 +339,7 @@ def test_classify_builds_one_groebner_basis(l1111, distribution_d2, monkeypatch)
 
         monkeypatch.setattr(module, name, counted)
 
-    count(groebner_mod, "reduced_groebner_basis")
+    count(groebner_mod, "interreduce")
     # Ideal.hilbert_numerator and the module Hilbert data of hilbert call it
     count(groebner_mod, "monomial_numerator")
     count(hilbert_mod, "monomial_numerator")
@@ -349,7 +348,7 @@ def test_classify_builds_one_groebner_basis(l1111, distribution_d2, monkeypatch)
     assert report.is_split and report.betti == {(0, 0): 1, (1, 3): 4, (2, 4): 3}
     # step 0 only: its 3 syzygies of 4 generators are as many as the rank of
     # the kernel, so the rank stop ends the resolution without step 1
-    assert calls == {"reduced_groebner_basis": 0, "monomial_numerator": 1, "_buchberger": 1}
+    assert calls == {"interreduce": 0, "monomial_numerator": 1, "_buchberger": 1}
     # an unsaturated I: saturate's first line, z3, reads the basis of step 0
     # and fails the Hilbert polynomial; z0, t = 1 and t = 2 take one integral
     # basis each, and t = 2 decides.  R/I has 4 steps, of which the rank stop
@@ -358,7 +357,7 @@ def test_classify_builds_one_groebner_basis(l1111, distribution_d2, monkeypatch)
     calls.update(dict.fromkeys(calls, 0))
     report = classify(distribution_d2)
     assert not report.saturated and report.betti[(3, 6)] == 4
-    assert calls["reduced_groebner_basis"] == 0 and calls["_buchberger"] == 10
+    assert calls["interreduce"] == 0 and calls["_buchberger"] == 10
 
 
 def test_ext3_is_computed_only_where_it_is_read(l112, monkeypatch):

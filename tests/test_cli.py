@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from foliations.classify import ConsistencyFailure, InternalInconsistency
+from foliations.classify import InternalInconsistency
 from foliations.cli import main
 from foliations.formfile import print_form_file
 from foliations.forms import validate
@@ -137,6 +137,28 @@ def test_sat_saturates_once(l1111_file, monkeypatch, capsys):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("name, sat_runs", [("L1111", 3), ("L112", 4)])
+def test_gb_and_sat_run_the_loop_once_on_i(name, sat_runs, tmp_path, monkeypatch, capsys):
+    # the codim check takes the integral basis of I, and the reduced basis
+    # that gb prints is its interreduction: one run.  sat reads the same
+    # basis on its first line (z3), then takes one run per further line: z0
+    # and t = 1 for L1111, and t = 2 too for L112; both are saturated
+    import foliations.modules as modules
+
+    from .conftest import build_corpus
+
+    path = tmp_path / f"{name}.form"
+    path.write_text(print_form_file(dict(build_corpus())[name]))
+    runs = []
+    real = modules._buchberger
+    monkeypatch.setattr(modules, "_buchberger", lambda *a, **k: runs.append(a) or real(*a, **k))
+    assert main(["gb", str(path)]) == 0 and len(runs) == 1
+    capsys.readouterr()
+    runs.clear()
+    assert main(["sat", str(path), "--json"]) == 0 and len(runs) == sat_runs
+    assert json.loads(capsys.readouterr().out)["verdicts"]["saturated"] is True
+
+
 def test_sat_of_an_unsaturated_ideal_prints_the_reduced_basis(tmp_path, capsys):
     # the singular ideal of DISTRIBUTION_D2 is not saturated: saturate hands
     # back an integral basis, and sat prints the reduced basis of I^sat
@@ -159,7 +181,8 @@ def test_sat_of_an_unsaturated_ideal_prints_the_reduced_basis(tmp_path, capsys):
 
 @pytest.mark.parametrize("exc", [
     InternalInconsistency("split routes disagree"),
-    ConsistencyFailure("the Betti table does not give the Hilbert series of R/I^sat"),
+    # the check of the Betti table against the Hilbert series raises it too
+    InternalInconsistency("the Betti table does not give the Hilbert series of R/I^sat"),
     AssertionError("syzygy certificate failed to expand to zero"),
 ])
 def test_failed_internal_checks_exit_4(l1111_file, monkeypatch, capsys, exc):

@@ -11,7 +11,6 @@ from foliations.cli import main
 from foliations.determine import is_determined_by_singular_scheme
 from foliations.formfile import print_form_file
 from foliations.forms import (
-    AffineOneForm,
     CodimTooSmall,
     EulerViolation,
     WeightConstraintViolation,
@@ -21,7 +20,6 @@ from foliations.forms import (
     exceptional_form,
     integrability_check,
     logarithmic_form,
-    projectivize,
     proportional,
     pullback_from_plane,
     singular_ideal,
@@ -32,8 +30,10 @@ from foliations.rings import PolyRing, apply_linear_change
 
 from .conftest import (
     HomogeneousTwoForm,
+    RawForm,
     build_corpus,
     build_larger_split_forms,
+    dehomogenize,
     euler_oracle,
     exterior_derivative,
     integrable_oracle,
@@ -104,7 +104,7 @@ def test_d_squared_zero_on_affine_gradients():
     ring = PolyRing(3)
     for _ in range(20):
         f = random_polynomial(rng, ring, max_degree=4)
-        omega = AffineOneForm(ring, tuple(f.partial_derivative(i) for i in range(3)))
+        omega = RawForm(ring, tuple(f.partial_derivative(i) for i in range(3)))
         assert not any(differential(omega.coefficients).values())
         assert exterior_derivative(omega).is_zero()
 
@@ -189,7 +189,7 @@ def test_kernel_matches_the_sorted_oracle():
     for F in tuples:
         if not any(f.terms for f in F):
             continue
-        omega = AffineOneForm(R, tuple(F))
+        omega = RawForm(R, tuple(F))
         assert kernel_d(omega).entries == exterior_derivative(omega).entries
         integrable = integrability_check(omega)
         assert integrable == integrable_oracle(F), F
@@ -250,41 +250,6 @@ def test_singular_ideal_transforms_by_substitution(l1111):
     assert ideal_equal(singular_ideal(moved), image)
 
 
-# -- projectivization ---------------------------------------------------------------
-
-
-def test_projectivize_plane_pencil():
-    ring = PolyRing(2)
-    x, y = ring.variables()
-    form = projectivize(AffineOneForm(ring, (y, -x)), new_var=2)
-    assert form.degree == 0
-    assert [str(f) for f in form.coefficients] == ["z1", "-z0", "0"]
-
-
-def test_projectivize_constant_form():
-    ring = PolyRing(2)
-    one = ring.one()
-    form = projectivize(AffineOneForm(ring, (one, ring.zero())), new_var=2)
-    assert form.degree == 0
-    assert [str(f) for f in form.coefficients] == ["z2", "0", "-z0"]
-
-
-def test_projectivize_chart_restriction():
-    # restricting to the chart z_new = 1 recovers the affine form up to the
-    # stripped monomial factor (here: none)
-    ring = PolyRing(3)
-    z1, z2, z3 = ring.variables()
-    affine = AffineOneForm(ring, (z2, -z1, z3 * z3))
-    form = projectivize(affine, new_var=0)
-    from foliations.rings import map_to_ring
-
-    from .conftest import dehomogenize
-
-    chart = [dehomogenize(f, 0) for f in form.coefficients[1:]]
-    back = [map_to_ring(p, ring, [0, 0, 1, 2]) for p in chart]
-    assert back == list(affine.coefficients)
-
-
 # -- constructors --------------------------------------------------------------------
 
 
@@ -318,26 +283,52 @@ def test_pullback_examples(plane_deg2):
 
 
 def test_exceptional_scalars():
-    ring = PolyRing(3)
-    z1, z2, z3 = ring.variables()
+    z0, z1, z2, z3 = Z
     form2 = exceptional_form(2)
     # scalar pattern 3, 7, 21 for d = 2, visible in the z0-multiplied slots
-    assert form2.coefficients[1] == (PolyRing(4).variable(0) * _lift(z2 - z3 ** 3)).scale(3) + _zero_pad()
+    assert form2.coefficients[1] == (z0 * _lift(z2 - z3 ** 3)).scale(3)
     # d = 3 follows the printed formula: 1+2d+2d^2+d^3 = 52
     form3 = exceptional_form(3)
-    target = _lift(z2 ** 4 - z1 * z3 ** 3).scale(-52) * PolyRing(4).variable(0)
-    assert form3.coefficients[3] == target
+    assert form3.coefficients[3] == (z0 * _lift(z2 ** 4 - z1 * z3 ** 3)).scale(-52)
 
 
 def _lift(p):
-    from foliations.rings import homogenize, map_to_ring
+    """p, in z1, z2, z3, homogenized by powers of z0."""
+    D = p.degree()
+    return R.from_dict({(D - sum(e), *e[1:]): c for e, c in p.terms})
 
-    lifted = map_to_ring(p, PolyRing(4), [1, 2, 3])
-    return homogenize(lifted, 0, p.degree())
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_exceptional_form_restricts_to_its_affine_form(d):
+    # on the chart z0 = 1, F_1, F_2, F_3 are the docstring's affine
+    # coefficients, and F_0 is minus their radial pairing
+    z0, z1, z2, z3 = Z
+    a1 = (z2 - z3 ** (d + 1)).scale(1 + d)
+    a2 = (z1 - z2**d * z3).scale(-(1 + d + d * d))
+    a3 = (z2 ** (d + 1) - z1 * z3**d).scale(-(1 + 2 * d + 2 * d * d + d**3))
+    chart = [dehomogenize(f, 0) for f in exceptional_form(d).coefficients]
+    assert chart == [-(z1 * a1 + z2 * a2 + z3 * a3), a1, a2, a3]
 
 
-def _zero_pad():
-    return PolyRing(4).zero()
+EXCEPTIONAL_COEFFICIENTS = {
+    2: ("4*z0^2*z1*z2 + 14*z2^3*z3 - 18*z1*z3^3", "3*z0^3*z2 - 3*z0*z3^3",
+        "-7*z0^3*z1 + 7*z0*z2^2*z3", "-21*z0*z2^3 + 21*z0*z1*z3^2"),
+    3: ("9*z0^3*z1*z2 + 39*z2^4*z3 - 48*z1*z3^4", "4*z0^4*z2 - 4*z0*z3^4",
+        "-13*z0^4*z1 + 13*z0*z2^3*z3", "-52*z0*z2^4 + 52*z0*z1*z3^3"),
+    4: ("16*z0^4*z1*z2 + 84*z2^5*z3 - 100*z1*z3^5", "5*z0^5*z2 - 5*z0*z3^5",
+        "-21*z0^5*z1 + 21*z0*z2^4*z3", "-105*z0*z2^5 + 105*z0*z1*z3^4"),
+    5: ("25*z0^5*z1*z2 + 155*z2^6*z3 - 180*z1*z3^6", "6*z0^6*z2 - 6*z0*z3^6",
+        "-31*z0^6*z1 + 31*z0*z2^5*z3", "-186*z0*z2^6 + 186*z0*z1*z3^5"),
+}
+"""The rendered coefficients of ``exceptional_form(d)``, recorded when it was
+built by homogenizing its affine form."""
+
+
+@pytest.mark.parametrize("d", sorted(EXCEPTIONAL_COEFFICIENTS))
+def test_exceptional_coefficients_are_pinned(d):
+    form = exceptional_form(d)
+    assert tuple(str(f) for f in form.coefficients) == EXCEPTIONAL_COEFFICIENTS[d]
+    assert form.degree == d + 1
 
 
 def test_exceptional_degree_and_integrability(exceptional2):
@@ -392,7 +383,7 @@ def test_proportional_agrees_with_the_minors():
 def test_proportional_on_the_corpus():
     forms = [form for _, form in build_corpus()]
     for f in forms:
-        assert proportional(f.coefficients, f.scale(Fraction(-2, 3)).coefficients)
+        assert proportional(f.coefficients, [g.scale(Fraction(-2, 3)) for g in f.coefficients])
         for g in forms:
             assert proportional(f.coefficients, g.coefficients) == _minors_vanish(
                 f.coefficients, g.coefficients

@@ -1,7 +1,8 @@
 """The saturation lines and the determination certificate read the loop's
 integral Groebner basis (``Ideal.basis``): neither ``determine`` nor
-``saturation`` calls ``reduced_groebner_basis``, whose monic interreduction
-only ``ideal_equal`` and the ``gb`` and ``sat`` commands need."""
+``saturation`` calls ``interreduce``, the monic interreduction behind
+``Ideal.groebner_basis`` and ``reduced_groebner_basis``, which only
+``ideal_equal`` and the ``gb`` and ``sat`` commands need."""
 
 import ast
 import inspect
@@ -23,8 +24,8 @@ def _names(module) -> set[str]:
 def test_no_reduced_basis_in_determine_or_saturation():
     for module in (determine, saturation):
         names = _names(module)
-        assert "reduced_groebner_basis" not in names, module.__name__
-        assert "module_groebner" not in names, module.__name__
+        for banned in ("interreduce", "reduced_groebner_basis", "module_groebner"):
+            assert banned not in names, (module.__name__, banned)
         assert "Ideal" in names, module.__name__  # the scan sees the source
     assert "groebner_basis" not in _names(determine)
 
@@ -33,15 +34,15 @@ def test_certificate_and_moved_lines_take_no_reduced_basis(corpus, distribution_
     lines = []
     real = saturation._changes
 
-    def recorded(I, work):
-        for moved, back in real(I, work):
+    def recorded(I):
+        for moved, back in real(I):
             lines.append(moved)
             yield moved, back
 
     def refused(*args):
         raise AssertionError("a reduced Groebner basis was computed")
 
-    monkeypatch.setattr(groebner, "reduced_groebner_basis", refused)
+    monkeypatch.setattr(groebner, "interreduce", refused)
     monkeypatch.setattr(saturation, "_changes", recorded)
     # exceptional-d2 is decided by the certificate
     verdict = determine.is_determined_by_singular_scheme(dict(corpus)["exceptional-d2"])
