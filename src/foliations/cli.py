@@ -1,19 +1,28 @@
 """Command-line surface: check, classify, syzygies, family, determine, make, gb, sat.
 
+Every form command runs one pipeline, in ``main`` and ``_run``: read the
+``.form`` file; apply the P^3 gate and the integrability gate that the
+command's entry in ``_COMMANDS`` asks for; run the command, which returns its
+exit code, its fields of the report and its text lines; add the input, the
+degree and the ``timings`` to the report; print the JSON report with
+``--json``, else the text lines.  ``classify --dir`` runs the same read,
+gates and command on each file in turn, reports each failed file on stderr,
+with the line and the code that ``classify <file>`` would give, and exits
+with the largest per-file code.  ``make`` writes a fixture and prints one line.
+
 Exit codes: 0 success; 1 parse/validation errors (including precondition
-failures and a missing input flag of ``make``); 2 the command needs an
-integrable form and the input is not; 3 the ``--budget`` ran out, or
-``determine`` found neither a witness on the family's unit lines nor a
-certificate that the form is unique; 4 an internal check or certificate
-failed, which is an engine bug and not a verdict.  ``classify --dir`` classifies the
-files in turn, reports each failed file on stderr, with the line and the
-code that ``classify <file>`` would give, and exits with the largest
-per-file code.  ``--budget N`` bounds the S-pairs of all the Groebner and
-syzygy loops of the whole command, of each file with ``--dir``
-(``modules.pair_budget``).  ``--json`` selects a stable machine-readable report;
-identical inputs produce byte-identical reports except for the timings
-field.  ``main`` can be called many times in one process: it builds its
-argument parser on the first call and reuses it.
+failures, a missing input flag of ``make`` and a negative ``--budget``);
+2 the command needs an integrable form and the input is not, or argparse
+rejected the command line (``--budget abc``: usage on stderr, then
+``SystemExit(2)``); 3 the ``--budget`` ran out, or ``determine`` found
+neither a witness on the family's unit lines nor a certificate that the form
+is unique; 4 an internal check or certificate failed, which is an engine bug
+and not a verdict.  ``--budget N`` bounds the S-pairs of all the Groebner
+and syzygy loops of the whole command, of each file with ``--dir``
+(``modules.pair_budget``).  ``--json`` selects a stable machine-readable
+report; identical inputs produce byte-identical reports except for the
+timings field.  ``main`` can be called many times in one process: it builds
+its argument parser on the first call and reuses it.
 """
 
 from __future__ import annotations
@@ -36,9 +45,10 @@ from .determine import (
     linear_syzygy_space,
     constant_syzygy_space,
 )
-from .formfile import FormFile, ParseError, parse_form_file, parse_polynomial, print_form_file
+from .formfile import ParseError, parse_form_file, parse_polynomial, print_form_file
 from .forms import (
     FormError,
+    ProjectiveOneForm,
     exceptional_form,
     integrability_check,
     logarithmic_form,
@@ -54,6 +64,13 @@ from .saturation import saturate
 
 INTERNAL_FAILURES = (InternalInconsistency, AssertionError)
 
+Outcome = tuple[int, dict, list[str]]
+"""What a command returns: its exit code, its fields of the report, its text lines."""
+
+
+class NotIntegrable(Exception):
+    """The command needs an integrable form and the input is not one: exit 2."""
+
 
 def _failure(exc: Exception) -> tuple[int, str]:
     """The exit code and stderr line of a failure the CLI reports; re-raises any other."""
@@ -61,6 +78,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
         return 1, f"error: {exc}"
     if isinstance(exc, OSError):
         return 1, f"io error: {exc}"
+    if isinstance(exc, NotIntegrable):
+        return 2, str(exc)
     if isinstance(exc, StepBudgetExceeded):
         return 3, f"budget exhausted: {type(exc).__name__}: {exc}"
     if isinstance(exc, INTERNAL_FAILURES):
@@ -68,30 +87,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
     raise exc
 
 
-def _read_form(path: str) -> FormFile:
-    return parse_form_file(Path(path).read_text(encoding="utf-8"))
-
-
-def _report(input_path: str, **parts) -> dict:
-    base = {
-        "input": input_path,
-        "degree": None,
-        "verdicts": {},
-        "splitting_type": None,
-        "rao": None,
-        "family": None,
-        "timings": {},
-    }
-    base.update(parts)
-    return base
-
-
-def _emit(args, report: dict, text_lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(report, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+def _read_form(path: str) -> ProjectiveOneForm:
+    return parse_form_file(Path(path).read_text(encoding="utf-8")).form
 
 
 def _alpha(s: str) -> str:
@@ -100,228 +97,114 @@ def _alpha(s: str) -> str:
 
 
 # -- subcommands ----------------------------------------------------------------
+# Each takes the form that passed its gates; its first text line comes
+# without the file name, which ``_run`` puts in front.
 
 
-def cmd_check(args) -> int:
-    started = time.monotonic()
-    ff = _read_form(args.file)
-    form = ff.form
+def cmd_check(form: ProjectiveOneForm) -> Outcome:
     integrable = integrability_check(form)
     singular_ideal(form)  # raises CodimTooSmall on failure
-    report = _report(
-        args.file,
-        degree=form.degree,
-        verdicts={"integrable": integrable, "codim_ok": True},
-        timings={"total_s": round(time.monotonic() - started, 3)},
-    )
-    _emit(args, report, [
-        f"{args.file}: valid, degree {form.degree}, "
-        + ("integrable" if integrable else "NOT integrable"),
-    ])
-    return 0 if integrable else 2
+    verdicts = {"integrable": integrable, "codim_ok": True}
+    line = f"valid, degree {form.degree}, " + ("integrable" if integrable else "NOT integrable")
+    return (0 if integrable else 2), {"verdicts": verdicts}, [line]
 
 
-def _classification_payload(path: str) -> dict:
-    ff = _read_form(path)
-    if ff.form.ring.num_vars != 4:
-        raise FormError("classify requires a P^3 form (ring z0 z1 z2 z3)")
-    report = classify(ff.form)
-    payload = _report(
-        path,
-        degree=report.degree,
-        verdicts={
-            "integrable": integrability_check(ff.form),
-            "codim_ok": report.codim_ok,
-            "saturated": report.saturated,
-            "curve": report.is_curve,
-            "acm": report.is_acm,
-            "split": report.is_split,
-        },
-        splitting_type=list(report.splitting_type) if report.splitting_type else None,
-        rao={str(k): v for k, v in report.rao_dims.items()} if report.rao_dims is not None else None,
-    )
-    payload["betti"] = {f"{i},{j}": v for (i, j), v in sorted(report.betti.items())}
-    return payload
-
-
-def _classify_file(path: str) -> tuple[str, dict | None, str | None, int]:
-    """(path, payload, error, exit code) for one file of ``classify --dir``."""
-    try:
-        return path, _classification_payload(path), None, 0
-    except Exception as exc:
-        code, error = _failure(exc)
-        return path, None, error, code
-
-
-def _classify_text(payload: dict) -> str:
-    v = payload["verdicts"]
-    stype = payload["splitting_type"]
+def cmd_classify(form: ProjectiveOneForm) -> Outcome:
+    report = classify(form)
+    stype = list(report.splitting_type) if report.splitting_type else None
+    verdicts = {
+        "integrable": integrability_check(form),
+        "codim_ok": report.codim_ok,
+        "saturated": report.saturated,
+        "curve": report.is_curve,
+        "acm": report.is_acm,
+        "split": report.is_split,
+    }
+    fields = {
+        "verdicts": verdicts,
+        "splitting_type": stype,
+        "rao": {str(k): v for k, v in report.rao_dims.items()} if report.rao_dims is not None else None,
+        "betti": {f"{i},{j}": v for (i, j), v in sorted(report.betti.items())},
+    }
     bits = [
-        f"degree {payload['degree']}",
-        "integrable" if v["integrable"] else "not integrable",
-        "saturated" if v["saturated"] else "not saturated",
-        "curve" if v["curve"] else "not a curve",
-        "ACM" if v["acm"] else "not ACM",
-        ("split " + str(tuple(stype))) if v["split"] else "not split",
+        f"degree {report.degree}",
+        "integrable" if verdicts["integrable"] else "not integrable",
+        "saturated" if report.saturated else "not saturated",
+        "curve" if report.is_curve else "not a curve",
+        "ACM" if report.is_acm else "not ACM",
+        ("split " + str(tuple(stype))) if report.is_split else "not split",
     ]
-    return f"{payload['input']}: " + ", ".join(bits)
+    return 0, fields, [", ".join(bits)]
 
 
-def cmd_classify(args) -> int:
-    started = time.monotonic()
-    if args.dir:
-        paths = sorted(str(p) for p in Path(args.dir).glob("*.form"))
-        if not paths:
-            print(f"no .form files under {args.dir}", file=sys.stderr)
-            return 1
-        results = []
-        for p in paths:
-            with pair_budget(args.budget):  # each file has a budget of its own
-                results.append(_classify_file(p))
-        payloads = []
-        for path, payload, error, _ in results:
-            if error is not None:
-                print(f"{path}: {error}", file=sys.stderr)
-            else:
-                payloads.append(payload)
-                if not args.json:
-                    print(_classify_text(payload))
-        if args.json:
-            print(json.dumps(payloads, sort_keys=True, indent=2))
-        return max(code for *_, code in results)
-    payload = _classification_payload(args.file)
-    payload["timings"] = {"total_s": round(time.monotonic() - started, 3)}
-    _emit(args, payload, [_classify_text(payload)])
-    return 0
-
-
-def cmd_syzygies(args) -> int:
-    started = time.monotonic()
-    ff = _read_form(args.file)
-    form = ff.form
-    if form.ring.num_vars != 4:
-        raise FormError("syzygy analysis requires a P^3 form")
+def cmd_syzygies(form: ProjectiveOneForm) -> Outcome:
     linear = linear_syzygy_space(form)
     consts = constant_syzygy_space(form)
-    payload = _report(
-        args.file,
-        degree=form.degree,
-        verdicts={"integrable": integrability_check(form)},
-        family={"dim": len(linear), "constant_dim": len(consts)},
-        timings={"total_s": round(time.monotonic() - started, 3)},
-    )
     # l_j = sum_i M_ij z_i, from the columns of each matrix
     z = form.ring.variables()
     rendered = [[str(_combination(column, z)) for column in zip(*m)] for m in linear]
-    payload["linear_syzygies"] = rendered
-    payload["constant_syzygies"] = [[str(x) for x in v] for v in consts]
-    lines = [f"{args.file}: linear syzygy dimension {len(linear)}, constant dimension {len(consts)}"]
-    for entries in rendered:
-        lines.append("  (" + ", ".join(entries) + ")")
-    for v in consts:
-        lines.append("  constants (" + ", ".join(str(x) for x in v) + ")")
-    _emit(args, payload, lines)
-    return 0
+    constants = [[str(x) for x in v] for v in consts]
+    fields = {
+        "verdicts": {"integrable": integrability_check(form)},
+        "family": {"dim": len(linear), "constant_dim": len(consts)},
+        "linear_syzygies": rendered,
+        "constant_syzygies": constants,
+    }
+    lines = [f"linear syzygy dimension {len(linear)}, constant dimension {len(consts)}"]
+    lines += ["  (" + ", ".join(entries) + ")" for entries in rendered]
+    lines += ["  constants (" + ", ".join(v) + ")" for v in constants]
+    return 0, fields, lines
 
 
-def cmd_family(args) -> int:
-    started = time.monotonic()
-    ff = _read_form(args.file)
-    form = ff.form
-    if form.ring.num_vars != 4:
-        raise FormError("family analysis requires a P^3 form")
-    if not integrability_check(form):
-        print(f"{args.file}: the base form is not integrable", file=sys.stderr)
-        return 2
+def cmd_family(form: ProjectiveOneForm) -> Outcome:
     family = distribution_family(form)
     outcome = integrable_members(family)
-    payload = _report(
-        args.file,
-        degree=form.degree,
-        verdicts={"integrable": True},
-        family={
+    locus = _alpha(str(family.degenerate_locus))
+    fields = {
+        "verdicts": {"integrable": True},
+        "family": {
             "dim": family.parameter_dim,
             "integrable": outcome.kind,
             "members_found": len(outcome.members),
-            "degenerate_locus": _alpha(str(family.degenerate_locus)),
+            "degenerate_locus": locus,
         },
-        timings={"total_s": round(time.monotonic() - started, 3)},
-    )
+    }
     lines = [
-        f"{args.file}: family dimension {family.parameter_dim}",
-        f"  degenerate locus: {_alpha(str(family.degenerate_locus))}",
+        f"family dimension {family.parameter_dim}",
+        f"  degenerate locus: {locus}",
         f"  integrable members: {outcome.kind}, {len(outcome.members)} exhibited",
     ]
-    for alpha, member in outcome.members:
-        lines.append(f"  alpha={tuple(str(a) for a in alpha)}: {member}")
-    _emit(args, payload, lines)
-    return 3 if outcome.kind == "inconclusive" else 0
+    lines += [f"  alpha={tuple(str(a) for a in alpha)}: {member}" for alpha, member in outcome.members]
+    return (3 if outcome.kind == "inconclusive" else 0), fields, lines
 
 
-def cmd_determine(args) -> int:
-    started = time.monotonic()
-    ff = _read_form(args.file)
-    form = ff.form
-    if form.ring.num_vars != 4:
-        raise FormError("determination analysis requires a P^3 form")
-    if not integrability_check(form):
-        print(f"{args.file}: the form is not integrable", file=sys.stderr)
-        return 2
+def cmd_determine(form: ProjectiveOneForm) -> Outcome:
     verdict = is_determined_by_singular_scheme(form)
-    payload = _report(
-        args.file,
-        degree=form.degree,
-        verdicts={"integrable": True, "determination": verdict.kind},
-        family={"route": verdict.route},
-        timings={"total_s": round(time.monotonic() - started, 3)},
-    )
+    fields = {
+        "verdicts": {"integrable": True, "determination": verdict.kind},
+        "family": {"route": verdict.route},
+    }
+    lines = [f"{verdict.kind} (route: {verdict.route})"]
     if verdict.witness is not None:
-        payload["witness"] = str(verdict.witness)
-    lines = [f"{args.file}: {verdict.kind} (route: {verdict.route})"]
-    if verdict.witness is not None:
+        fields["witness"] = str(verdict.witness)
         lines.append(f"  witness: {verdict.witness}")
-    _emit(args, payload, lines)
-    return 3 if verdict.kind == "inconclusive" else 0
+    return (3 if verdict.kind == "inconclusive" else 0), fields, lines
 
 
-def cmd_gb(args) -> int:
-    started = time.monotonic()
-    ff = _read_form(args.file)
-    I = singular_ideal(ff.form)
-    gb = I.groebner_basis()
-    payload = _report(
-        args.file,
-        degree=ff.form.degree,
-        verdicts={},
-        timings={"total_s": round(time.monotonic() - started, 3)},
-    )
-    payload["groebner_basis"] = [str(g) for g in gb]
-    _emit(args, payload, [f"{args.file}: reduced Groebner basis"] + [f"  {g}" for g in gb])
-    return 0
+def cmd_gb(form: ProjectiveOneForm) -> Outcome:
+    gb = [str(g) for g in singular_ideal(form).groebner_basis()]
+    return 0, {"groebner_basis": gb}, ["reduced Groebner basis"] + [f"  {g}" for g in gb]
 
 
-def cmd_sat(args) -> int:
-    started = time.monotonic()
-    ff = _read_form(args.file)
-    I = singular_ideal(ff.form)
+def cmd_sat(form: ProjectiveOneForm) -> Outcome:
+    I = singular_ideal(form)
     sat = saturate(I)
     saturated = ideal_equal(I, sat)
-    gb = sat.groebner_basis()
+    gb = [str(g) for g in sat.groebner_basis()]
     h = hilbert_data(sat)
-    payload = _report(
-        args.file,
-        degree=ff.form.degree,
-        verdicts={"saturated": saturated},
-        timings={"total_s": round(time.monotonic() - started, 3)},
-    )
-    payload["saturation"] = [str(g) for g in gb]
-    payload["krull_dim"] = h.krull_dim
-    lines = [
-        f"{args.file}: ideal is {'saturated' if saturated else 'NOT saturated'}, "
-        f"dim R/I^sat = {h.krull_dim}"
-    ] + [f"  {g}" for g in gb]
-    _emit(args, payload, lines)
-    return 0
+    fields = {"verdicts": {"saturated": saturated}, "saturation": gb, "krull_dim": h.krull_dim}
+    line = f"ideal is {'saturated' if saturated else 'NOT saturated'}, dim R/I^sat = {h.krull_dim}"
+    return 0, fields, [line] + [f"  {g}" for g in gb]
 
 
 def _parse_poly_list(ring: PolyRing, text: str):
@@ -339,6 +222,17 @@ def _parse_poly_list(ring: PolyRing, text: str):
     return out
 
 
+def _parse_weights(text: str) -> list[Fraction]:
+    """The comma-separated rational weights of ``text``; a zero denominator names its weight."""
+    weights = []
+    for number, chunk in enumerate(text.split(","), 1):
+        try:
+            weights.append(Fraction(chunk.strip()))
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in weight {number} {chunk.strip()!r}") from None
+    return weights
+
+
 def _flag(args, name: str) -> str:
     """The value of a flag that ``make <kind>`` needs; ValueError when absent."""
     value = getattr(args, name)
@@ -351,12 +245,10 @@ def cmd_make(args) -> int:
     if args.kind == "logarithmic":
         ring = PolyRing(args.vars)
         factors = _parse_poly_list(ring, _flag(args, "factors"))
-        weights = [Fraction(w.strip()) for w in _flag(args, "weights").split(",")]
-        form = logarithmic_form(factors, weights)
+        form = logarithmic_form(factors, _parse_weights(_flag(args, "weights")))
         name = args.name or "logarithmic"
     elif args.kind == "pullback":
-        plane = _read_form(_flag(args, "plane")).form
-        form = pullback_from_plane(plane)
+        form = pullback_from_plane(_read_form(_flag(args, "plane")))
         name = args.name or "pullback"
     elif args.kind == "exceptional":
         form = exceptional_form(args.d)
@@ -414,16 +306,59 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# command -> (run, the error when the form is not on P^3, the stderr line
+# after the file name when the form is not integrable); None skips a gate
 _COMMANDS = {
-    "check": cmd_check,
-    "classify": cmd_classify,
-    "syzygies": cmd_syzygies,
-    "family": cmd_family,
-    "determine": cmd_determine,
-    "gb": cmd_gb,
-    "sat": cmd_sat,
-    "make": cmd_make,
+    "check": (cmd_check, None, None),
+    "classify": (cmd_classify, "classify requires a P^3 form (ring z0 z1 z2 z3)", None),
+    "syzygies": (cmd_syzygies, "syzygy analysis requires a P^3 form", None),
+    "family": (
+        cmd_family, "family analysis requires a P^3 form", "the base form is not integrable",
+    ),
+    "determine": (
+        cmd_determine, "determination analysis requires a P^3 form", "the form is not integrable",
+    ),
+    "gb": (cmd_gb, None, None),
+    "sat": (cmd_sat, None, None),
 }
+
+
+def _run(command: str, path: str) -> tuple[int, dict, list[str]]:
+    """Read ``path``, apply the command's gates and run it: exit code, report, text lines."""
+    form = _read_form(path)
+    run, plane_error, not_integrable = _COMMANDS[command]
+    if plane_error and form.ring.num_vars != 4:
+        raise FormError(plane_error)
+    if not_integrable and not integrability_check(form):
+        raise NotIntegrable(f"{path}: {not_integrable}")
+    code, fields, lines = run(form)
+    report = {"input": path, "degree": form.degree, "verdicts": {}, "splitting_type": None,
+              "rao": None, "family": None, "timings": {}, **fields}
+    return code, report, [f"{path}: {lines[0]}", *lines[1:]]
+
+
+def _classify_dir(args) -> int:
+    """``classify --dir``: every file with a pair budget of its own; the largest exit code."""
+    paths = sorted(str(p) for p in Path(args.dir).glob("*.form"))
+    if not paths:
+        print(f"no .form files under {args.dir}", file=sys.stderr)
+        return 1
+    codes, reports = [0], []
+    for path in paths:
+        try:
+            with pair_budget(args.budget):
+                _, report, lines = _run("classify", path)
+        except Exception as exc:
+            code, error = _failure(exc)
+            codes.append(code)
+            print(f"{path}: {error}", file=sys.stderr)
+            continue
+        reports.append(report)
+        if not args.json:
+            print("\n".join(lines))
+    if args.json:
+        print(json.dumps(reports, sort_keys=True, indent=2))
+    return max(codes)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -433,7 +368,15 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     try:
         with pair_budget(getattr(args, "budget", None)):  # ``make`` has none
-            return _COMMANDS[args.command](args)
+            if args.command == "make":
+                return cmd_make(args)
+            if args.command == "classify" and args.dir:
+                return _classify_dir(args)
+            started = time.monotonic()
+            code, report, lines = _run(args.command, args.file)
+            report["timings"] = {"total_s": round(time.monotonic() - started, 3)}
+            print(json.dumps(report, sort_keys=True, indent=2) if args.json else "\n".join(lines))
+            return code
     except Exception as exc:
         code, message = _failure(exc)
         print(message, file=sys.stderr)

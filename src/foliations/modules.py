@@ -106,10 +106,13 @@ class StepBudgetExceeded(RuntimeError):
 
 @contextmanager
 def pair_budget(limit: int | None) -> Iterator[None]:
-    """Bound the S-pairs of every loop run inside by ``limit`` in all; None does nothing."""
+    """Bound the S-pairs of every loop run inside by ``limit`` in all; None does nothing,
+    and a limit below 0 raises ValueError."""
     if limit is None:
         yield
         return
+    if limit < 0:
+        raise ValueError(f"pair budget {limit} is negative")
     token = _pair_budget.set([limit, limit])
     try:
         yield

@@ -32,10 +32,10 @@ from .rings import PolyRing, Polynomial, map_to_ring
 
 
 def _canonical(ring: PolyRing, gens: list[Polynomial]) -> Ideal:
-    """Ideal with its reduced Groebner basis as generators (and cached)."""
-    gb = Ideal(ring, gens).groebner_basis()
-    out = Ideal(ring, gb)
-    out._gb = gb
+    """Ideal with its reduced Groebner basis as generators, holding the integral basis."""
+    J = Ideal(ring, gens)
+    out = Ideal(ring, J.groebner_basis())
+    out.hold_basis(*J.basis())
     return out
 
 

@@ -347,6 +347,24 @@ def test_factor_errors_give_the_column_and_the_factor(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_a_weight_with_a_zero_denominator_is_named(tmp_path, capsys):
+    out = tmp_path / "x.form"
+    argv = ["make", "logarithmic", "--factors", "z0,z1", "--weights", "1, 1/0", "-o", str(out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: zero denominator in weight 2 '1/0'\n"
+    assert not out.exists()
+
+
+def test_a_negative_budget_is_an_error_and_zero_runs_out(l1111_file, capsys):
+    assert main(["classify", l1111_file, "--budget", "-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: pair budget -1 is negative\n" and captured.out == ""
+    assert main(["classify", "--dir", str(Path(l1111_file).parent), "--budget", "-1"]) == 1
+    assert capsys.readouterr().err == "error: pair budget -1 is negative\n"
+    assert main(["classify", l1111_file, "--budget", "0"]) == 3
+    assert capsys.readouterr().err.startswith("budget exhausted: ")
+
+
 def test_repeated_calls_share_one_parser_and_no_state(l1111_file, tmp_path, monkeypatch, capsys):
     import foliations.cli as cli
     import foliations.modules as modules

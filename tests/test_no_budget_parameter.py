@@ -45,7 +45,7 @@ def test_no_function_takes_a_budget():
         "foliations.modules._buchberger",
         "foliations.groebner.Ideal.groebner_basis",
         "foliations.classify._Analysis.of",
-        "foliations.cli._classify_file",
+        "foliations.cli._classify_dir",
     } <= set(seen)
 
 
