@@ -223,13 +223,15 @@ def _parse_poly_list(ring: PolyRing, text: str):
 
 
 def _parse_weights(text: str) -> list[Fraction]:
-    """The comma-separated rational weights of ``text``; a zero denominator names its weight."""
+    """The comma-separated rational weights of ``text``; a bad or zero-denominator one is named."""
     weights = []
     for number, chunk in enumerate(text.split(","), 1):
         try:
             weights.append(Fraction(chunk.strip()))
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in weight {number} {chunk.strip()!r}") from None
+        except ValueError:
+            raise ValueError(f"bad weight {number} {chunk.strip()!r}") from None
     return weights
 
 
@@ -363,8 +365,9 @@ def _classify_dir(args) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "classify" and not args.dir and not args.file:
-        print("classify needs a file or --dir", file=sys.stderr)
+    if args.command == "classify" and bool(args.dir) == bool(args.file):
+        need = "takes a file or --dir, not both" if args.dir else "needs a file or --dir"
+        print(f"classify {need}", file=sys.stderr)
         return 1
     try:
         with pair_budget(getattr(args, "budget", None)):  # ``make`` has none

@@ -6,16 +6,17 @@ row (the Euler relation is the identity matrix); only ``cli syzygies``
 renders the l_j as linear forms.  Invertible members of the matrix pencil
 produce every distribution with the same singular scheme.  The integrable
 members are cut out by a quadratic system S in the pencil parameters: the
-coefficients of omega ^ d omega, expanded into unsorted dicts by
-``rings.add_product``.  So is the degenerate locus det, the pencil's
-determinant, over ``int``: of the pencil with each row scaled integral,
-divided once by the scales, and only for the certificate and ``cli family``.
+coefficients of omega ^ d omega, one block per pair of parameters, expanded
+when first read.  The degenerate locus det, the pencil's determinant, is
+expanded over ``int`` by ``rings.add_product``, of the pencil with its rows
+scaled integral, only for the certificate and ``cli family``.
 The base sits at e_0; L = {alpha : member(alpha) in Q*base}.
 
 What is verified where:
 
-* a witness: ``_walk`` tries e_k and e_0 + v*e_k (k = 1..p-1, eight steps
-  v) and keeps a member only when it solves S, is off det = 0 (its matrix
+* a witness: ``_walk``, run before S is put together, tries e_k and
+  e_0 + v*e_k (k = 1..p-1, eight steps v) and keeps a member only when it
+  solves S (read off the blocks of its plane), is off det = 0 (its matrix
   has full rank) and is new; the member is validated and checked once, and
   a witness must span the base's forms (``_same_span``: the ideals, so the
   schemes, agree).  Either failing is an engine bug.  When S = 0 the walk
@@ -25,7 +26,7 @@ What is verified where:
 * ``unique``: ``_only_degenerate_or_base`` shows det * l in rad(S) for
   every linear form l vanishing on L, so every integrable member is
   degenerate or a multiple of the base, by a constant lead of the loop's
-  integral basis;
+  integral basis; it reads every block of S;
 * ``inconclusive`` is left when an active ``modules.pair_budget`` runs out
   in the family analysis, or when an integrable member exists that no unit
   line reaches.
@@ -33,7 +34,7 @@ What is verified where:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations
@@ -107,6 +108,9 @@ class DistributionFamily:
     matrices: list[tuple[tuple[Rational, ...], ...]]
     parameter_ring: PolyRing
     member_tuples: list[tuple[Polynomial, ...]]
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # member k -> (m*w_k, m, d(m*w_k)), the least m > 0 making m*w_k integral
+    _integral: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def parameter_dim(self) -> int:
@@ -119,6 +123,25 @@ class DistributionFamily:
                 f"parameter {alpha} has {len(alpha)} coordinates, not {self.parameter_dim}"
             )
         return tuple(_combination(alpha, column) for column in zip(*self.member_tuples))
+
+    def block(self, k: int, j: int) -> dict[tuple, Rational]:
+        """The coefficient of a_k a_j (k <= j) in omega_a ^ d omega_a, omega_a = sum a_k w_k:
+        w_k ^ dw_j + w_j ^ dw_k, or w_k ^ dw_k when k = j, as (component, monomial) -> c != 0.
+        Expanded when first read, from m_k w_k and m_j w_j and divided by m_k m_j after, so
+        that no ``Fraction`` is multiplied, and kept."""
+        if (k, j) not in self._blocks:
+            for i in {k, j} - self._integral.keys():
+                t, m = vec_integral(self.member_tuples[i])
+                self._integral[i] = t, m, differential(t)
+            (wk, mk, dk), (wj, mj, dj) = self._integral[k], self._integral[j]
+            m = mk * mj
+            out = self._blocks[(k, j)] = {}
+            for triple in combinations(range(self.base.ring.num_vars), 3):
+                acc = add_wedge({}, wk, dj, triple)
+                if j > k:
+                    add_wedge(acc, wj, dk, triple)
+                out.update(((triple, e), c if m == 1 else Fraction(c, m)) for e, c in acc.items() if c)
+        return self._blocks[(k, j)]
 
     @cached_property
     def degenerate_locus(self) -> Polynomial:
@@ -175,43 +198,26 @@ def _family_from(analysis: _Analysis) -> DistributionFamily:
 def integrability_system(family: DistributionFamily) -> list[Polynomial]:
     """Quadrics in the parameters whose zero locus is the integrable members.
 
-    Expands (sum a_k w_k) ^ d(sum a_j w_j): the coefficient of a_k a_j
-    (k <= j) is w_k ^ dw_j + w_j ^ dw_k, accumulated per 3-form component
-    into one coefficient dict and read off per z-monomial into the table
-    (component, monomial) -> {a_k a_j: c}, each entry of which is a quadric;
-    they are returned primitive, each once, sorted by their terms.
-    The products are taken of the integral multiples m_k w_k and divided by
-    m_k m_j after, so that no ``Fraction`` is multiplied.  When the base is
-    integrable the pure base-parameter block must vanish, which is
-    asserted against ``integrability_check(family.base)``: an independent
-    check of that block, where reading it off the block would assert a
-    tautology.
+    Reads every block: the entry of block (k, j) at a key (component,
+    monomial) is the coefficient of a_k a_j in that key's quadric, returned
+    primitive, each once, sorted by their terms.  A nonzero block (0, 0),
+    the base's own, needs a base that is not integrable, which is asserted
+    against ``integrability_check(family.base)``: an independent check, where
+    reading it off the block would assert a tautology; an empty block cannot
+    trip it, so the check runs only on a nonzero one.
     """
     pring = family.parameter_ring
-    p = family.parameter_dim
-    tuples, multipliers = zip(*(vec_integral(t) for t in family.member_tuples))
-    derivs = [differential(t) for t in tuples]
-    triples = list(combinations(range(family.base.ring.num_vars), 3))
+    if family.block(0, 0) and integrability_check(family.base):
+        raise AssertionError("integrable base contributed a pure base-parameter term")
     collected: dict[tuple, dict[tuple[int, ...], Rational]] = {}
-    for k in range(p):
-        for j in range(k, p):
-            m = multipliers[k] * multipliers[j]
+    for k in range(family.parameter_dim):
+        for j in range(k, family.parameter_dim):
             a_kj = tuple((t == k) + (t == j) for t in range(pring.num_vars))
-            for triple in triples:
-                acc = add_wedge({}, tuples[k], derivs[j], triple)
-                if j > k:
-                    add_wedge(acc, tuples[j], derivs[k], triple)
-                for e, c in acc.items():
-                    if c:
-                        quad = collected.setdefault((triple, e), {})
-                        quad[a_kj] = c if m == 1 else Fraction(c, m)
-    base_integrable = integrability_check(family.base)
-    base_block = (2,) + (0,) * (pring.num_vars - 1)
+            for key, c in family.block(k, j).items():
+                collected.setdefault(key, {})[a_kj] = c
     system: list[Polynomial] = []
     seen = set()
     for quad in collected.values():
-        if base_integrable and quad.get(base_block):
-            raise AssertionError("integrable base contributed a pure base-parameter term")
         q = pring.from_dict(quad).primitive()
         if q.terms not in seen:
             seen.add(q.terms)
@@ -235,15 +241,15 @@ class FamilyIntegrability:
 _LINE = ((0, 1), (1, 1), (1, -1), (1, 2), (1, -2), (1, 3), (2, 1), (3, 1), (1, -3))
 
 
-def _walk(
-    family: DistributionFamily, system: list[Polynomial], count: int
-) -> list[tuple[tuple[Rational, ...], ProjectiveOneForm]]:
+def _walk(family: DistributionFamily, count: int) -> list[tuple[tuple[Rational, ...], ProjectiveOneForm]]:
     """The base, then up to ``count - 1`` integrable members on the unit lines.
 
     A point is kept when, in this order, it solves the system, lies off the
     degenerate locus (both tested at a*e_0 + b*e_k, on integers) and gives
     coefficients not proportional to a kept member's; only then is its
-    member validated and checked.  A line whose e_k lies in L is skipped:
+    member validated and checked.  On line k, S is a^2 B_00 + ab B_0k +
+    b^2 B_kk, a quadric per key of the blocks B, so a line reads only the
+    blocks of its plane (e_0, e_k).  A line whose e_k lies in L is skipped:
     each of its members is a multiple of the base, or zero.
     """
     p = family.parameter_dim
@@ -254,8 +260,10 @@ def _walk(
         for a, b in _LINE:
             if len(found) >= count:
                 return found
+            plane = (family.block(0, 0), a * a), (family.block(0, k), a * b), (family.block(k, k), b * b)
+            at = (sum(w * B.get(key, 0) for B, w in plane) for key in set().union(*(B for B, _ in plane)))
             point = tuple(a * (i == 0) + b * (i == k) for i in range(p))
-            if any(q.evaluate(point) for q in system) or family.is_degenerate(point):
+            if any(at) or family.is_degenerate(point):
                 continue
             alpha = point if a <= 1 else tuple(exact(Fraction(x, a)) for x in point)
             coefficients = family.member_coefficients(alpha)
@@ -300,7 +308,7 @@ def integrable_members(family: DistributionFamily) -> FamilyIntegrability:
     point; "inconclusive" if an active pair budget runs out first), and up to three
     members of ``_walk``."""
     system = integrability_system(family)
-    members = _walk(family, system, 3)
+    members = _walk(family, 3)
     if not system:
         return FamilyIntegrability("positive" if family.parameter_dim > 1 else "finite", members)
     try:
@@ -356,13 +364,12 @@ def is_determined_by_singular_scheme(form: ProjectiveOneForm) -> Determination:
     if b == 1 and report.degree != 1:
         return Determination("unique", "linear pull-back of degree != 1")
     family = _family_from(analysis)
-    system = integrability_system(family)
-    for _, w in _walk(family, system, 2)[1:]:
+    for _, w in _walk(family, 2)[1:]:
         if w.degree != form.degree or not _same_span(w.coefficients, form.coefficients):
             raise InternalInconsistency(f"the member {w} has another singular ideal")
         return Determination("non-unique", "integrable family member", w)
     try:
-        unique = _only_degenerate_or_base(family, system)
+        unique = _only_degenerate_or_base(family, integrability_system(family))
     except StepBudgetExceeded:
         return Determination("inconclusive", "family analysis (budget exhausted)")
     if unique:

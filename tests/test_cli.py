@@ -253,6 +253,16 @@ def test_classify_directory(tmp_path, capsys):
     assert len(out) == 2 and all(o["verdicts"]["split"] for o in out)
 
 
+def test_classify_refuses_a_file_and_a_directory_together(l1111_file, capsys):
+    # neither is dropped in silence: the pair is refused as a missing input is
+    directory = str(Path(l1111_file).parent)
+    assert main(["classify", l1111_file, "--dir", directory]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "classify takes a file or --dir, not both\n" and captured.out == ""
+    assert main(["classify"]) == 1
+    assert capsys.readouterr().err == "classify needs a file or --dir\n"
+
+
 def test_classify_directory_reports_every_file_past_unreadable_ones(tmp_path, capsys):
     # a file that is not UTF-8 and a directory named like a form each fail
     # with exit 1 on stderr, as ``classify <file>`` does; the good file is
@@ -353,6 +363,15 @@ def test_a_weight_with_a_zero_denominator_is_named(tmp_path, capsys):
     assert main(argv) == 1
     assert capsys.readouterr().err == "error: zero denominator in weight 2 '1/0'\n"
     assert not out.exists()
+
+
+def test_a_weight_that_is_not_a_rational_is_named(tmp_path, capsys):
+    out = tmp_path / "x.form"
+    for weights, message in [("1,x", "bad weight 2 'x'"), (" 1/2 ,, 3", "bad weight 2 ''")]:
+        argv = ["make", "logarithmic", "--factors", "z0,z1", "--weights", weights, "-o", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
 
 
 def test_a_negative_budget_is_an_error_and_zero_runs_out(l1111_file, capsys):

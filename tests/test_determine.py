@@ -267,7 +267,7 @@ def test_walk_skips_the_lines_in_l(pullback_d1, monkeypatch):
         return real(self, alpha)
 
     monkeypatch.setattr(DistributionFamily, "member_coefficients", counted)
-    (_, base), (alpha, witness) = _walk(family, system, 2)
+    (_, base), (alpha, witness) = _walk(family, 2)
     assert built == [alpha] == [(1, 0, 0, 0, 0, 1)]
     assert base is family.base and not proportional(witness.coefficients, base.coefficients)
 
@@ -456,6 +456,54 @@ def test_budget_limited_kind_does_not_depend_on_the_system_order(l112, monkeypat
     assert decided >= 18 and reordered >= 6
 
 
+def test_an_integrable_base_with_a_nonzero_base_block_is_an_engine_bug(l1111, l1111_alt):
+    # block (0, 0) is the base parameter's own w_0 ^ dw_0: over an integrable
+    # base it vanishes when member 0 is integrable, and asserts otherwise
+    rng = Random(3)
+    loose = tuple(random_homogeneous(rng, R, 3) for _ in range(4))
+
+    def family(member_tuples):
+        return DistributionFamily(l1111, [], PolyRing(2), member_tuples)
+
+    broken = family([loose, l1111.coefficients])
+    assert broken.block(0, 0)  # loose ^ d(loose) is not zero
+    with pytest.raises(AssertionError, match="integrable base contributed a pure base-parameter term"):
+        integrability_system(broken)
+    for first in (l1111.coefficients, l1111_alt.coefficients):
+        sound = family([first, loose])
+        assert not sound.block(0, 0) and integrability_system(sound)
+
+
+def test_the_walk_reads_only_the_blocks_of_its_lines(pullback_d1, l1111, exceptional2, monkeypatch):
+    # a line reads blocks (0, 0), (0, k) and (k, k): 4 + 8 + 4 wedges, one
+    # per 3-form component and product, where the whole system takes 4p^2.
+    # A non-unique verdict stops on its first line that is not in L
+    wedges = []
+    real = determine.add_wedge
+
+    def counted(*args):
+        wedges.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(determine, "add_wedge", counted)
+    for form, p in ((pullback_d1, 6), (l1111, 3)):
+        wedges.clear()
+        assert is_determined_by_singular_scheme(form).kind == "non-unique"
+        assert len(wedges) == 16 and distribution_family(form).parameter_dim == p
+    # the walk and the certificate of exceptional-d2 both read every block,
+    # and each is expanded once: the system, put together again, reads the cache
+    wedges.clear()
+    verdict = is_determined_by_singular_scheme(exceptional2)
+    family = distribution_family(exceptional2)
+    p = family.parameter_dim
+    assert (verdict.kind, verdict.route) == ("unique", CERTIFIED) and len(wedges) == 4 * p * p
+    wedges.clear()
+    _walk(family, 2)
+    system = integrability_system(family)
+    assert system and len(wedges) == 4 * p * p
+    assert integrability_system(family) == system and len(wedges) == 4 * p * p
+
+
 def test_integrability_check_of_a_rational_multiple(l1111, l112):
     for form in (l1111, l112):
         scaled = validate([f.scale(Fraction(-2, 3)) for f in form.coefficients])
@@ -632,8 +680,8 @@ def test_determination_checks_each_member_once_and_resolves_no_witness(monkeypat
         resolutions.append(I)
         return free_resolution(I, *args, **kwargs)
 
-    def counted_walk(family, system, count):
-        found = real_walk(family, system, count)
+    def counted_walk(family, count):
+        found = real_walk(family, count)
         members.extend(found)
         return found
 
@@ -644,8 +692,11 @@ def test_determination_checks_each_member_once_and_resolves_no_witness(monkeypat
         for log in (checks, resolutions, members):
             log.clear()
         verdict = is_determined_by_singular_scheme(form)
-        # the base's check in the system counts for the base member
+        # no member is checked twice
         assert len(checks) <= len(members) + (verdict.witness is not None), name
+        # only a kept member off the base is checked: the base's check runs
+        # only on a nonzero block (0, 0), which an integrable base never has
+        assert len(checks) == max(len(members) - 1, 0), name
         # the form's own resolution: a witness is certified by its span, not resolved
         assert len(resolutions) == 1, name
 
@@ -690,17 +741,17 @@ def test_the_certificate_needs_the_degenerate_locus(corpus):
     family = distribution_family(dict(corpus)["L1112"])
     system = integrability_system(family)
     assert system and _only_degenerate_or_base(family, system)
-    assert [alpha for alpha, _ in _walk(family, system, 3)] == [(1, 0)]
+    assert [alpha for alpha, _ in _walk(family, 3)] == [(1, 0)]
     # with the locus taken as nowhere, the degenerate solution counts: in the
     # walk, whose singularity test reads the matrix at the point, and in the
     # certificate, which reads the determinant; each reads only its own
     walked = distribution_family(dict(corpus)["L1112"])
     walked.is_degenerate = lambda point: False
-    assert [alpha for alpha, _ in _walk(walked, system, 3)] == [(1, 0), (1, -2)]
+    assert [alpha for alpha, _ in _walk(walked, 3)] == [(1, 0), (1, -2)]
     assert _only_degenerate_or_base(walked, system)
     family.degenerate_locus = family.parameter_ring.one()
     assert not _only_degenerate_or_base(family, system)
-    assert [alpha for alpha, _ in _walk(family, system, 3)] == [(1, 0)]
+    assert [alpha for alpha, _ in _walk(family, 3)] == [(1, 0)]
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -710,7 +761,7 @@ def test_walk_finds_a_witness_exactly_when_l_is_not_everything(seed):
     for name, verdict, family, system in _split_families(seed):
         if system:
             continue
-        found = _walk(family, system, 2)
+        found = _walk(family, 2)
         everything = _l_is_everything(family)
         assert (len(found) > 1) != everything, (name, seed)
         assert (verdict.kind == "non-unique") == (len(found) > 1), (name, seed)
@@ -750,16 +801,18 @@ def test_pullback_d3b_is_certified_without_a_basis(monkeypatch):
 
 def test_a_failed_member_check_is_an_engine_bug(l1111, monkeypatch):
     # a kept member solves the system and spans the base's forms; the witness's
-    # span check is exercised through the CLI (``test_cli``)
+    # span check is exercised through the CLI (``test_cli``).  Every block of
+    # L1111's family is empty, so every point of the walk solves the system
     family = distribution_family(l1111)
+    assert not any(family.block(k, j) for k in range(3) for j in range(k, 3))
     with monkeypatch.context() as patch:
         patch.setattr(determine, "integrability_check", lambda form: False)
         with pytest.raises(InternalInconsistency, match="not integrable"):
-            _walk(family, [], 2)
+            _walk(family, 2)
     with monkeypatch.context() as patch:
         patch.setattr(determine, "validate", lambda coefficients: validate([]))
         with pytest.raises(InternalInconsistency, match="not a form"):
-            _walk(family, [], 2)
+            _walk(family, 2)
 
 
 # -- the witness certificate ------------------------------------------------------------
