@@ -15,16 +15,19 @@ The package is organized in layers:
 * ``groebner``, ``resolutions``, ``hilbert``, ``saturation``, ``ext`` -- the
   commutative algebra built on it (ideals holding one Groebner basis each,
   step 0 of their resolution or the loop's integral one, whose
-  interreduction is their reduced basis; free resolutions; Hilbert series;
-  saturation as I : l^oo for a linear form l that the Hilbert polynomial
-  certifies, read off the held basis for l = z3, with colon ideals as its
-  oracle; the top Ext of a resolution).
+  interreduction is their reduced basis; free resolutions; one Hilbert
+  series type for R/I and, shifted, for the top Ext; saturation as I : l^oo
+  for a linear form l that the Hilbert polynomial certifies, read off the
+  held basis for l = z3, with colon ideals as its oracle; the top Ext of a
+  resolution).
 * ``forms`` -- projective 1-forms, exterior calculus into unsorted
   coefficient dicts, singular schemes, and the standard constructors
   (logarithmic, pull-back, exceptional).
-* ``classify`` -- ``classify``, the one report of the decisions: saturated /
-  curve / ACM / split, splitting type, Rao dimensions, Betti table.
-* ``determine`` -- linear syzygies held as 4x4 matrices, their pencil's
+* ``classify`` -- ``classify``, the one report of the decisions and the one
+  way into their analysis: saturated / curve / ACM / split, splitting type,
+  Rao dimensions, Betti table.
+* ``determine`` -- read through ``classify``: graded syzygies as kernels of
+  the product rows, linear ones held as 4x4 matrices, their pencil's
   families and determination of a split foliation by its singular scheme:
   a witness from a walk along the unit lines of the parameters, or
   uniqueness certified by one radical-membership basis.

@@ -7,6 +7,8 @@ All are read from one ``_Analysis`` of the form: the saturated singular
 ideal I^sat, its minimal free resolution, and Ext^3(R/I^sat, R) as the top
 Ext of that resolution when it has length 3, computed where it is read:
 the curve test when dim R/I^sat = 2, and the Rao module of a curve.
+``classify`` is the one way into that analysis: ``determine`` reads the
+report, and the syzygy linear algebra of the coefficients lives there.
 
 The singular ideal I is resolved first.  By Auslander-Buchsbaum (Eisenbud,
 Thm 19.9), depth R/I >= 1, that is I = I^sat, exactly when the resolution
@@ -43,16 +45,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add
 
 from .ext import top_ext
 from .forms import ProjectiveOneForm, check_codim
 from .groebner import Ideal
-from .hilbert import HilbertData, ModuleHilbert, hilbert_data
-from .linalg import kernel_basis
+from .hilbert import HilbertData, hilbert_data
 from .modules import InternalInconsistency
 from .resolutions import FreeResolution, free_resolution
-from .rings import Exponent, PolyRing, Polynomial, Rational
 from .saturation import saturate
 
 
@@ -66,7 +65,6 @@ class ClassificationReport:
     """
 
     degree: int
-    codim_ok: bool
     saturated: bool
     is_curve: bool
     is_acm: bool
@@ -86,61 +84,6 @@ class ClassificationReport:
     def betti(self) -> dict[tuple[int, int], int]:
         it = iter(self.betti_flat)
         return {(i, t): n for i, t, n in zip(it, it, it)}
-
-
-# -- graded syzygy linear algebra ----------------------------------------------
-
-
-def monomials_of_degree(ring: PolyRing, degree: int) -> list[Exponent]:
-    """All exponent tuples of the given total degree, descending as tuples."""
-    if degree < 0:
-        return []
-    n = ring.num_vars
-    out: list[Exponent] = []
-
-    def rec(prefix: list[int], remaining: int, pos: int) -> None:
-        if pos == n - 1:
-            out.append(tuple(prefix + [remaining]))
-            return
-        for k in range(remaining, -1, -1):
-            rec(prefix + [k], remaining - k, pos + 1)
-
-    rec([], degree, 0)
-    return out
-
-
-def _syzygy_matrix(
-    coefficients: tuple[Polynomial, ...], entry_degree: int
-) -> tuple[list[list], int]:
-    """Coefficient matrix of (g_i) -> sum g_i F_i on entries of fixed degree,
-    with its number of columns.
-
-    Column i*N + k holds the k-th of the N monomials of the entry degree in
-    g_i, the monomials with their exponent tuples descending as tuples: in
-    degree 1, z_k.  There is a row only for each monomial that occurs in a
-    product z^m * F_i, in no fixed order.  The other rows of the full matrix
-    are zero, and the kernel is read off the RREF, which depends neither on
-    the order of the rows nor on zero rows.
-    """
-    source_monos = monomials_of_degree(coefficients[0].ring, entry_degree)
-    ncols = len(coefficients) * len(source_monos)
-    rows: dict[Exponent, list] = {}
-    for c, (f, m) in enumerate((f, m) for f in coefficients for m in source_monos):
-        for e, coeff in f.terms:
-            e = tuple(map(add, e, m))
-            (rows.get(e) or rows.setdefault(e, [0] * ncols))[c] = coeff
-    return list(rows.values()), ncols
-
-
-def graded_syzygy_rows(
-    coefficients: tuple[Polynomial, ...], entry_degree: int
-) -> list[list[Rational]]:
-    """Basis of {(g_i) : sum g_i F_i = 0} with deg g_i = entry_degree, as
-    kernel rows in the column layout of ``_syzygy_matrix``."""
-    if entry_degree < 0:
-        return []
-    matrix, ncols = _syzygy_matrix(coefficients, entry_degree)
-    return kernel_basis(matrix, ncols=ncols)
 
 
 # -- shared analysis ------------------------------------------------------------
@@ -189,7 +132,7 @@ class _Analysis:
         return cls(form, sat, sat is I, hilbert_data(sat), res)
 
     @cached_property
-    def ext3(self) -> ModuleHilbert | None:
+    def ext3(self) -> HilbertData | None:
         """Ext^3(R/I^sat, R), None when it vanishes; computed on first read."""
         return top_ext(self.resolution) if self.resolution.length == 3 else None
 
@@ -210,17 +153,6 @@ class _Analysis:
 
 
 # -- reading the report off the analysis ------------------------------------------
-
-
-def _split_from(a: _Analysis) -> bool:
-    curve = a.curve()
-    route_a = curve and a.saturated
-    route_b = curve and a.acm()
-    if route_a != route_b:
-        raise InternalInconsistency(
-            f"split routes disagree: curve+saturated={route_a}, curve+ACM={route_b}"
-        )
-    return route_a
 
 
 def _splitting_type_from(analysis: _Analysis) -> tuple[int, int]:
@@ -268,14 +200,14 @@ def _rao_from(analysis: _Analysis) -> dict[int, int]:
 
 def classify(form: ProjectiveOneForm) -> ClassificationReport:
     """The consolidated report; every field computed, invariants asserted."""
-    return _report_from(_Analysis.of(form))
-
-
-def _report_from(a: _Analysis) -> ClassificationReport:
-    form = a.form
+    a = _Analysis.of(form)
     curve = a.curve()
     acm = curve and a.acm()
-    split = _split_from(a)
+    split = curve and a.saturated
+    if split != acm:
+        raise InternalInconsistency(
+            f"split routes disagree: curve+saturated={split}, curve+ACM={acm}"
+        )
     stype = _splitting_type_from(a) if split else None
     rao = _rao_from(a) if curve else None
     if split:
@@ -284,11 +216,10 @@ def _report_from(a: _Analysis) -> ClassificationReport:
             raise InternalInconsistency(
                 f"splitting type {stype} violates a+b=2-d or a<=b<=1 for d={form.degree}"
             )
-        if acm and rao:
+        if rao:
             raise InternalInconsistency("ACM scheme with nonzero Rao module")
     return ClassificationReport(
         degree=form.degree,
-        codim_ok=True,
         saturated=a.saturated,
         is_curve=curve,
         is_acm=acm,

@@ -114,7 +114,7 @@ def cmd_classify(form: ProjectiveOneForm) -> Outcome:
     stype = list(report.splitting_type) if report.splitting_type else None
     verdicts = {
         "integrable": integrability_check(form),
-        "codim_ok": report.codim_ok,
+        "codim_ok": True,  # CodimTooSmall is raised before any report
         "saturated": report.saturated,
         "curve": report.is_curve,
         "acm": report.is_acm,

@@ -1,6 +1,9 @@
 """Determination of a split foliation by its singular scheme.
 
-A linear syzygy sum_j l_j F_j = 0 of the coefficient tuple, l_j =
+The split gate and the splitting type are read off ``classify(form)``, the
+one analysis of the form.  The graded syzygies of degree k of the
+coefficient tuple are the kernel of the products z^m * F_i, deg m = k, as
+dense columns.  A linear syzygy sum_j l_j F_j = 0, l_j =
 sum_i M_ij z_i, is held only as its 4x4 matrix M, read straight off a kernel
 row (the Euler relation is the identity matrix); only ``cli syzygies``
 renders the l_j as linear forms.  Invertible members of the matrix pencil
@@ -37,10 +40,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
+from itertools import combinations, combinations_with_replacement
 from math import lcm, prod
+from operator import add
 
-from .classify import _Analysis, _report_from, _split_from, graded_syzygy_rows
+from .classify import classify
 from .forms import (
     FormError,
     ProjectiveOneForm,
@@ -54,26 +58,7 @@ from .groebner import Ideal
 from .hilbert import hilbert_data
 from .linalg import echelon, kernel_basis, rank
 from .modules import InternalInconsistency, StepBudgetExceeded, vec_integral
-from .rings import PolyRing, Polynomial, Rational, add_product, exact
-
-
-def linear_syzygy_space(form: ProjectiveOneForm) -> list[tuple[tuple[Rational, ...], ...]]:
-    """The matrices M of a basis of the linear syzygies sum_j (sum_i M_ij z_i) F_j = 0:
-    Euler (the identity) first, the rest in echelon form, each divided by its pivot."""
-    n = form.ring.num_vars
-    # a kernel row holds M_ij at j*n + i (``graded_syzygy_rows``)
-    euler = [int(i == j) for j in range(n) for i in range(n)]
-    out = []
-    for row in echelon([euler] + graded_syzygy_rows(form.coefficients, 1)):
-        pivot = next(x for x in row if x)
-        row = [x // pivot if x % pivot == 0 else Fraction(x, pivot) for x in row]
-        out.append(tuple(tuple(row[j * n + i] for j in range(n)) for i in range(n)))
-    return out
-
-
-def constant_syzygy_space(form: ProjectiveOneForm) -> list[tuple[Rational, ...]]:
-    """Basis of {constants (a_0..a_3) : sum a_i F_i = 0}; nonzero iff b = 1."""
-    return [tuple(exact(x) for x in v) for v in graded_syzygy_rows(form.coefficients, 0)]
+from .rings import Exponent, PolyRing, Polynomial, Rational, add_product, exact
 
 
 def _combination(weights, polys: tuple[Polynomial, ...]) -> Polynomial:
@@ -98,6 +83,52 @@ def _dense(rows: list) -> list[list[Rational]]:
         for k, x in row:
             dense[columns[k]] = x
     return out
+
+
+def monomials_of_degree(ring: PolyRing, degree: int) -> list[Exponent]:
+    """All exponent tuples of the given total degree, descending as tuples."""
+    if degree < 0:
+        return []
+    n = ring.num_vars
+    # the multisets of variables come in lex order, so their exponents descend
+    return [tuple(map(c.count, range(n))) for c in combinations_with_replacement(range(n), degree)]
+
+
+def _product_rows(coefficients: tuple[Polynomial, ...], entry_degree: int) -> list[list[Rational]]:
+    """The products z^m * F_i as dense rows, row i*N + k for the k-th of the N
+    monomials m of the entry degree (``monomials_of_degree``: in degree 1, z_k),
+    with a column only for each monomial that occurs in a product."""
+    monos = monomials_of_degree(coefficients[0].ring, entry_degree)
+    return _dense([[(tuple(map(add, e, m)), c) for e, c in f.terms] for f in coefficients for m in monos])
+
+
+def graded_syzygy_rows(coefficients: tuple[Polynomial, ...], entry_degree: int) -> list[list[Rational]]:
+    """Basis of {(g_i) : sum g_i F_i = 0} with deg g_i = entry_degree: the kernel
+    of the transposed product rows, g_i at columns i*N..i*N+N-1, read off the
+    RREF, which neither the order of the rows nor the absent zero rows change."""
+    if entry_degree < 0:
+        return []
+    rows = _product_rows(coefficients, entry_degree)
+    return kernel_basis(list(zip(*rows)), len(rows))
+
+
+def linear_syzygy_space(form: ProjectiveOneForm) -> list[tuple[tuple[Rational, ...], ...]]:
+    """The matrices M of a basis of the linear syzygies sum_j (sum_i M_ij z_i) F_j = 0:
+    Euler (the identity) first, the rest in echelon form, each divided by its pivot."""
+    n = form.ring.num_vars
+    # a kernel row holds M_ij at j*n + i (``graded_syzygy_rows``)
+    euler = [int(i == j) for j in range(n) for i in range(n)]
+    out = []
+    for row in echelon([euler] + graded_syzygy_rows(form.coefficients, 1)):
+        pivot = next(x for x in row if x)
+        row = [x // pivot if x % pivot == 0 else Fraction(x, pivot) for x in row]
+        out.append(tuple(tuple(row[j * n + i] for j in range(n)) for i in range(n)))
+    return out
+
+
+def constant_syzygy_space(form: ProjectiveOneForm) -> list[tuple[Rational, ...]]:
+    """Basis of {constants (a_0..a_3) : sum a_i F_i = 0}; nonzero iff b = 1."""
+    return [tuple(exact(x) for x in v) for v in graded_syzygy_rows(form.coefficients, 0)]
 
 
 @dataclass
@@ -180,13 +211,13 @@ def _poly_det(entries: list[list[Polynomial]], ring: PolyRing) -> Polynomial:
 
 def distribution_family(form: ProjectiveOneForm) -> DistributionFamily:
     """The syzygy-parameterized family; requires a split base foliation."""
-    return _family_from(_Analysis.of(form))
-
-
-def _family_from(analysis: _Analysis) -> DistributionFamily:
-    if not _split_from(analysis):
+    if not classify(form).is_split:
         raise ValueError("the family construction requires a split foliation")
-    form = analysis.form
+    return _family(form)
+
+
+def _family(form: ProjectiveOneForm) -> DistributionFamily:
+    """The family of a form that ``classify`` found split."""
     matrices = linear_syzygy_space(form)
     members = [tuple(_combination(row, form.coefficients) for row in m) for m in matrices]
     return DistributionFamily(form, matrices, PolyRing(len(matrices)), members)
@@ -329,11 +360,6 @@ class Determination:
     route: str
     witness: ProjectiveOneForm | None = None
 
-    def __str__(self) -> str:
-        if self.kind == "non-unique" and self.witness is not None:
-            return f"non-unique (via {self.route}); witness: {self.witness}"
-        return f"{self.kind} (via {self.route})"
-
 
 def _same_span(F: tuple[Polynomial, ...], G: tuple[Polynomial, ...]) -> bool:
     """(F) = (G) for tuples of forms of one degree: both span one space of forms.
@@ -354,8 +380,7 @@ def is_determined_by_singular_scheme(form: ProjectiveOneForm) -> Determination:
     pull-back with d != 1, is unique.  Else the family decides, by the first
     witness of ``_walk`` or by the certificate (module docstring).
     """
-    analysis = _Analysis.of(form)
-    report = _report_from(analysis)
+    report = classify(form)
     if not report.is_split:
         raise ValueError("determination analysis applies to split foliations")
     a, b = report.splitting_type
@@ -363,7 +388,7 @@ def is_determined_by_singular_scheme(form: ProjectiveOneForm) -> Determination:
         return Determination("unique", "splitting type a <= b <= -1")
     if b == 1 and report.degree != 1:
         return Determination("unique", "linear pull-back of degree != 1")
-    family = _family_from(analysis)
+    family = _family(form)
     for _, w in _walk(family, 2)[1:]:
         if w.degree != form.degree or not _same_span(w.coefficients, form.coefficients):
             raise InternalInconsistency(f"the member {w} has another singular ideal")

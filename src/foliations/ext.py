@@ -4,18 +4,19 @@ With p the length of the minimal resolution F_p -> ... -> F_0 of R/I, the
 dual complex ends at Hom(F_p, R), so Ext^p is the cokernel of the transposed
 last map Hom(F_{p-1}, R) -> Hom(F_p, R): the free module with twists minus
 those of F_p, modulo the images of the dual basis of F_{p-1}.  The leads of
-one integral module Groebner basis of those images give its Hilbert data:
-graded dimensions, Krull dimension and finite-length support, all exact.
+one integral module Groebner basis of those images give its Hilbert data,
+one ``HilbertData`` shifted by the least twist: graded dimensions, Krull
+dimension and finite-length support, all exact.
 """
 
 from __future__ import annotations
 
-from .hilbert import ModuleHilbert, module_hilbert
+from .hilbert import HilbertData, module_hilbert
 from .modules import integral_basis, vec_is_zero
 from .resolutions import FreeResolution
 
 
-def top_ext(resolution: FreeResolution) -> ModuleHilbert:
+def top_ext(resolution: FreeResolution) -> HilbertData:
     """Hilbert data of Ext^p(R/I, R), p = resolution.length >= 1."""
     ring = resolution.ring
     p = resolution.length

@@ -10,7 +10,8 @@
 Polynomial expressions use integers, rationals p/q (q != 0), the ring
 variables, ``+ - * ^`` and parentheses; a missing coefficient before
 ``dz<i>`` means 1.  A unary minus negates the whole power: ``-z0^2*z1`` is
-``-(z0^2)*z1``, and ``z0-z1`` is a difference.  A word is letters and
+``-(z0^2)*z1``, and ``z0-z1`` is a difference; ``--z0`` is ``z0``.
+Parentheses nest at most ``MAX_NESTING`` deep.  A word is letters and
 digits; in the header, words joined by ``-`` with no space make one key or
 name (``expected-degree``, ``L1111-alt``).
 The parser is whitespace-insensitive. Tokens keep only their offset; the
@@ -48,6 +49,7 @@ _TOKEN = re.compile(
     r"|(?P<sym>[-+*^()])|(?P<end>\Z)|(?P<bad>.))"
 )
 _VARIABLE = re.compile(r"z\d+").fullmatch
+MAX_NESTING = 100  # parentheses nest at most this deep, well inside the recursion limit
 _DIFFERENTIAL = re.compile(r"dz\d+").fullmatch
 
 
@@ -79,6 +81,7 @@ class _Parser:
         self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0  # open parentheses around the next token
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -202,17 +205,18 @@ class _Parser:
         return acc
 
     def parse_power(self, ring: PolyRing) -> Polynomial:
-        if self.peek()[1] == "-":
+        negate = False
+        while self.peek()[1] == "-":  # a run of signs, read in a loop: an even one cancels
             self.next()
-            return -self.parse_power(ring)
+            negate = not negate
         base = self.parse_atom(ring)
         if self.peek()[1] == "^":
             self.next()
             t = self.next()
             if t[0] != "number" or "/" in t[1]:
                 raise self.fail("exponent must be a nonnegative integer", t)
-            return base ** int(t[1])
-        return base
+            base = base ** int(t[1])
+        return -base if negate else base
 
     def parse_atom(self, ring: PolyRing) -> Polynomial:
         kind, text, _ = t = self.next()
@@ -222,7 +226,11 @@ class _Parser:
                 raise self.fail(f"zero denominator in {text!r}", t)
             return ring.constant(Fraction(int(num), int(den)) if den else int(num))
         if text == "(":
+            if self.depth == MAX_NESTING:
+                raise self.fail(f"parentheses nested deeper than {MAX_NESTING}", t)
+            self.depth += 1
             inner = self.parse_expr(ring)
+            self.depth -= 1
             closing = self.next()
             if closing[1] != ")":
                 raise self.fail("expected ')'", closing)

@@ -11,7 +11,9 @@ exponent, so the depth is bounded by the number of distinct exponents.  Two
 cases close by formula: pure powers give the product of (1 - t^a), and pure
 powers P with one mixed generator m give N(P) - t^deg(m) * N(P : m).  Graded
 dimensions, Krull dimension and multiplicity all derive from the numerator
-exactly.
+exactly.  One type, ``HilbertData``, holds the series t^shift * N / (1-t)^n
+of R/I (shift 0) and of a quotient R^m(-twists)/N of a free module, whose N
+sums the slots' numerators, each moved by its twist less the least one.
 """
 
 from __future__ import annotations
@@ -124,26 +126,32 @@ def _pure_powers(degrees: Iterable[int]) -> IntPoly:
 
 @dataclass(frozen=True)
 class HilbertData:
-    """Hilbert series data of a graded quotient R/I (or one free-module slot)."""
+    """Hilbert series t^shift * numerator / (1-t)^num_vars of a graded module:
+    R/I with shift 0, or R^m(-twists)/N with shift the least twist."""
 
     num_vars: int
     numerator: IntPoly
     krull_dim: int
     multiplicity: int
+    shift: int = 0
 
     def dimension_at(self, degree: int) -> int:
-        """dim_Q of the graded piece of R/I in the given degree."""
-        n = self.num_vars
-        total = 0
-        for k, c in enumerate(self.numerator):
-            if c and degree - k >= 0:
-                total += c * comb(degree - k + n - 1, n - 1)
-        return total
+        """dim_Q of the graded piece in the given degree."""
+        n, m = self.num_vars, degree - self.shift
+        return sum(c * comb(m - k + n - 1, n - 1) for k, c in enumerate(self.numerator) if k <= m)
+
+    def finite_support(self) -> dict[int, int]:
+        """degree -> dimension of the nonzero pieces; only valid for finite length."""
+        if self.krull_dim > 0:
+            raise ValueError("module is not finite length")
+        # finite length: numerator/(1-t)^n is a polynomial of degree < len(numerator)
+        degrees = range(self.shift, self.shift + len(self.numerator) + 1)
+        return {d: v for d in degrees if (v := self.dimension_at(d))}
 
 
-def hilbert_from_numerator(numerator: IntPoly, num_vars: int) -> HilbertData:
+def hilbert_from_numerator(numerator: IntPoly, num_vars: int, shift: int = 0) -> HilbertData:
     if not numerator:
-        return HilbertData(num_vars, numerator, -1, 0)
+        return HilbertData(num_vars, numerator, -1, 0, shift)
     q = numerator
     cancels = 0
     while True:
@@ -152,7 +160,7 @@ def hilbert_from_numerator(numerator: IntPoly, num_vars: int) -> HilbertData:
             break
         q = nxt
         cancels += 1
-    return HilbertData(num_vars, numerator, num_vars - cancels, sum(q))
+    return HilbertData(num_vars, numerator, num_vars - cancels, sum(q), shift)
 
 
 def same_hilbert_polynomial(a: IntPoly, b: IntPoly, num_vars: int) -> bool:
@@ -175,45 +183,20 @@ def hilbert_data(I: Ideal) -> HilbertData:
 # -- graded quotients of free modules ----------------------------------------
 
 
-@dataclass(frozen=True)
-class ModuleHilbert:
-    """Hilbert data of R^m(-twists)/N, one HilbertData per free slot."""
-
-    twists: tuple[int, ...]
-    slots: tuple[HilbertData, ...]
-
-    @property
-    def krull_dim(self) -> int:
-        return max((h.krull_dim for h in self.slots), default=-1)
-
-    def is_finite_length(self) -> bool:
-        return self.krull_dim <= 0
-
-    def finite_support(self) -> dict[int, int]:
-        """degree -> dimension map; only valid for finite-length modules."""
-        if not self.is_finite_length():
-            raise ValueError("module is not finite length")
-        support: dict[int, int] = {}
-        for t, h in zip(self.twists, self.slots):
-            # finite length: numerator/(1-t)^n is a polynomial of degree
-            # deg(numerator) - n at most, so scanning that far suffices
-            top = len(h.numerator)
-            for d in range(0, top + 1):
-                v = h.dimension_at(d)
-                if v:
-                    support[d + t] = support.get(d + t, 0) + v
-        return dict(sorted(support.items()))
-
-
 def module_hilbert(
     twists: Sequence[int], groebner_leads: Sequence[tuple[int, Exponent]], num_vars: int
-) -> ModuleHilbert:
-    """Hilbert data of R^m(-twists)/N from the leading terms of a module GB of N."""
+) -> HilbertData:
+    """Hilbert data of R^m(-twists)/N from the leading terms of a module GB of N.
+
+    The series is the sum of those of the slots, slot j shifted by twists[j].
+    Each slot's Hilbert function is nonnegative, so the pole order at t = 1
+    of the sum, the Krull dimension, is the largest among the slots.
+    """
     per_slot: list[list[Exponent]] = [[] for _ in twists]
     for comp, e in groebner_leads:
         per_slot[comp].append(e)
-    slots = tuple(
-        hilbert_from_numerator(monomial_numerator(leads, num_vars), num_vars)
-        for leads in per_slot
-    )
-    return ModuleHilbert(tuple(twists), slots)
+    shift = min(twists, default=0)
+    numerator: IntPoly = ()
+    for t, leads in zip(twists, per_slot):
+        numerator = _add(numerator, _shift(monomial_numerator(leads, num_vars), t - shift))
+    return hilbert_from_numerator(numerator, num_vars, shift)

@@ -9,7 +9,7 @@ from itertools import combinations
 
 import pytest
 
-from foliations.classify import _syzygy_matrix
+from foliations.determine import _product_rows
 from foliations.formfile import parse_form_file
 from foliations.forms import (
     ProjectiveOneForm,
@@ -193,10 +193,10 @@ def random_homogeneous(rng, ring: PolyRing, degree: int, max_terms: int = 4):
 
 
 def syzygy_dimension(coefficients, entry_degree: int) -> int:
-    """dim {(g_i) : sum g_i F_i = 0, deg g_i = entry_degree}, as ncols minus the
-    rank of the syzygy map's matrix: a route apart from its kernel rows."""
-    matrix, ncols = _syzygy_matrix(tuple(coefficients), entry_degree)
-    return ncols - rank(matrix)
+    """dim {(g_i) : sum g_i F_i = 0, deg g_i = entry_degree}, as the number of
+    product rows z^m * F_i minus their rank: a route apart from the kernel rows."""
+    rows = _product_rows(tuple(coefficients), entry_degree)
+    return len(rows) - rank(rows)
 
 
 def s_polynomial(f, g):

@@ -6,15 +6,8 @@ from random import Random
 
 import pytest
 
-from foliations.classify import (
-    _Analysis,
-    _rao_from,
-    _report_from,
-    _syzygy_matrix,
-    classify,
-    graded_syzygy_rows,
-    monomials_of_degree,
-)
+from foliations.classify import _Analysis, _rao_from, classify
+from foliations.determine import _product_rows, graded_syzygy_rows, monomials_of_degree
 from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form
 from foliations.modules import InternalInconsistency, StepBudgetExceeded, _pair_budget, pair_budget
 from foliations.groebner import Ideal
@@ -372,9 +365,10 @@ def test_ext3_is_computed_only_where_it_is_read(l112, monkeypatch):
     real = classify_mod.top_ext
     monkeypatch.setattr(classify_mod, "top_ext", lambda res: runs.append(res) or real(res))
     assert not classify(l112).is_curve and len(runs) == 1
-    analysis = _Analysis.of(_random_distribution(1))
+    form = _random_distribution(1)
+    analysis = _Analysis.of(form)
     assert analysis.sat_hilbert.krull_dim == 1 and analysis.resolution.length == 3
-    assert not _report_from(analysis).is_curve and len(runs) == 1
+    assert not classify(form).is_curve and len(runs) == 1
     assert analysis.ext3 is not None and len(runs) == 2
 
 
@@ -420,7 +414,7 @@ def test_one_pair_budget_bounds_the_whole_classification(l112):
 
 def _dense_syzygy_matrix(F, entry_degree: int) -> list[list]:
     """The syzygy map's matrix with a row for every monomial of the target
-    degree, in ``_syzygy_matrix``'s column layout."""
+    degree, in the column layout of ``graded_syzygy_rows``."""
     source = sorted(monomials_of_degree(R, entry_degree), reverse=True)
     target = monomials_of_degree(R, entry_degree + max(f.degree() for f in F))
     row_of = {m: r for r, m in enumerate(target)}
@@ -470,8 +464,8 @@ def test_sparse_syzygy_matrix_has_the_kernel_of_the_dense_one():
 
 
 def test_syzygy_matrix_has_a_row_per_product_monomial(l1111):
-    # L1111 has entries of degree 3: 13 of the 35 quartic monomials occur in
-    # the products z_k * F_i
-    rows, ncols = _syzygy_matrix(l1111.coefficients, 1)
-    assert (len(rows), ncols) == (13, 16)
-    assert all(any(row) for row in rows)
+    # L1111 has entries of degree 3: 16 products z_k * F_i, in which 13 of
+    # the 35 quartic monomials occur, each a column
+    rows = _product_rows(l1111.coefficients, 1)
+    assert (len(rows), len(rows[0])) == (16, 13)
+    assert all(any(column) for column in zip(*rows))

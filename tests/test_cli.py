@@ -7,7 +7,7 @@ import pytest
 
 from foliations.classify import InternalInconsistency
 from foliations.cli import main
-from foliations.formfile import print_form_file
+from foliations.formfile import parse_form_file, parse_polynomial, print_form_file
 from foliations.forms import validate
 from foliations.rings import PolyRing
 
@@ -423,3 +423,35 @@ def test_repeated_calls_share_one_parser_and_no_state(l1111_file, tmp_path, monk
     assert main(["classify", l1111_file]) == 0
     assert capsys.readouterr().out.endswith("split (0, 0)\n")
     assert cli._build_parser.cache_info().misses == 1
+
+
+DEEP = "ring z0 z1 z2 z3\nform " + "(" * 5000 + "z1" + ")" * 5000 + " dz0 - (z0) dz1\n"
+
+
+def test_deeply_nested_input_is_a_parse_error_not_a_traceback(tmp_path, capsys):
+    # 5000 parentheses stop at the 101st, column 106 after "form "
+    path = tmp_path / "deep.form"
+    path.write_text(DEEP)
+    assert main(["check", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: 2:106: parentheses nested deeper than 100\n"
+    assert captured.out == ""
+
+
+def test_a_long_run_of_unary_minus_signs_is_read(tmp_path, capsys):
+    # 5000 signs cancel: z1 dz0 - z0 dz1; 5001 negate: -z1 dz0 + z0 dz1
+    for count, first in ((5000, "z1"), (5001, "-z1")):
+        path = tmp_path / f"signs{count}.form"
+        path.write_text(f"ring z0 z1 z2 z3\nform {'-' * count}z1 dz0 {'-' if count % 2 == 0 else '+'} z0 dz1\n")
+        assert main(["check", str(path)]) == 0
+        assert capsys.readouterr().out == f"{path}: valid, degree 0, integrable\n"
+        assert parse_form_file(path.read_text()).form.coefficients[0] == parse_polynomial(R, first)
+
+
+def test_classify_directory_goes_on_past_a_deeply_nested_file(l1111_file, capsys):
+    directory = Path(l1111_file).parent
+    (directory / "deep.form").write_text(DEEP)
+    assert main(["classify", "--dir", str(directory), "--json"]) == 1
+    captured = capsys.readouterr()
+    assert [o["input"] for o in json.loads(captured.out)] == [l1111_file]
+    assert captured.err == f"{directory / 'deep.form'}: error: 2:106: parentheses nested deeper than 100\n"

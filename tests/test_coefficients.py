@@ -15,9 +15,9 @@ from fractions import Fraction
 import pytest
 
 import foliations.modules as modules
-from foliations.classify import _Analysis, _split_from
+from foliations.classify import classify
 from foliations.determine import (
-    _family_from,
+    _family,
     constant_syzygy_space,
     integrable_members,
     is_determined_by_singular_scheme,
@@ -66,10 +66,9 @@ def test_outputs_hold_exact_coefficients(name, form):
     ):
         for x in entries:
             assert type(x) is int or type(x) is Fraction and x.denominator != 1, f"{what}: {x!r}"
-    analysis = _Analysis.of(form)
-    if not _split_from(analysis):
+    if not classify(form).is_split:
         return
-    family = _family_from(analysis)
+    family = _family(form)
     _assert_exact([p for t in family.member_tuples for p in t], "family member tuples")
     _assert_stored_as_int_when_integral(
         [p for t in family.member_tuples for p in t], "family member tuples"

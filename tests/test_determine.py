@@ -11,11 +11,7 @@ from random import Random
 import pytest
 
 import foliations.determine as determine
-from foliations.classify import (
-    _Analysis,
-    _report_from,
-    saturated_resolution,
-)
+from foliations.classify import _Analysis, classify, saturated_resolution
 from foliations.determine import (
     _LINE,
     DistributionFamily,
@@ -204,7 +200,7 @@ def test_degenerate_locus_is_where_the_matrix_is_singular(corpus):
     for seed in (0, 1):
         for name, form in build_determination_forms():
             form = seeded(name, form, seed)
-            if not _report_from(_Analysis.of(form)).is_split:
+            if not classify(form).is_split:
                 continue
             family = distribution_family(form)
             p = family.parameter_dim
@@ -372,7 +368,7 @@ def test_integral_system_is_the_rational_one():
     for seed in (0, 1, 3):
         for name, form in build_determination_forms():
             form = seeded(name, form, seed)
-            if not _report_from(_Analysis.of(form)).is_split:
+            if not classify(form).is_split:
                 continue
             family = distribution_family(form)
             if family.parameter_dim < 2:
@@ -439,7 +435,7 @@ def test_budget_limited_kind_does_not_depend_on_the_system_order(l112, monkeypat
     for seed in (0, 1, 3):
         for name, form in build_determination_forms():
             form = seeded(name, form, seed)
-            if _report_from(_Analysis.of(form)).is_split:
+            if classify(form).is_split:
                 family = distribution_family(form)
                 if family.parameter_dim > 1 and integrability_system(family):
                     families.append(family)
@@ -717,7 +713,7 @@ def _split_families(seed: int) -> list:
     out = []
     for name, form in forms.items():
         form = seeded(name, form, seed)
-        if _report_from(_Analysis.of(form)).is_split:
+        if classify(form).is_split:
             family = distribution_family(form)
             verdict = is_determined_by_singular_scheme(form)
             out.append((name, verdict, family, integrability_system(family)))
@@ -845,15 +841,14 @@ def test_witnesses_pass_the_resolution_check_they_replace(seed):
     checked = []
     for name, form in build_corpus() + build_larger_split_forms():
         form = seeded(name, form, seed)
-        analysis = _Analysis.of(form)
-        if not _report_from(analysis).is_split:
+        if not classify(form).is_split:
             continue
         verdict = is_determined_by_singular_scheme(form)
         if verdict.kind != "non-unique":
             continue
         w = verdict.witness
         w_sat, _ = saturated_resolution(Ideal(w.ring, w.coefficients))
-        assert ideal_equal(w_sat, analysis.saturation), (name, seed)
+        assert ideal_equal(w_sat, _Analysis.of(form).saturation), (name, seed)
         checked.append(name)
     assert checked == ["pullback-d1", "cone-L111", "L1111", "L1111-alt", "L1111-generic", "L22"]
 

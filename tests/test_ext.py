@@ -20,7 +20,7 @@ def test_two_skew_lines_rao_dual():
     res = free_resolution(Ideal(R, [Z[0] * Z[2], Z[0] * Z[3], Z[1] * Z[2], Z[1] * Z[3]]))
     assert res.length == 3
     e3 = top_ext(res)
-    assert e3.twists == (-4,)
+    assert e3.shift == -4
     assert e3.krull_dim == 0
     assert e3.finite_support() == {-4: 1}
 
@@ -41,7 +41,7 @@ def test_ext_beyond_resolution_length_is_zero():
     res = free_resolution(Ideal(R, [Z[0]]))
     assert res.length == 1
     e1 = top_ext(res)
-    assert e1.twists == (-1,)
+    assert e1.shift == -1
     assert e1.krull_dim == 3
 
 

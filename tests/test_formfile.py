@@ -2,7 +2,13 @@
 
 import pytest
 
-from foliations.formfile import ParseError, parse_form_file, parse_polynomial, print_form_file
+from foliations.formfile import (
+    MAX_NESTING,
+    ParseError,
+    parse_form_file,
+    parse_polynomial,
+    print_form_file,
+)
 from foliations.forms import EulerViolation, FormError, logarithmic_form
 from foliations.rings import PolyRing
 
@@ -73,7 +79,7 @@ def test_print_parse_identity_on_forms():
 
 
 def test_unary_minus_negates_the_power():
-    for text in ["-z0^2*z1 - z1^3", "-1*z0^2*z1 - 1*z1^3"]:
+    for text in ["-z0^2*z1 - z1^3", "-1*z0^2*z1 - 1*z1^3", "---z0^2*z1 - - -z1^3"]:
         ff = parse_form_file(f"ring z0 z1\nform ({text}) dz0 + (z0^3 + z0*z1^2) dz1")
         assert str(ff.form.coefficients[0]) == "-z0^2*z1 - z1^3"
 
@@ -167,3 +173,13 @@ def test_parse_polynomial():
     with pytest.raises(ParseError) as err:
         parse_polynomial(R, "z3")
     assert str(err.value) == "1:1: variable z3 outside the ring"
+
+
+
+def test_parentheses_nest_at_most_max_nesting_deep():
+    R = PolyRing(2)
+    assert parse_polynomial(R, "(" * MAX_NESTING + "z0" + ")" * MAX_NESTING) == R.variable(0)
+    with pytest.raises(ParseError) as err:
+        parse_polynomial(R, "(" * (MAX_NESTING + 1) + "z0" + ")" * (MAX_NESTING + 1))
+    # at the first parenthesis past the limit
+    assert str(err.value) == f"1:{MAX_NESTING + 1}: parentheses nested deeper than {MAX_NESTING}"

@@ -108,7 +108,7 @@ def test_certificate_expands_each_component():
 
 def _span_dimension(syzygies, entry_degree):
     """Dimension of the Q-span of monomial multiples with entries of one degree."""
-    from foliations.classify import monomials_of_degree
+    from foliations.determine import monomials_of_degree
 
     rows = []
     for u in syzygies:

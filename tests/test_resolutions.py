@@ -6,7 +6,7 @@ from random import Random
 
 import pytest
 
-from foliations.classify import monomials_of_degree
+from foliations.determine import monomials_of_degree
 from foliations.forms import apply_projectivity, exceptional_form, logarithmic_form, singular_ideal
 from foliations.groebner import Ideal, ideal_equal, normal_form
 from foliations.hilbert import _minimalize, hilbert_data
